@@ -158,6 +158,7 @@ def verify_transforms(
     rng = random.Random(seed + ctx.p)
     worst = 0.0
     indices = sorted({1, 2, ctx.g % ctx.p})
+    trip = find_triplet(ctx.p) if ctx.ell == 1 else None
     for _ in range(n_random):
         m0 = random_member(Subgroup.GAMMA0, ctx, rng)
         pts0 = samples or balanced_samples(m0)
@@ -165,7 +166,6 @@ def verify_transforms(
             worst = max(worst, check_E_transform(g, ctx.p, m0, pts0))
         if ctx.ell == 1:
             m1 = random_member(Subgroup.GAMMA1, ctx, rng)
-            trip = find_triplet(ctx.p)
             pts1 = samples or balanced_samples(m1)
             worst = max(worst, check_G_transform(ctx.p, trip, m1, pts1))
         else:

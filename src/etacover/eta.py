@@ -95,10 +95,13 @@ class EtaProduct:
     label: str
 
     def __post_init__(self):
-        assert self.sign in (1, -1)
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be 1 or -1, not {self.sign}")
         for g, e in self.exponents.items():
-            assert 1 <= g <= self.level // 2, (g, self.level)
-            assert e != 0
+            if not 1 <= g <= self.level // 2:
+                raise ValueError(f"index {g} is not reduced for level {self.level}")
+            if e == 0:
+                raise ValueError(f"index {g} has exponent 0")
 
     def squared(self) -> "EtaProduct":
         return EtaProduct(
@@ -169,7 +172,8 @@ def orbit_product(h: int, ctx: PrimeContext) -> EtaProduct:
         r, s = _shifted_residue(x, p)
         sign *= s
         idx = reduce_index(r, p)
-        assert idx.sign == 1
+        if idx.sign != 1:
+            raise ArithmeticError(f"reducing index {r} mod {p} gave sign {idx.sign}")
         exponents[idx.g] = exponents.get(idx.g, 0) + e
     return EtaProduct(
         level=p,

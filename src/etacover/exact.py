@@ -46,7 +46,8 @@ def is_prime(n: int) -> bool:
 
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"{n} has no prime factorization")
     out = []
     f = 2
     while f * f <= n:
@@ -136,7 +137,8 @@ class RootOfUnity:
 
     @classmethod
     def from_sign(cls, s: int) -> "RootOfUnity":
-        assert s in (1, -1)
+        if s not in (1, -1):
+            raise ValueError(f"sign must be 1 or -1, not {s}")
         return cls.one() if s == 1 else cls.minus_one()
 
     @classmethod

@@ -23,7 +23,8 @@ class QSeries:
     __slots__ = ("denom", "coeffs", "trunc")
 
     def __init__(self, denom: int, coeffs: dict, trunc):
-        assert denom >= 1
+        if denom < 1:
+            raise ValueError(f"lattice denominator must be >= 1, not {denom}")
         t = Fraction(trunc)
         kept = {}
         for n, c in coeffs.items():

@@ -10,6 +10,11 @@ of level p:
 
 Membership never needs more than the residue a mod p and a discrete log,
 so every test below is a few modular operations against a cached table.
+
+Gamma0, Gamma1 and Gamma2 are Gamma_H(p), H the upper-left residues, and
+Gamma2Prime is the sign-twisted kernel inside Gamma2, so cusp tables come
+in closed form (Diamond-Shurman, A First Course in Modular Forms, ch. 3)
+and are certified by their widths summing to the index in PSL(2,Z).
 """
 
 from __future__ import annotations
@@ -235,7 +240,8 @@ def random_member(group: Subgroup, ctx: PrimeContext, rng, cscale: int = 2) -> S
                 m = -m
         if group is Subgroup.GAMMA2_PRIME and not is_member(m, group, ctx):
             continue  # rejection step: half of Gamma2 lands in the kernel
-        assert is_member(m, group, ctx), (m.entries(), group)
+        if not is_member(m, group, ctx):
+            raise ArithmeticError(f"built {m.entries()} outside {group.value}")
         return m
 
 
@@ -408,43 +414,40 @@ def cusp_width(x: Cusp, group: Subgroup, ctx: PrimeContext) -> int:
     raise ArithmeticError(f"no width <= {2 * ctx.p} at cusp {x}")
 
 
-def _cusp_candidates(p: int):
-    """Candidates covering every class: infinity, a/p, 1/c, then CRT lifts."""
-    yield Cusp.infinity()
-    for a in range(1, p):
-        yield Cusp(a, p)
-    for c in range(1, p + 1):
-        yield Cusp(1, c)
-    for c in range(1, p):
-        cinv = pow(c, -1, p)
-        for abar in range(p):
-            # a == abar mod p and a == 1 mod c, so (a, c) is coprime
-            t = (abar - 1) * cinv % p
-            yield Cusp(1 + c * t, c)
-
-
 def cusp_set(group: Subgroup, ctx: PrimeContext) -> list[tuple[Cusp, int]]:
-    """Inequivalent cusps with widths; completeness certified by width sum.
+    """Inequivalent cusps with widths, from the closed form for Gamma_H(p).
 
-    Widths of distinct classes sum to the PSL index, so reaching the
-    independently computed index proves no class was missed.  The first
-    candidate families already represent everything at prime level; the
-    CRT tail only runs if they somehow did not.
+    Let H be the group's upper-left residues: all of (Z/p)^* for Gamma0,
+    {1} for Gamma1, <g^k> for Gamma2 and Gamma2Prime.  With r_1 = 1 <
+    r_2 < ... the least representatives of the cosets of +-H in (Z/p)^*,
+    the cusps are inf, then r/p for r != r_1, then 1/r for every r
+    (Diamond-Shurman, A First Course in Modular Forms, ch. 3).  Widths
+    are 1 at inf and r/p and p at 1/r; the sign twist of Gamma2Prime
+    doubles them.  Widths of distinct classes sum to the PSL index, so
+    matching the independently computed index shows no class is missing.
     """
+    p = ctx.p
+    if group is Subgroup.GAMMA0:
+        step = 1
+    elif group is Subgroup.GAMMA1:
+        step = p - 1
+    else:
+        step = ctx.k
+    plus_minus_h = [s * pow(ctx.g, n, p) for n in range(0, p - 1, step) for s in (1, -1)]
+    reps = []
+    covered = set()
+    for r in range(1, p):
+        if r not in covered:
+            reps.append(r)
+            covered.update(x * r % p for x in plus_minus_h)
+    scale = 2 if group is Subgroup.GAMMA2_PRIME else 1
+    table = [(Cusp.infinity(), scale)]
+    table += [(Cusp(r, p), scale) for r in reps[1:]]
+    table += [(Cusp(1, r), scale * p) for r in reps]
+    total = sum(w for _, w in table)
     target = psl_index(group, ctx)
-    found: list[tuple[Cusp, int]] = []
-    total = 0
-    primary = 1 + (ctx.p - 1) + ctx.p
-    for i, cand in enumerate(_cusp_candidates(ctx.p)):
-        if i >= primary and total == target:
-            break
-        if any(cusps_equivalent(cand, rep, group, ctx) for rep, _ in found):
-            continue
-        w = cusp_width(cand, group, ctx)
-        found.append((cand, w))
-        total += w
     if total != target:
         raise ArithmeticError(
-            f"cusp widths for {group.value}({ctx.p}) sum to {total}, expected {target}"
+            f"cusp widths for {group.value}({p}) sum to {total}, expected {target}"
         )
-    return found
+    return table

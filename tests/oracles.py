@@ -2,11 +2,15 @@
 
 Everything here recomputes results from defining formulas with plain
 dict/Fraction arithmetic and deliberately shares no code with the
-package internals.
+package internals.  The one exception is scan_cusp_set, which reuses the
+package's membership test (through cusps_equivalent and cusp_width) but
+not its closed-form cusp rule.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from etacover.subgroups import Cusp, cusp_width, cusps_equivalent, psl_index
 
 
 def brute_eta_expansion(g: int, level: int, steps: int):
@@ -86,3 +90,45 @@ def smallest_triplet(p: int):
         if sum(t * t for t in trip) % p == 0:
             return trip
     return None
+
+
+def _cusp_candidates(p: int):
+    """Candidates covering every class: infinity, a/p, 1/c, then CRT lifts."""
+    yield Cusp.infinity()
+    for a in range(1, p):
+        yield Cusp(a, p)
+    for c in range(1, p + 1):
+        yield Cusp(1, c)
+    for c in range(1, p):
+        cinv = pow(c, -1, p)
+        for abar in range(p):
+            # a == abar mod p and a == 1 mod c, so (a, c) is coprime
+            t = (abar - 1) * cinv % p
+            yield Cusp(1 + c * t, c)
+
+
+def scan_cusp_set(group, ctx):
+    """Cusp table by scanning candidates against the representatives so far.
+
+    Each candidate not equivalent to an earlier representative becomes one,
+    with its width found by search.  The scan stops once the widths reach
+    the PSL index after the first families (infinity, a/p, 1/c); at prime
+    level those already represent every class.
+    """
+    target = psl_index(group, ctx)
+    found = []
+    total = 0
+    primary = 1 + (ctx.p - 1) + ctx.p
+    for i, cand in enumerate(_cusp_candidates(ctx.p)):
+        if i >= primary and total == target:
+            break
+        if any(cusps_equivalent(cand, rep, group, ctx) for rep, _ in found):
+            continue
+        w = cusp_width(cand, group, ctx)
+        found.append((cand, w))
+        total += w
+    if total != target:
+        raise ArithmeticError(
+            f"cusp widths for {group.value}({ctx.p}) sum to {total}, expected {target}"
+        )
+    return found

@@ -32,6 +32,11 @@ def test_constructor_drops_zero_and_beyond_trunc():
     assert s.coeff(Fraction(1, 2)) == 0
 
 
+def test_constructor_rejects_zero_denominator():
+    with pytest.raises(ValueError):
+        QSeries(0, {0: Fraction(1)}, Fraction(3))
+
+
 def test_coeff_is_loud_past_trunc():
     s = QSeries.one(1, 3)
     assert s.coeff(2) == 0

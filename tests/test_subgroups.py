@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from etacover.exact import RootOfUnity, prime_context
+from etacover.exact import RootOfUnity, is_prime, prime_context
 from etacover.subgroups import (
     Cusp,
     SL2Matrix,
@@ -24,6 +24,7 @@ from etacover.subgroups import (
     random_member,
     sign_character,
 )
+from oracles import scan_cusp_set
 
 S = SL2Matrix(0, -1, 1, 0)
 T = SL2Matrix.translation(1)
@@ -378,3 +379,26 @@ def test_gamma1_cusp_count():
     assert len(table) == 10
     widths = sorted(w for _, w in table)
     assert widths == [1, 1, 1, 1, 1, 11, 11, 11, 11, 11]
+
+
+def test_cusp_set_matches_scan():
+    # the closed form against the scan, as ordered lists of (cusp, width)
+    for p in filter(is_prime, range(5, 60)):
+        ctx = prime_context(p)
+        for group in Subgroup:
+            assert cusp_set(group, ctx) == scan_cusp_set(group, ctx), (p, group)
+
+
+def test_cusp_set_large_prime():
+    # far beyond what the scan finishes; the closed form is linear in p
+    ctx = prime_context(1009)
+    counts = {
+        Subgroup.GAMMA0: 2,
+        Subgroup.GAMMA1: ctx.p - 1,
+        Subgroup.GAMMA2: 2 * ctx.k,
+        Subgroup.GAMMA2_PRIME: 2 * ctx.k,
+    }
+    for group, count in counts.items():
+        table = cusp_set(group, ctx)
+        assert len(table) == count, group
+        assert sum(w for _, w in table) == psl_index(group, ctx), group
