@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .exact import is_prime, prime_context, PrimeContext
 from .eta import (
@@ -36,7 +36,7 @@ from .numeric import (
     check_E_transform,
     check_F_transform,
     check_G_transform,
-    eval_product,
+    check_invariance,
 )
 from .subgroups import Subgroup, cusp_set, quotient_structure, random_member
 
@@ -45,12 +45,9 @@ DEFAULT_SEED = 20260823
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    h: int = 1            # index of the certified unit F_h
     bound: int = 10       # q-steps past leading for exact comparisons
     tol: float = 1e-8     # numeric residual tolerance
     n_random: int = 20    # random matrices per numeric check
-    seed: int = DEFAULT_SEED  # per-prime rngs derive from seed + p
-    samples: tuple | None = None  # None: balanced per-matrix sample points
 
 
 @dataclass(frozen=True)
@@ -103,11 +100,11 @@ def branch_name(p: int) -> str:
     return "F-psi"
 
 
-def _certified_unit(ctx: PrimeContext, h: int) -> tuple[EtaProduct, Subgroup]:
+def _certified_unit(ctx: PrimeContext) -> tuple[EtaProduct, Subgroup]:
     """The squared unit generating the quadratic extension, and its group."""
     if ctx.ell == 1:
         return triplet_product(find_triplet(ctx.p), ctx.p).squared(), Subgroup.GAMMA1
-    return orbit_product(h, ctx).squared(), Subgroup.GAMMA2
+    return orbit_product(1, ctx).squared(), Subgroup.GAMMA2
 
 
 # -- individual checks -----------------------------------------------------
@@ -142,37 +139,28 @@ def verify_shifting(ctx: PrimeContext, bound: int = 10) -> CheckResult:
     )
 
 
-def verify_transforms(
-    ctx: PrimeContext,
-    h: int = 1,
-    tol: float = 1e-8,
-    n_random: int = 20,
-    seed: int = DEFAULT_SEED,
-    samples: tuple | None = None,
-) -> CheckResult:
+def verify_transforms(ctx: PrimeContext, tol: float = 1e-8, n_random: int = 20) -> CheckResult:
     """Numeric transformation laws under random small matrices.
 
-    With samples=None each matrix is tested at points matched to its own
-    scale, which keeps the truncated products accurate for large p.
+    Each matrix is tested at points matched to its own scale, which keeps
+    the truncated products accurate for large p.
     """
-    rng = random.Random(seed + ctx.p)
+    rng = random.Random(DEFAULT_SEED + ctx.p)
     worst = 0.0
     indices = sorted({1, 2, ctx.g % ctx.p})
     trip = find_triplet(ctx.p) if ctx.ell == 1 else None
     for _ in range(n_random):
         m0 = random_member(Subgroup.GAMMA0, ctx, rng)
-        pts0 = samples or balanced_samples(m0)
+        pts0 = balanced_samples(m0)
         for g in indices:
             worst = max(worst, check_E_transform(g, ctx.p, m0, pts0))
         if ctx.ell == 1:
             m1 = random_member(Subgroup.GAMMA1, ctx, rng)
-            pts1 = samples or balanced_samples(m1)
-            worst = max(worst, check_G_transform(ctx.p, trip, m1, pts1))
+            worst = max(worst, check_G_transform(ctx.p, trip, m1, balanced_samples(m1)))
         else:
-            worst = max(worst, check_F_transform(ctx, h, m0, pts0))
+            worst = max(worst, check_F_transform(ctx, 1, m0, pts0))
             m2 = random_member(Subgroup.GAMMA2, ctx, rng)
-            pts2 = samples or balanced_samples(m2)
-            worst = max(worst, check_F_transform(ctx, h, m2, pts2))
+            worst = max(worst, check_F_transform(ctx, 1, m2, balanced_samples(m2)))
     status = "pass" if worst < tol else "fail"
     return CheckResult(
         "transformation-law", status,
@@ -182,13 +170,7 @@ def verify_transforms(
 
 
 def verify_invariance(
-    ctx: PrimeContext,
-    samples: tuple | None = None,
-    tol: float = 1e-8,
-    h: int = 1,
-    bound: int = 10,
-    n_random: int = 20,
-    seed: int = DEFAULT_SEED,
+    ctx: PrimeContext, tol: float = 1e-8, bound: int = 10, n_random: int = 20
 ) -> CheckResult:
     """The squared unit is a rational modular function on its curve.
 
@@ -197,18 +179,14 @@ def verify_invariance(
     (c) rational coefficients plus odd order at infinity (the square
         root genuinely enlarges the function field).
     """
-    prod, group = _certified_unit(ctx, h)
+    prod, group = _certified_unit(ctx)
     if not is_modular_unit(prod):
         return CheckResult("invariance", "fail", reason="congruence criterion violated")
-    rng = random.Random(seed + 2 * ctx.p + 1)
+    rng = random.Random(DEFAULT_SEED + 2 * ctx.p + 1)
     worst = 0.0
     for _ in range(n_random):
         m = random_member(group, ctx, rng)
-        for tau in samples or balanced_samples(m):
-            z = tau.as_complex()
-            lhs = eval_product(prod, m.apply(z))
-            rhs = eval_product(prod, z)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+        worst = max(worst, check_invariance(prod, m, samples=balanced_samples(m)))
     series = expand_product(prod, bound)
     lead_order = series.leading()[0]  # order at infinity: the cusp has width 1
     odd_lead = lead_order.denominator == 1 and int(lead_order) % 2 == 1
@@ -227,14 +205,14 @@ def verify_invariance(
     )
 
 
-def cusp_orders(ctx: PrimeContext, h: int = 1) -> tuple[CheckResult, tuple]:
+def cusp_orders(ctx: PrimeContext) -> tuple[CheckResult, tuple]:
     """Order of the squared unit at every cusp of its curve.
 
     order = width * sum_g e_g * delta_g with delta the leading exponent
     of E_g at the cusp; it must be an odd integer everywhere, equal to 1
     whenever p does not divide c, and the orders of a unit sum to zero.
     """
-    prod, group = _certified_unit(ctx, h)
+    prod, group = _certified_unit(ctx)
     try:
         table = cusp_set(group, ctx)
     except ArithmeticError as exc:
@@ -297,7 +275,6 @@ def verify_quotient(ctx: PrimeContext) -> CheckResult:
             "character_order": qs.character_order,
             "index_gamma0_gamma2": qs.index_gamma0_gamma2,
             "curve_index_gamma2_gamma1": qs.curve_index_gamma2_gamma1,
-            "cyclic": qs.is_cyclic,
         },
     )
 
@@ -343,6 +320,20 @@ def _small_prime_report(p: int) -> CertReport:
     )
 
 
+def _report(ctx: PrimeContext, checks: tuple, cusps: tuple = ()) -> CertReport:
+    return CertReport(
+        p=ctx.p, g=ctx.g, k=ctx.k, ell=ctx.ell, Np=ctx.k, degree=ctx.degree,
+        branch=branch_name(ctx.p), checks=checks, cusps=cusps,
+        overall=all(c.status != "fail" for c in checks),
+    )
+
+
+def error_report(p: int, exc: Exception) -> CertReport:
+    """Fail report for a prime whose certification raised exc."""
+    check = CheckResult("error", "fail", reason=f"{type(exc).__name__}: {exc}")
+    return _report(prime_context(p), (check,))
+
+
 def certify(p: int, config: CertifyConfig | None = None) -> CertReport:
     """Run all checks for one prime and assemble the report."""
     if not is_prime(p):
@@ -351,55 +342,24 @@ def certify(p: int, config: CertifyConfig | None = None) -> CertReport:
         return _small_prime_report(p)
     cfg = config or CertifyConfig()
     ctx = prime_context(p)
-    order_check, rows = cusp_orders(ctx, cfg.h)
+    order_check, rows = cusp_orders(ctx)
     checks = (
         verify_shifting(ctx, cfg.bound),
-        verify_transforms(
-            ctx, h=cfg.h, tol=cfg.tol, n_random=cfg.n_random,
-            seed=cfg.seed, samples=cfg.samples,
-        ),
-        verify_invariance(
-            ctx, samples=cfg.samples, tol=cfg.tol, h=cfg.h,
-            bound=cfg.bound, n_random=cfg.n_random, seed=cfg.seed,
-        ),
+        verify_transforms(ctx, cfg.tol, cfg.n_random),
+        verify_invariance(ctx, cfg.tol, cfg.bound, cfg.n_random),
         verify_quotient(ctx),
         order_check,
         verify_z_relation(ctx, cfg.bound),
     )
-    return CertReport(
-        p=p, g=ctx.g, k=ctx.k, ell=ctx.ell, Np=ctx.k, degree=ctx.degree,
-        branch=branch_name(p), checks=checks, cusps=rows,
-        overall=all(c.status != "fail" for c in checks),
-    )
+    return _report(ctx, checks, rows)
 
 
 # -- JSON ------------------------------------------------------------------
 
 
 def report_to_dict(report: CertReport) -> dict:
-    checks = []
-    for c in report.checks:
-        item = {"name": c.name, "status": c.status}
-        if c.reason is not None:
-            item["reason"] = c.reason
-        if c.witness is not None:
-            item["witness"] = c.witness
-        checks.append(item)
-    return {
-        "p": report.p,
-        "g": report.g,
-        "k": report.k,
-        "ell": report.ell,
-        "Np": report.Np,
-        "degree": report.degree,
-        "branch": report.branch,
-        "checks": checks,
-        "cusps": [
-            {"a": r.a, "c": r.c, "width": r.width, "order": r.order}
-            for r in report.cusps
-        ],
-        "overall": report.overall,
-    }
+    """Key order is CertReport's field order; absent reason/witness are dropped."""
+    return asdict(report, dict_factory=lambda items: {k: v for k, v in items if v is not None})
 
 
 def report_to_json(report: CertReport) -> str:
@@ -407,22 +367,11 @@ def report_to_json(report: CertReport) -> str:
 
 
 def report_from_dict(data: dict) -> CertReport:
-    checks = tuple(
-        CheckResult(
-            name=c["name"], status=c["status"],
-            reason=c.get("reason"), witness=c.get("witness"),
-        )
-        for c in data["checks"]
-    )
-    cusps = tuple(
-        CuspRow(a=r["a"], c=r["c"], width=r["width"], order=r["order"])
-        for r in data["cusps"]
-    )
-    return CertReport(
-        p=data["p"], g=data["g"], k=data["k"], ell=data["ell"],
-        Np=data["Np"], degree=data["degree"], branch=data["branch"],
-        checks=checks, cusps=cusps, overall=data["overall"],
-    )
+    return CertReport(**{
+        **data,
+        "checks": tuple(CheckResult(**c) for c in data["checks"]),
+        "cusps": tuple(CuspRow(**r) for r in data["cusps"]),
+    })
 
 
 def report_from_json(text: str) -> CertReport:

@@ -10,9 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
-from .certify import CertifyConfig, certify, report_to_dict, report_to_json, verify_z_relation
+from .certify import (
+    CertifyConfig,
+    certify,
+    error_report,
+    report_to_dict,
+    report_to_json,
+    verify_z_relation,
+)
 from .eta import (
     classical_eta,
     eta_quotient_series,
@@ -117,13 +125,19 @@ def cmd_certify(args) -> int:
         primes = [q for q in range(max(a, 2), b + 1) if is_prime(q)]
         if not primes:
             raise ValueError(f"no primes in range {args.range}")
-    cfg = CertifyConfig(bound=args.prec)
-    reports = [certify(q, cfg) for q in primes]
+    cfg = CertifyConfig(bound=_require_prec(args.prec))
     if args.out is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for r in reports:
-            (outdir / f"{r.p}.json").write_text(report_to_json(r) + "\n")
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    reports = []
+    for q in primes:
+        try:
+            r = certify(q, cfg)
+        except Exception as exc:  # one failing prime must not lose the run
+            traceback.print_exc()
+            r = error_report(q, exc)
+        if args.out is not None:
+            (Path(args.out) / f"{r.p}.json").write_text(report_to_json(r) + "\n")
+        reports.append(r)
     if args.json:
         if args.p is not None:
             print(report_to_json(reports[0]))

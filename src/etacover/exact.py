@@ -93,10 +93,6 @@ class PrimeContext:
     ell: int
 
     @property
-    def half(self) -> int:
-        return self.k * self.ell
-
-    @property
     def degree(self) -> int:
         return 2 * self.k
 

@@ -4,13 +4,17 @@ Truncated products converge like |q|^(level*terms), so the number of
 factors is chosen adaptively from Im(tau): transformed points gamma*tau
 sit much lower in the upper half plane than the samples and need more
 terms, not a different algorithm.
+
+Every law is checked by one routine, ``_max_residual``: it evaluates the
+left side at gamma*tau once per sample and takes the largest relative
+error against each right side at tau.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 from math import ceil, pi
 
 import numpy as np
@@ -46,15 +50,12 @@ class UpperHalfPoint:
         return complex(self.re, self.im)
 
 
-#: default sample set; kept comfortably above the im >= 0.5 floor
 DEFAULT_SAMPLES = (
     UpperHalfPoint(0.0, 1.0),
     UpperHalfPoint(0.25, 1.0),
     UpperHalfPoint(-1.0 / 3.0, 2.0),
     UpperHalfPoint(0.1, 0.8),
 )
-
-DEFAULT_IM_FLOOR = 0.5
 
 
 def balanced_samples(gamma, n: int = 2, spread: float = 0.3) -> tuple:
@@ -86,12 +87,12 @@ def _terms_for(im: float, level: int) -> int:
     return max(4, ceil(_LOG_TAIL_TARGET / (2 * pi * im * level)) + 2)
 
 
-def eval_generalized_eta(g: int, level: int, tau, term_bound: int | None = None) -> complex:
+def eval_generalized_eta(g: int, level: int, tau) -> complex:
     """Truncated-product value of E_g at tau."""
     if not 1 <= g <= level - 1:
         raise ValueError(f"index {g} outside [1, {level - 1}]")
     z = _as_point(tau)
-    terms = term_bound if term_bound is not None else _terms_for(z.imag, level)
+    terms = _terms_for(z.imag, level)
     q = cmath.exp(2j * pi * z)
     m = np.arange(1, terms + 1)
     head = cmath.exp(2j * pi * z * (level * ((g / level) ** 2 - g / level + 1 / 6) / 2))
@@ -99,23 +100,23 @@ def eval_generalized_eta(g: int, level: int, tau, term_bound: int | None = None)
     return head * complex(prod)
 
 
-def eval_classical_eta(scale: int, tau, term_bound: int | None = None) -> complex:
+def eval_classical_eta(scale: int, tau) -> complex:
     """Truncated-product value of eta(scale*tau)."""
     if scale < 1:
         raise ValueError("scale must be positive")
     z = _as_point(tau)
-    terms = term_bound if term_bound is not None else _terms_for(z.imag, scale)
+    terms = _terms_for(z.imag, scale)
     q = cmath.exp(2j * pi * z)
     m = np.arange(1, terms + 1)
     return cmath.exp(2j * pi * z * scale / 24) * complex(np.prod(1 - q ** (scale * m)))
 
 
-def eval_product(prod: EtaProduct, tau, term_bound: int | None = None) -> complex:
+def eval_product(prod: EtaProduct, tau) -> complex:
     """Value of an eta product from its factors."""
     z = _as_point(tau)
     val = complex(prod.sign)
     for g, e in sorted(prod.exponents.items()):
-        val *= eval_generalized_eta(g, prod.level, z, term_bound) ** e
+        val *= eval_generalized_eta(g, prod.level, z) ** e
     return val
 
 
@@ -138,23 +139,37 @@ def eval_series(series: QSeries, tau) -> complex:
     return complex(np.sum(cs * np.exp(2j * pi * z * exps)))
 
 
-def _rel_err(lhs: complex, rhs: complex) -> float:
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale
+def _max_residual(samples, gamma: SL2Matrix, lhs, *rhs) -> float:
+    """Max relative error of lhs(gamma tau) against each factor * f(tau).
+
+    lhs and every f map a point to a value; each right side is a
+    (factor, f) pair.  The left side is evaluated once per sample.
+    """
+    worst = 0.0
+    for tau in samples:
+        z = _as_point(tau)
+        left = lhs(gamma.apply(z))
+        for factor, f in rhs:
+            right = factor * f(z)
+            worst = max(worst, abs(left - right) / max(abs(left), abs(right), 1e-300))
+    return worst
+
+
+def check_invariance(prod: EtaProduct, gamma: SL2Matrix, factor=1,
+                     samples=DEFAULT_SAMPLES) -> float:
+    """Max relative residual of prod(gamma tau) = factor * prod(tau)."""
+    value = partial(eval_product, prod)
+    return _max_residual(samples, gamma, value, (factor, value))
 
 
 def check_E_transform(g: int, level: int, gamma: SL2Matrix, samples=DEFAULT_SAMPLES) -> float:
     """Max relative residual of E_g(gamma tau) = mult * E_(a g)(tau)."""
     mult, new_index = eta_multiplier(g, level, gamma)
     idx = reduce_index(new_index, level)
-    factor = mult.value() * idx.sign
-    worst = 0.0
-    for tau in samples:
-        z = _as_point(tau)
-        lhs = eval_generalized_eta(g, level, gamma.apply(z))
-        rhs = factor * eval_generalized_eta(idx.g, level, z)
-        worst = max(worst, _rel_err(lhs, rhs))
-    return worst
+    return _max_residual(
+        samples, gamma, partial(eval_generalized_eta, g, level),
+        (mult.value() * idx.sign, partial(eval_generalized_eta, idx.g, level)),
+    )
 
 
 def check_F_transform(ctx: PrimeContext, h: int, gamma: SL2Matrix, samples=DEFAULT_SAMPLES) -> float:
@@ -174,17 +189,11 @@ def check_F_transform(ctx: PrimeContext, h: int, gamma: SL2Matrix, samples=DEFAU
     psi = sign_character(gamma)
     here = orbit_product(h, ctx)
     moved = orbit_product(gamma.a * h, ctx)
-    in_g2 = is_member(gamma, Subgroup.GAMMA2, ctx)
-    if in_g2:
+    rhs = [(psi, partial(eval_product, moved))]
+    if is_member(gamma, Subgroup.GAMMA2, ctx):
         fixed_factor = psi * (quadratic_character(gamma, ctx) if ctx.ell % 2 == 0 else 1)
-    worst = 0.0
-    for tau in samples:
-        z = _as_point(tau)
-        lhs = eval_product(here, gamma.apply(z))
-        worst = max(worst, _rel_err(lhs, psi * eval_product(moved, z)))
-        if in_g2:
-            worst = max(worst, _rel_err(lhs, fixed_factor * eval_product(here, z)))
-    return worst
+        rhs.append((fixed_factor, partial(eval_product, here)))
+    return _max_residual(samples, gamma, partial(eval_product, here), *rhs)
 
 
 def check_G_transform(p: int, triplet: tuple[int, int, int], gamma: SL2Matrix,
@@ -192,12 +201,6 @@ def check_G_transform(p: int, triplet: tuple[int, int, int], gamma: SL2Matrix,
     """Max relative residual of G(gamma tau) = psi(gamma) G(tau), gamma in Gamma1(p)."""
     if gamma.c % p or gamma.a % p != 1:
         raise ValueError(f"{gamma.entries()} is not in Gamma1({p})")
-    prod = triplet_product(triplet, p)
-    psi = sign_character(gamma)
-    worst = 0.0
-    for tau in samples:
-        z = _as_point(tau)
-        lhs = eval_product(prod, gamma.apply(z))
-        rhs = psi * eval_product(prod, z)
-        worst = max(worst, _rel_err(lhs, rhs))
-    return worst
+    return check_invariance(
+        triplet_product(triplet, p), gamma, sign_character(gamma), samples
+    )

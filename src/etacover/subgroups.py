@@ -286,10 +286,8 @@ class QuotientStructure:
 
     index_gamma0_gamma2: int
     curve_index_gamma2_gamma1: int
-    residue_classes_gamma2: int
     character_order: int
     kernel_matches: bool
-    is_cyclic: bool
 
 
 def quotient_structure(ctx: PrimeContext) -> QuotientStructure:
@@ -321,10 +319,8 @@ def quotient_structure(ctx: PrimeContext) -> QuotientStructure:
     return QuotientStructure(
         index_gamma0_gamma2=(p - 1) // in_g2,
         curve_index_gamma2_gamma1=len(curve_classes),
-        residue_classes_gamma2=in_g2,
         character_order=lcm(*orders),
         kernel_matches=kernel_ok,
-        is_cyclic=True,  # finite subgroup of the circle group
     )
 
 

@@ -128,7 +128,8 @@ def test_unreachable_tolerance_fails_loudly():
 
 def test_json_roundtrip_and_key_order():
     r = certify(5)
-    assert report_from_json(report_to_json(r)) == r
+    for rep in (r, certify(2), certify(5, CertifyConfig(tol=1e-30, n_random=2))):
+        assert report_from_json(report_to_json(rep)) == rep
     keys = list(json.loads(report_to_json(r)).keys())
     assert keys == ["p", "g", "k", "ell", "Np", "degree", "branch",
                     "checks", "cusps", "overall"]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from etacover.certify import certify
 from etacover.cli import main
 
 
@@ -174,6 +175,28 @@ def test_certify_argument_validation(capsys):
     assert code == 2 and "range" in err
     code, _, err = run(capsys, "certify", "--range", "24..28")
     assert code == 2 and "no primes" in err
+    code, _, err = run(capsys, "certify", "--range", "5..7", "--prec", "0")
+    assert code == 2 and "prec" in err
+
+
+def test_certify_range_survives_a_raising_prime(capsys, tmp_path, monkeypatch):
+    def flaky(p, cfg=None):
+        if p == 7:
+            raise RuntimeError("boom")
+        return certify(p, cfg)
+
+    monkeypatch.setattr("etacover.cli.certify", flaky)
+    outdir = tmp_path / "r"
+    code, out, _ = run(capsys, "certify", "--range", "5..11", "--out", str(outdir))
+    assert code == 1
+    assert sorted(f.name for f in outdir.iterdir()) == ["11.json", "5.json", "7.json"]
+    failed = json.loads((outdir / "7.json").read_text())
+    assert failed["overall"] is False and failed["cusps"] == []
+    assert failed["checks"] == [
+        {"name": "error", "status": "fail", "reason": "RuntimeError: boom"}
+    ]
+    assert json.loads((outdir / "11.json").read_text())["overall"] is True
+    assert out.endswith("certified 2/3 primes\n")
 
 
 def test_certify_repeat_is_byte_identical(capsys):

@@ -125,7 +125,6 @@ def test_prime_context_factorization():
             continue
         ctx = prime_context(p)
         assert 2 * ctx.k * ctx.ell == p - 1
-        assert ctx.half == (p - 1) // 2
         assert ctx.ell in (1, 2, 3, 6)
         # ell is determined by p mod 12
         assert ctx.ell == {11: 1, 5: 2, 7: 3, 1: 6}[p % 12]

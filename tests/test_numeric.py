@@ -21,6 +21,7 @@ from etacover.numeric import (
     check_E_transform,
     check_F_transform,
     check_G_transform,
+    check_invariance,
     eval_classical_eta,
     eval_generalized_eta,
     eval_product,
@@ -177,6 +178,14 @@ def test_G_transform_members_and_rejects():
         check_G_transform(11, (1, 1, 3), S)
     with pytest.raises(ValueError):
         check_G_transform(11, (1, 1, 3), lift_with_upper_left(2, 11))
+
+
+def test_invariance_fails_on_wrong_factor():
+    unit = triplet_product((1, 1, 3), 11).squared()
+    m = random_member(Subgroup.GAMMA1, prime_context(11), random.Random(3))
+    pts = balanced_samples(m)
+    assert check_invariance(unit, m, samples=pts) < 1e-8
+    assert check_invariance(unit, m, factor=-1, samples=pts) > 1
 
 
 def test_balanced_samples_shapes():

@@ -295,7 +295,7 @@ def test_quotient_structure_frozen():
         assert qs.index_gamma0_gamma2 == idx0
         assert qs.curve_index_gamma2_gamma1 == idx1
         assert qs.character_order == order
-        assert qs.kernel_matches and qs.is_cyclic
+        assert qs.kernel_matches
 
 
 def test_quotient_order_equals_degree():
