@@ -1,9 +1,10 @@
 """Per-prime certification of the cyclic covering data.
 
-For each prime p the certifier checks, with exact series where possible
-and complex evaluation where the group action moves the expansion point:
+For each prime p the certifier checks, with formal eta products or exact
+series where possible and complex evaluation where the group action
+moves the expansion point:
 
-  shifting            index shifts of the units F_h (exact series)
+  shifting            index shifts of the units F_h (formal products)
   transformation-law  multiplier/character laws under random matrices
   invariance          the squared unit descends to the curve, over Q
   quotient-structure  Gamma0/Gamma2Prime is cyclic of the covering degree
@@ -27,6 +28,7 @@ from .eta import (
     expand_product,
     find_triplet,
     is_modular_unit,
+    leading_exponent,
     leading_exponent_at,
     orbit_product,
     triplet_product,
@@ -45,7 +47,7 @@ DEFAULT_SEED = 20260823
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    bound: int = 10       # q-steps past leading for exact comparisons
+    bound: int = 10       # q-steps past leading for the z-relation comparison
     tol: float = 1e-8     # numeric residual tolerance
     n_random: int = 20    # random matrices per numeric check
 
@@ -80,16 +82,6 @@ class CertReport:
     overall: bool
 
 
-def _series_equal(a, b) -> bool:
-    """Exact agreement to the shared truncation.
-
-    Both sides carry the same relative precision, so when the leading
-    exponents agree this is a full-window comparison; when they differ
-    the lower leading term itself witnesses the mismatch.
-    """
-    return a.agrees_with(b, min(a.trunc, b.trunc))
-
-
 def branch_name(p: int) -> str:
     if p in (2, 3):
         return "small-p"
@@ -110,32 +102,31 @@ def _certified_unit(ctx: PrimeContext) -> tuple[EtaProduct, Subgroup]:
 # -- individual checks -----------------------------------------------------
 
 
-def verify_shifting(ctx: PrimeContext, bound: int = 10) -> CheckResult:
-    """F_h = F_(-h) = F_(p+h), and F_(g^k h) = -+ F_h per p mod 4, exactly."""
+def verify_shifting(ctx: PrimeContext) -> CheckResult:
+    """F_h = F_(-h) = F_(p+h), and F_(g^k h) = -+ F_h per p mod 4.
+
+    Decided on the formal eta products: an expansion is a function of
+    (level, exponents, sign) alone, so equal products agree at every
+    q-power and no series is expanded.
+    """
     if ctx.p % 12 == 11:
         return CheckResult("shifting", "skipped", reason="ell=1: F-branch replaced by G-branch")
     gk = pow(ctx.g, ctx.k, ctx.p)
     flip = -1 if ctx.p % 4 == 1 else 1
     tested = []
     for h in (1, 2, ctx.g):
-        base = expand_product(orbit_product(h, ctx), bound)
-        for other in (-h, ctx.p + h):
-            cand = expand_product(orbit_product(other, ctx), bound)
-            if not _series_equal(base, cand):
+        base = orbit_product(h, ctx)
+        for other, factor in ((-h, 1), (ctx.p + h, 1), (gk * h, flip)):
+            cand = orbit_product(other, ctx)
+            if (cand.exponents, cand.sign) != (base.exponents, factor * base.sign):
                 return CheckResult(
                     "shifting", "fail",
-                    reason=f"F_{h} != F_{other} within {bound} steps",
+                    reason=f"F_{other} != {factor}*F_{h} as formal eta products",
                 )
-        moved = expand_product(orbit_product(gk * h, ctx), bound)
-        if not _series_equal(moved, base.scale(flip)):
-            return CheckResult(
-                "shifting", "fail",
-                reason=f"F_(g^k*{h}) != {flip}*F_{h} within {bound} steps",
-            )
         tested.append(h % ctx.p)
     return CheckResult(
         "shifting", "pass",
-        witness={"h_values": sorted(set(tested)), "bound": bound, "gk_sign": flip},
+        witness={"h_values": sorted(set(tested)), "gk_sign": flip},
     )
 
 
@@ -169,15 +160,14 @@ def verify_transforms(ctx: PrimeContext, tol: float = 1e-8, n_random: int = 20) 
     )
 
 
-def verify_invariance(
-    ctx: PrimeContext, tol: float = 1e-8, bound: int = 10, n_random: int = 20
-) -> CheckResult:
+def verify_invariance(ctx: PrimeContext, tol: float = 1e-8, n_random: int = 20) -> CheckResult:
     """The squared unit is a rational modular function on its curve.
 
     (a) the congruence criterion for descending to the curve,
     (b) numeric invariance under random group elements,
-    (c) rational coefficients plus odd order at infinity (the square
-        root genuinely enlarges the function field).
+    (c) odd order at infinity, the sum of e_g times the leading exponent
+        of E_g (each E_g leads with 1), so the square root genuinely
+        enlarges the function field.
     """
     prod, group = _certified_unit(ctx)
     if not is_modular_unit(prod):
@@ -187,8 +177,8 @@ def verify_invariance(
     for _ in range(n_random):
         m = random_member(group, ctx, rng)
         worst = max(worst, check_invariance(prod, m, samples=balanced_samples(m)))
-    series = expand_product(prod, bound)
-    lead_order = series.leading()[0]  # order at infinity: the cusp has width 1
+    # order at infinity: the cusp has width 1
+    lead_order = sum(e * leading_exponent(g, ctx.p) for g, e in prod.exponents.items())
     odd_lead = lead_order.denominator == 1 and int(lead_order) % 2 == 1
     status = "pass" if worst < tol and odd_lead else "fail"
     return CheckResult(
@@ -199,7 +189,6 @@ def verify_invariance(
             "unit": prod.label,
             "group": group.value,
             "max_residual": worst,
-            "rational_terms_checked": len(series.coeffs),
             "order_at_infinity": str(lead_order),
         },
     )
@@ -290,8 +279,12 @@ def verify_z_relation(ctx: PrimeContext, bound: int = 10) -> CheckResult:
     for j in range(ctx.k):
         f = expand_product(orbit_product(pow(ctx.g, j, ctx.p), ctx), bound)
         prod = f if prod is None else prod * f
+    # both sides carry the same relative precision, so when the leading
+    # exponents agree this is a full-window comparison; when they differ
+    # the lower leading term itself witnesses the mismatch
+    upto = min(z.trunc, prod.trunc)
     for sign in (1, -1):
-        if _series_equal(z, prod.scale(sign)):
+        if z.agrees_with(prod.scale(sign), upto):
             return CheckResult(
                 "z-relation", "pass",
                 witness={"sign": sign, "bound": bound,
@@ -344,9 +337,9 @@ def certify(p: int, config: CertifyConfig | None = None) -> CertReport:
     ctx = prime_context(p)
     order_check, rows = cusp_orders(ctx)
     checks = (
-        verify_shifting(ctx, cfg.bound),
+        verify_shifting(ctx),
         verify_transforms(ctx, cfg.tol, cfg.n_random),
-        verify_invariance(ctx, cfg.tol, cfg.bound, cfg.n_random),
+        verify_invariance(ctx, cfg.tol, cfg.n_random),
         verify_quotient(ctx),
         order_check,
         verify_z_relation(ctx, cfg.bound),

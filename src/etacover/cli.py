@@ -127,7 +127,10 @@ def cmd_certify(args) -> int:
             raise ValueError(f"no primes in range {args.range}")
     cfg = CertifyConfig(bound=_require_prec(args.prec))
     if args.out is not None:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot use --out {args.out} as a directory: {exc}") from exc
     reports = []
     for q in primes:
         try:

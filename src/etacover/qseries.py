@@ -10,7 +10,7 @@ instead of silently-true comparisons.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
 
 class PrecisionError(ValueError):
@@ -26,13 +26,12 @@ class QSeries:
         if denom < 1:
             raise ValueError(f"lattice denominator must be >= 1, not {denom}")
         t = Fraction(trunc)
+        cut = ceil(t * denom)  # lattice numerators n >= cut are at or past trunc
         kept = {}
         for n, c in coeffs.items():
             c = Fraction(c)
-            if c == 0:
-                continue
-            if Fraction(n, denom) >= t:
-                continue  # beyond what we certify; drop
+            if c == 0 or n >= cut:
+                continue  # zero, or beyond what we certify; drop
             kept[n] = c
         self.denom = denom
         self.coeffs = kept
@@ -137,11 +136,12 @@ class QSeries:
         # each factor is exact below its trunc, so the product is exact below
         # min(trunc_a + lead_b, trunc_b + lead_a)
         t = min(a.trunc + b._lead_or_trunc(), b.trunc + a._lead_or_trunc())
+        cut = ceil(t * d)
         out = {}
         for n1, c1 in a.coeffs.items():
             for n2, c2 in b.coeffs.items():
                 n = n1 + n2
-                if Fraction(n, d) >= t:
+                if n >= cut:
                     continue
                 out[n] = out.get(n, Fraction(0)) + c1 * c2
         return QSeries(d, out, t)
@@ -201,8 +201,9 @@ class QSeries:
             )
         d = lcm(self.denom, other.denom)
         a, b = self.rescale(d), other.rescale(d)
+        cut = ceil(t * d)
         for n in set(a.coeffs) | set(b.coeffs):
-            if Fraction(n, d) >= t:
+            if n >= cut:
                 continue
             if a.coeffs.get(n, Fraction(0)) != b.coeffs.get(n, Fraction(0)):
                 return False

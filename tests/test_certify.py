@@ -1,22 +1,31 @@
 """Certifier checks, report assembly, and JSON serialization."""
 
+import dataclasses
+import importlib
 import json
 
 import pytest
 
 from etacover.certify import (
     CertifyConfig,
+    _certified_unit,
     branch_name,
     certify,
     cusp_orders,
     report_from_json,
     report_to_dict,
     report_to_json,
+    verify_invariance,
     verify_shifting,
     verify_transforms,
     verify_z_relation,
 )
-from etacover.exact import prime_context
+from etacover.eta import expand_product, orbit_product
+from etacover.exact import is_prime, prime_context
+
+# the package re-exports the function certify, which shadows the module
+# of the same name for dotted lookups such as monkeypatch target strings
+CERTIFY_MODULE = importlib.import_module("etacover.certify")
 
 CHECK_ORDER = [
     "shifting",
@@ -96,10 +105,44 @@ def test_shifting_direct():
     assert verify_shifting(prime_context(11)).status == "skipped"
     r7 = verify_shifting(prime_context(7))
     assert r7.status == "pass"
-    assert r7.witness == {"h_values": [1, 2, 3], "bound": 10, "gk_sign": 1}
+    assert r7.witness == {"h_values": [1, 2, 3], "gk_sign": 1}
     r13 = verify_shifting(prime_context(13))
     assert r13.witness["h_values"] == [1, 2]  # g = 15 folds onto 2 mod 13
     assert r13.witness["gk_sign"] == -1
+
+
+def test_shifting_fails_on_wrong_sign(monkeypatch):
+    ctx = prime_context(13)
+    gk = pow(ctx.g, ctx.k, ctx.p)
+
+    def wrong_sign(h, c):
+        prod = orbit_product(h, c)
+        return dataclasses.replace(prod, sign=-prod.sign) if h == gk else prod
+
+    monkeypatch.setattr(CERTIFY_MODULE, "orbit_product", wrong_sign)
+    res = verify_shifting(ctx)
+    assert res.status == "fail"
+    assert res.reason == f"F_{gk} != -1*F_1 as formal eta products"
+
+
+def test_shifting_and_invariance_expand_no_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("expand_product called")
+
+    monkeypatch.setattr(CERTIFY_MODULE, "expand_product", refuse)
+    ctx = prime_context(13)
+    assert verify_shifting(ctx).status == "pass"
+    assert verify_invariance(ctx, n_random=2).status == "pass"
+
+
+def test_formal_order_at_infinity_matches_expansion():
+    for p in range(5, 101):
+        if not is_prime(p):
+            continue
+        ctx = prime_context(p)
+        prod, _ = _certified_unit(ctx)
+        witness = verify_invariance(ctx, n_random=1).witness
+        assert witness["order_at_infinity"] == str(expand_product(prod, 1).leading()[0]), p
 
 
 def test_z_relation_signs():

@@ -164,6 +164,20 @@ def test_certify_out_writes_reports(capsys, tmp_path):
         assert json.loads(text)["p"] == p
 
 
+def test_certify_out_must_be_a_directory(capsys, tmp_path, monkeypatch):
+    def unreachable(p, cfg=None):
+        raise AssertionError("certified a prime before checking --out")
+
+    monkeypatch.setattr("etacover.cli.certify", unreachable)
+    blocker = tmp_path / "report.json"
+    blocker.write_text("not a directory\n")
+    for out in (blocker, blocker / "r"):
+        code, stdout, err = run(capsys, "certify", "--range", "5..7", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: cannot use --out")
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_certify_argument_validation(capsys):
     code, _, err = run(capsys, "certify", "--p", "4")
     assert code == 2 and "not prime" in err
