@@ -9,6 +9,12 @@ E_{g+N} = E_{-g} = -E_g, and inside [1, N-1] the two factor families swap
 under g -> N-g, so E_{N-g} = E_g with no sign.  Reduction therefore lands
 in [1, floor(N/2)] picking up one sign per level-shift and none from the
 reflection.
+
+Expansions never multiply the factors out one at a time.  By the Jacobi
+triple product the unit part of E_g is a sparse theta series times the
+partition series at q^N (Yang 2004, "Transformation formulas for
+generalized Dedekind eta functions"), and eta itself is the pentagonal
+series; both are written down term by term with integer coefficients.
 """
 
 from __future__ import annotations
@@ -50,39 +56,73 @@ def leading_exponent(g: int, level: int) -> Fraction:
     return Fraction(level, 2) * bernoulli2(Fraction(g, level))
 
 
+def _partitions(n: int) -> list[int]:
+    """Partition numbers p(0..n) by Euler's pentagonal recurrence."""
+    p = [1] + [0] * n
+    for j in range(1, n + 1):
+        total = 0
+        k = 1
+        while (e := k * (3 * k - 1) // 2) <= j:
+            sign = 1 if k % 2 else -1
+            total += sign * p[j - e]
+            if e + k <= j:  # k(3k+1)/2, the pentagonal number of -k
+                total += sign * p[j - e - k]
+            k += 1
+        p[j] = total
+    return p
+
+
 def generalized_eta(g: int, level: int, prec: int) -> QSeries:
     """Exact expansion of E_g to prec q-powers past the leading exponent.
 
     Requires 1 <= g <= level-1; reduce first for anything else.  The
     lattice denominator is fixed at 24*level so that every exponent in
     sight (leading terms, multiplier phases) fits without rescaling.
+
+    By the Jacobi triple product the unit part
+    prod_m (1 - q^(N(m-1)+g)) (1 - q^(Nm-g)) equals theta_g(q) * P(q^N),
+    with theta_g = sum_{n in Z} (-1)^n q^(N*n(n-1)/2 + g*n) and P the
+    partition series; the expansion is that one sparse-by-short product.
+    Every theta exponent is >= 0 and grows with |n| on either side of 0.
+    For g = N/2 the exponent is N*n^2/2, so n and -n land on the same
+    term, which then has coefficient 2*(-1)^n.
     """
     if not 1 <= g <= level - 1:
         raise ValueError(f"index {g} outside [1, {level - 1}]")
     if prec < 1:
         raise ValueError("prec must be a positive number of q-steps")
+    theta = {}
+    for n, step in ((0, 1), (-1, -1)):
+        while (e := level * n * (n - 1) // 2 + g * n) < prec:
+            theta[e] = theta.get(e, 0) + (-1 if n % 2 else 1)
+            n += step
+    parts = _partitions((prec - 1) // level)
+    unit = {}
+    for e, c in theta.items():
+        for j in range((prec - 1 - e) // level + 1):
+            unit[e + level * j] = unit.get(e + level * j, 0) + c * parts[j]
     denom = 24 * level
-    unit = QSeries.one(denom, prec)
-    for start in (g, level - g):
-        e = start
-        while e < prec:
-            unit = unit * QSeries(denom, {0: 1, e * denom: -1}, prec)
-            e += level
-    return unit.shift(leading_exponent(g, level))
+    series = QSeries(denom, {e * denom: c for e, c in unit.items()}, prec)
+    return series.shift(leading_exponent(g, level))
 
 
 def classical_eta(scale: int, prec: int) -> QSeries:
-    """Expansion of eta(scale*tau) = q^(scale/24) prod (1 - q^(scale*m))."""
+    """Expansion of eta(scale*tau) = q^(scale/24) prod (1 - q^(scale*m)).
+
+    The product is the pentagonal series sum_{j in Z} (-1)^j
+    q^(scale*j(3j-1)/2) (Euler); its exponents are distinct, so the
+    expansion is written down without a multiply.
+    """
     if scale < 1:
         raise ValueError("scale must be positive")
     if prec < 1:
         raise ValueError("prec must be a positive number of q-steps")
-    unit = QSeries.one(24, prec)
-    e = scale
-    while e < prec:
-        unit = unit * QSeries(24, {0: 1, e * 24: -1}, prec)
-        e += scale
-    return unit.shift(Fraction(scale, 24))
+    unit = {}
+    for j, step in ((0, 1), (-1, -1)):
+        while (e := scale * j * (3 * j - 1) // 2) < prec:
+            unit[e * 24] = -1 if j % 2 else 1
+            j += step
+    return QSeries(24, unit, prec).shift(Fraction(scale, 24))
 
 
 @dataclass(frozen=True)

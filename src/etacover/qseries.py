@@ -5,6 +5,11 @@ plus an explicit truncation order: the series is asserted exact for all
 exponents strictly below `trunc` and says nothing beyond it.  Keeping the
 truncation in the object means precision mistakes surface as exceptions
 instead of silently-true comparisons.
+
+Products convolve integers: each factor is written over one common
+denominator (the lcm of its coefficient denominators, 1 for everything
+the package builds), the integer numerators are multiplied, and each
+product term is divided by the two denominators once.
 """
 
 from __future__ import annotations
@@ -15,6 +20,12 @@ from math import ceil, lcm
 
 class PrecisionError(ValueError):
     """A comparison or evaluation asked for more precision than is stored."""
+
+
+def _numerators(coeffs: dict) -> tuple[int, dict]:
+    """(D, {n: D*c}) with D the lcm of the coefficient denominators."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return den, {n: c.numerator * (den // c.denominator) for n, c in coeffs.items()}
 
 
 class QSeries:
@@ -137,14 +148,18 @@ class QSeries:
         # min(trunc_a + lead_b, trunc_b + lead_a)
         t = min(a.trunc + b._lead_or_trunc(), b.trunc + a._lead_or_trunc())
         cut = ceil(t * d)
+        da, na = _numerators(a.coeffs)
+        db, nb = _numerators(b.coeffs)
+        nb = sorted(nb.items())
         out = {}
-        for n1, c1 in a.coeffs.items():
-            for n2, c2 in b.coeffs.items():
+        for n1, c1 in na.items():
+            for n2, c2 in nb:
                 n = n1 + n2
                 if n >= cut:
-                    continue
-                out[n] = out.get(n, Fraction(0)) + c1 * c2
-        return QSeries(d, out, t)
+                    break  # nb is sorted, so every later term is cut too
+                out[n] = out.get(n, 0) + c1 * c2
+        dab = da * db
+        return QSeries(d, {n: Fraction(c, dab) for n, c in out.items()}, t)
 
     def inverse(self) -> "QSeries":
         """Reciprocal via the geometric series on the unit part."""

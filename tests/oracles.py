@@ -9,6 +9,7 @@ not its closed-form cusp rule.
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from etacover.subgroups import Cusp, cusp_width, cusps_equivalent, psl_index
 
@@ -70,6 +71,50 @@ def pentagonal_eta(steps: int):
                 coeffs[1 + 24 * e] = Fraction(-1 if k % 2 else 1)
         k += 1
     return 24, coeffs
+
+
+def brute_classical_eta(scale: int, steps: int):
+    """eta(scale*tau) coefficients straight from prod (1 - q^(scale*m)).
+
+    Returns (24, {numerator: coefficient}) on the lattice (1/24)Z,
+    complete for all exponents below scale/24 + steps.
+    """
+    poly = {0: Fraction(1)}
+    e = scale
+    while e < steps:
+        nxt = dict(poly)
+        for n, c in poly.items():
+            if n + e < steps:
+                nxt[n + e] = nxt.get(n + e, Fraction(0)) - c
+        poly = {n: c for n, c in nxt.items() if c}
+        e += scale
+    return 24, {scale + 24 * n: c for n, c in poly.items()}
+
+
+def naive_product(a, b):
+    """(denom, trunc, coeffs) of the product of two truncated q-series.
+
+    Reads only the denom/coeffs/trunc attributes of its arguments and
+    multiplies every pair of terms as Fractions.  The product is exact
+    below t = min(trunc_a + lead_b, trunc_b + lead_a), lead being the
+    lowest stored exponent, or the truncation of a zero series.
+    """
+    denom = lcm(a.denom, b.denom)
+
+    def terms(s):
+        return {Fraction(n, s.denom): Fraction(c) for n, c in s.coeffs.items()}
+
+    ta, tb = terms(a), terms(b)
+    lead_a = min(ta, default=Fraction(a.trunc))
+    lead_b = min(tb, default=Fraction(b.trunc))
+    trunc = min(a.trunc + lead_b, b.trunc + lead_a)
+    out = {}
+    for e1, c1 in ta.items():
+        for e2, c2 in tb.items():
+            if e1 + e2 < trunc:
+                n = int((e1 + e2) * denom)
+                out[n] = out.get(n, Fraction(0)) + c1 * c2
+    return denom, trunc, {n: c for n, c in out.items() if c}
 
 
 def multiplicative_order(a: int, p: int) -> int:

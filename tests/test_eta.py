@@ -18,7 +18,13 @@ from etacover.eta import (
 )
 from etacover.exact import prime_context
 from etacover.subgroups import Cusp, SL2Matrix
-from oracles import brute_eta_expansion, pentagonal_eta, smallest_triplet
+from etacover.qseries import QSeries
+from oracles import (
+    brute_classical_eta,
+    brute_eta_expansion,
+    pentagonal_eta,
+    smallest_triplet,
+)
 
 
 def series_agree(a, b) -> bool:
@@ -109,6 +115,45 @@ def test_classical_eta_is_pentagonal():
     assert scaled.leading() == (Fraction(3, 24), Fraction(1))
     with pytest.raises(ValueError):
         classical_eta(0, 5)
+
+
+@pytest.mark.parametrize(
+    "level, g, steps",
+    [(p, g, steps) for p, steps in ((5, 300), (13, 250), (23, 200), (47, 150))
+     for g in range(1, p // 2 + 1)]
+    # g = N/2: theta terms n and -n share an exponent
+    + [(level, level // 2, 120) for level in range(2, 31, 2)],
+)
+def test_generalized_eta_matches_oracle_long(level, g, steps):
+    denom, want = brute_eta_expansion(g, level, steps)
+    s = generalized_eta(g, level, steps)
+    assert s.denom == denom
+    assert dict(s.coeffs) == want
+
+
+@pytest.mark.parametrize("scale", range(1, 13))
+def test_classical_eta_matches_product_oracle(scale):
+    for steps in (1, 2, 7, 60):
+        denom, want = brute_classical_eta(scale, steps)
+        s = classical_eta(scale, steps)
+        assert s.denom == denom and dict(s.coeffs) == want, steps
+        assert s.trunc == Fraction(scale, 24) + steps
+
+
+def test_eta_expansions_do_not_multiply_series(monkeypatch):
+    # the closed forms must not fall back on one multiply per factor
+    def no_mul(self, other):
+        raise AssertionError("QSeries.__mul__ called")
+
+    monkeypatch.setattr(QSeries, "__mul__", no_mul)
+    for g in (1, 11, 23):
+        denom, want = brute_eta_expansion(g, 47, 300)
+        s = generalized_eta(g, 47, 300)
+        assert s.denom == denom and dict(s.coeffs) == want, g
+    for scale in (1, 7):
+        denom, want = brute_classical_eta(scale, 500)
+        s = classical_eta(scale, 500)
+        assert s.denom == denom and dict(s.coeffs) == want, scale
 
 
 # -- eta products ----------------------------------------------------------

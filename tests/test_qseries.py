@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etacover.qseries import PrecisionError, QSeries
+from oracles import naive_product
 
 coeffs_st = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 
@@ -99,6 +100,12 @@ def test_sub_self_is_zero(a):
 @given(series(), series())
 def test_mul_commutes(a, b):
     assert a * b == b * a
+
+
+@given(series(), series())
+def test_mul_matches_naive_product(a, b):
+    prod = a * b
+    assert (prod.denom, prod.trunc, prod.coeffs) == naive_product(a, b)
 
 
 @settings(max_examples=60)
