@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact import PrimeContext, bernoulli2, periodic_bernoulli2
+from .exact import PrimeContext, RootOfUnity, bernoulli2, periodic_bernoulli2
 from .qseries import QSeries
-from .subgroups import SL2Matrix
+from .subgroups import SL2Matrix, eta_multiplier
 
 
 @dataclass(frozen=True)
@@ -181,6 +181,22 @@ def leading_exponent_at(g: int, level: int, gamma: SL2Matrix) -> Fraction:
     """
     d = gcd(gamma.c, level)
     return Fraction(d * d, 2 * level) * periodic_bernoulli2(Fraction(gamma.a * g, d))
+
+
+def transform_product(prod: EtaProduct, gamma: SL2Matrix) -> tuple[RootOfUnity, EtaProduct]:
+    """(root, moved) with prod(gamma tau) = root * moved(tau), gamma in Gamma0.
+
+    E_g^e contributes eta_multiplier^e and moves to the reduced index of a*g
+    (a unit, so no indices merge), whose sign joins the moved product's.
+    """
+    root, sign, exponents = RootOfUnity.one(), prod.sign, {}
+    for g, e in prod.exponents.items():
+        mult, new_index = eta_multiplier(g, prod.level, gamma)
+        idx = reduce_index(new_index, prod.level)
+        root *= mult ** e
+        sign *= idx.sign ** (e % 2)
+        exponents[idx.g] = e
+    return root, EtaProduct(prod.level, exponents, sign, f"{prod.label} o {gamma.entries()}")
 
 
 def _shifted_residue(x: int, p: int) -> tuple[int, int]:

@@ -13,11 +13,10 @@ error against each right side at tau.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import partial
 from math import ceil, pi
-
-import numpy as np
 
 from .exact import PrimeContext
 from .eta import EtaProduct, orbit_product, reduce_index, triplet_product
@@ -94,10 +93,10 @@ def eval_generalized_eta(g: int, level: int, tau) -> complex:
     z = _as_point(tau)
     terms = _terms_for(z.imag, level)
     q = cmath.exp(2j * pi * z)
-    m = np.arange(1, terms + 1)
+    m = range(1, terms + 1)
     head = cmath.exp(2j * pi * z * (level * ((g / level) ** 2 - g / level + 1 / 6) / 2))
-    prod = np.prod(1 - q ** (level * (m - 1) + g)) * np.prod(1 - q ** (level * m - g))
-    return head * complex(prod)
+    value = head * math.prod(1 - q ** (level * (n - 1) + g) for n in m)
+    return value * math.prod(1 - q ** (level * n - g) for n in m)
 
 
 def eval_classical_eta(scale: int, tau) -> complex:
@@ -107,8 +106,8 @@ def eval_classical_eta(scale: int, tau) -> complex:
     z = _as_point(tau)
     terms = _terms_for(z.imag, scale)
     q = cmath.exp(2j * pi * z)
-    m = np.arange(1, terms + 1)
-    return cmath.exp(2j * pi * z * scale / 24) * complex(np.prod(1 - q ** (scale * m)))
+    m = range(1, terms + 1)
+    return cmath.exp(2j * pi * z * scale / 24) * math.prod(1 - q ** (scale * n) for n in m)
 
 
 def eval_product(prod: EtaProduct, tau) -> complex:
@@ -132,11 +131,8 @@ def eval_series(series: QSeries, tau) -> complex:
         raise PrecisionError(
             f"series truncated at O(q^{series.trunc}) is too short at im={z.imag}"
         )
-    if not series.coeffs:
-        return 0j
-    exps = np.array([n / series.denom for n in sorted(series.coeffs)], dtype=float)
-    cs = np.array([complex(series.coeffs[n]) for n in sorted(series.coeffs)])
-    return complex(np.sum(cs * np.exp(2j * pi * z * exps)))
+    terms = sorted(series.coeffs.items())
+    return sum((complex(c) * cmath.exp(2j * pi * z * (n / series.denom)) for n, c in terms), 0j)
 
 
 def _max_residual(samples, gamma: SL2Matrix, lhs, *rhs) -> float:

@@ -382,15 +382,22 @@ def cusps_equivalent(x: Cusp, y: Cusp, group: Subgroup, ctx: PrimeContext) -> bo
     Conjugates of T^p land in the level-p principal group, where only the
     sign character can still vary, and it is constant on T^(2p) steps; a
     scan over n in [0, 2p) is therefore complete for every group here.
+    The candidate is affine in n, and every group here needs p | c(n), so
+    only those n are built.
     """
-    inv = x.section().inverse()
-    m = y.section()
-    t = SL2Matrix.translation(1)
-    for _ in range(2 * ctx.p):
-        cand = m * inv
+    p = ctx.p
+    sec, inv = y.section(), x.section().inverse()
+    base = sec * inv
+    da, db, dc, dd = sec.a * inv.c, sec.a * inv.d, sec.c * inv.c, sec.c * inv.d
+    if dc % p:
+        n0 = -base.c * pow(dc, -1, p) % p
+        steps = (n0, n0 + p)
+    else:
+        steps = range(2 * p) if base.c % p == 0 else ()
+    for n in steps:
+        cand = SL2Matrix(base.a + n * da, base.b + n * db, base.c + n * dc, base.d + n * dd)
         if is_member(cand, group, ctx) or is_member(-cand, group, ctx):
             return True
-        m = m * t
     return False
 
 

@@ -22,6 +22,7 @@ from etacover.certify import (
 )
 from etacover.eta import expand_product, orbit_product
 from etacover.exact import is_prime, prime_context
+from etacover.subgroups import sign_character
 
 # the package re-exports the function certify, which shadows the module
 # of the same name for dotted lookups such as monkeypatch target strings
@@ -132,7 +133,7 @@ def test_shifting_and_invariance_expand_no_series(monkeypatch):
     monkeypatch.setattr(CERTIFY_MODULE, "expand_product", refuse)
     ctx = prime_context(13)
     assert verify_shifting(ctx).status == "pass"
-    assert verify_invariance(ctx, n_random=2).status == "pass"
+    assert verify_invariance(ctx).status == "pass"
 
 
 def test_formal_order_at_infinity_matches_expansion():
@@ -141,8 +142,31 @@ def test_formal_order_at_infinity_matches_expansion():
             continue
         ctx = prime_context(p)
         prod, _ = _certified_unit(ctx)
-        witness = verify_invariance(ctx, n_random=1).witness
+        witness = verify_invariance(ctx).witness
         assert witness["order_at_infinity"] == str(expand_product(prod, 1).leading()[0]), p
+
+
+def test_large_primes_certify():
+    # evaluating the unit as a value overflowed or drifted past tol here
+    for p in (509, 547, 1031, 2003):
+        assert certify(p).overall, p
+
+
+def test_negated_psi_fails_the_exact_law(monkeypatch):
+    monkeypatch.setattr(CERTIFY_MODULE, "sign_character", lambda m: -sign_character(m))
+    for p in (13, 11):  # the F law, and the G law
+        res = verify_transforms(prime_context(p))
+        assert res.status == "fail", p
+        assert "law fails exactly" in res.reason, p
+
+
+def test_certify_evaluates_no_eta_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eval_product called")
+
+    monkeypatch.setattr("etacover.numeric.eval_product", refuse)
+    for p in (7, 11, 13):
+        assert certify(p).overall, p
 
 
 def test_z_relation_signs():

@@ -153,6 +153,19 @@ def test_E_transform_random_gamma0():
         assert check_E_transform(1, 5, m) < 1e-9
 
 
+def test_E_transform_every_index():
+    # certify samples E_g at g in {1, 2, g mod p} only; the unit's laws
+    # compose the multiplier at every index of its orbit
+    for p in (5, 7, 11, 13, 23, 37):
+        ctx = prime_context(p)
+        rng = random.Random(p)
+        for _ in range(5):
+            m = random_member(Subgroup.GAMMA0, ctx, rng)
+            pts = balanced_samples(m)
+            worst = max(check_E_transform(g, p, m, pts) for g in range(1, p))
+            assert worst < 1e-8, (p, m.entries(), worst)
+
+
 def test_F_transform_rejects_missing_branch_and_nonmembers():
     with pytest.raises(ValueError):
         check_F_transform(prime_context(11), 1, T)
