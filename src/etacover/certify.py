@@ -1,7 +1,7 @@
 """Per-prime certification of the cyclic covering data.
 
-For each prime p the certifier checks, with formal eta products, exact
-multipliers or exact series, and complex evaluation of E_g alone:
+For each prime p the certifier checks, with formal eta products and exact
+multipliers, and complex evaluation of E_g alone:
 
   shifting            index shifts of the units F_h (formal products)
   transformation-law  the unit's character laws under random matrices
@@ -9,7 +9,8 @@ multipliers or exact series, and complex evaluation of E_g alone:
   invariance          congruence criterion and odd order at infinity
   quotient-structure  Gamma0/Gamma2Prime is cyclic of the covering degree
   cusp-orders         odd order at every cusp, order 1 off the p | c fiber
-  z-relation          z = +-prod F_{g^j} (primes not 1 mod 8)
+  z-relation          z = +-prod F_{g^j} as formal eta products
+                      (primes not 1 mod 8)
 
 The verdict plus the cusp table forms a CertReport, serialized as JSON
 with a stable key layout.
@@ -24,8 +25,6 @@ from dataclasses import asdict, dataclass
 from .exact import is_prime, prime_context, PrimeContext, RootOfUnity
 from .eta import (
     EtaProduct,
-    eta_quotient_series,
-    expand_product,
     find_triplet,
     is_modular_unit,
     leading_exponent,
@@ -45,13 +44,8 @@ from .subgroups import (
 )
 
 DEFAULT_SEED = 20260823
-
-
-@dataclass(frozen=True)
-class CertifyConfig:
-    bound: int = 10       # q-steps past leading for the z-relation comparison
-    tol: float = 1e-8     # numeric residual tolerance
-    n_random: int = 20    # random matrices per transformation-law check
+TOL = 1e-8        # E_g residual tolerance
+N_RANDOM = 20     # random matrices per transformation-law check
 
 
 @dataclass(frozen=True)
@@ -132,7 +126,7 @@ def verify_shifting(ctx: PrimeContext) -> CheckResult:
     )
 
 
-def verify_transforms(ctx: PrimeContext, tol: float = 1e-8, n_random: int = 20) -> CheckResult:
+def verify_transforms(ctx: PrimeContext) -> CheckResult:
     """Transformation laws of the unit under random small matrices.
 
     The unit's laws are decided exactly by transform_product: F_1 goes to
@@ -146,7 +140,7 @@ def verify_transforms(ctx: PrimeContext, tol: float = 1e-8, n_random: int = 20) 
     failed = []
     indices = sorted({1, 2, ctx.g % ctx.p})
     unit = triplet_product(find_triplet(ctx.p), ctx.p) if ctx.ell == 1 else orbit_product(1, ctx)
-    for _ in range(n_random):
+    for _ in range(N_RANDOM):
         m0 = random_member(Subgroup.GAMMA0, ctx, rng)
         pts0 = balanced_samples(m0)
         for g in indices:
@@ -165,11 +159,11 @@ def verify_transforms(ctx: PrimeContext, tol: float = 1e-8, n_random: int = 20) 
             if (root, moved.exponents) != (want, target.exponents):
                 failed.append(m.entries())
     problems = [f"{unit.label} law fails exactly at {m}" for m in failed[:1]]
-    problems += [f"max residual {worst:.3e} >= {tol}"] if worst >= tol else []
+    problems += [f"max residual {worst:.3e} >= {TOL}"] if worst >= TOL else []
     return CheckResult(
         "transformation-law", "fail" if problems else "pass",
         reason="; ".join(problems) or None,
-        witness={"max_residual": worst, "matrices": n_random, "tol": tol},
+        witness={"max_residual": worst, "matrices": N_RANDOM, "tol": TOL},
     )
 
 
@@ -269,31 +263,38 @@ def verify_quotient(ctx: PrimeContext) -> CheckResult:
     )
 
 
-def verify_z_relation(ctx: PrimeContext, bound: int = 10) -> CheckResult:
-    """z = +-prod_{j<k} F_(g^j) as exact series, sign recorded."""
+def verify_z_relation(ctx: PrimeContext) -> CheckResult:
+    """z = +-prod_{j<k} F_(g^j) as formal eta products, sign recorded.
+
+    eta(tau)/eta(p*tau) = q^((1-p)/24) prod_{p does not divide n} (1 - q^n),
+    and the E_r with r in [1, (p-1)/2] share out exactly those factors, so
+    z = (eta(tau)/eta(p*tau))^(6/ell) is the product of every such E_r to
+    the power 6/ell.  Both sides are q^L prod (1 - q^n)^(a_n) in one way
+    only, so the identity holds exactly when the merged product has those
+    exponents and the leading exponent (6/ell)(1-p)/24; its sign is the
+    sign of the relation, since z and every E_r lead with coefficient 1.
+    """
     if ctx.p % 8 == 1:
         return CheckResult(
             "z-relation", "skipped", reason="p == 1 mod 8: relation not asserted"
         )
-    z = eta_quotient_series(ctx, bound)
-    prod = None
+    e = 6 // ctx.ell
+    sign, exponents = 1, {}
     for j in range(ctx.k):
-        f = expand_product(orbit_product(pow(ctx.g, j, ctx.p), ctx), bound)
-        prod = f if prod is None else prod * f
-    # both sides carry the same relative precision, so when the leading
-    # exponents agree this is a full-window comparison; when they differ
-    # the lower leading term itself witnesses the mismatch
-    upto = min(z.trunc, prod.trunc)
-    for sign in (1, -1):
-        if z.agrees_with(prod.scale(sign), upto):
-            return CheckResult(
-                "z-relation", "pass",
-                witness={"sign": sign, "bound": bound,
-                         "leading_exponent": str(z.leading()[0])},
-            )
+        f = orbit_product(pow(ctx.g, j, ctx.p), ctx)
+        sign *= f.sign
+        for g, x in f.exponents.items():
+            exponents[g] = exponents.get(g, 0) + x
+    lead = sum(x * leading_exponent(g, ctx.p) for g, x in exponents.items())
+    want = {r: e for r in range(1, (ctx.p - 1) // 2 + 1)}
+    if exponents != want or 24 * lead != e * (1 - ctx.p):
+        return CheckResult(
+            "z-relation", "fail",
+            reason=f"prod F_(g^j) is not +-z as formal eta products (leading exponent {lead})",
+        )
     return CheckResult(
-        "z-relation", "fail",
-        reason=f"neither sign matches within {bound} steps",
+        "z-relation", "pass",
+        witness={"sign": sign, "method": "formal", "leading_exponent": str(lead)},
     )
 
 
@@ -328,22 +329,21 @@ def error_report(p: int, exc: Exception) -> CertReport:
     return _report(prime_context(p), (check,))
 
 
-def certify(p: int, config: CertifyConfig | None = None) -> CertReport:
+def certify(p: int) -> CertReport:
     """Run all checks for one prime and assemble the report."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p in (2, 3):
         return _small_prime_report(p)
-    cfg = config or CertifyConfig()
     ctx = prime_context(p)
     order_check, rows = cusp_orders(ctx)
     checks = (
         verify_shifting(ctx),
-        verify_transforms(ctx, cfg.tol, cfg.n_random),
+        verify_transforms(ctx),
         verify_invariance(ctx),
         verify_quotient(ctx),
         order_check,
-        verify_z_relation(ctx, cfg.bound),
+        verify_z_relation(ctx),
     )
     return _report(ctx, checks, rows)
 

@@ -13,14 +13,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .certify import (
-    CertifyConfig,
-    certify,
-    error_report,
-    report_to_dict,
-    report_to_json,
-    verify_z_relation,
-)
+from .certify import certify, error_report, report_to_dict, report_to_json, verify_z_relation
 from .eta import (
     classical_eta,
     eta_quotient_series,
@@ -125,7 +118,7 @@ def cmd_certify(args) -> int:
         primes = [q for q in range(max(a, 2), b + 1) if is_prime(q)]
         if not primes:
             raise ValueError(f"no primes in range {args.range}")
-    cfg = CertifyConfig(bound=_require_prec(args.prec))
+    _require_prec(args.prec)  # kept for old command lines; certify has no settings
     if args.out is not None:
         try:
             Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -134,7 +127,7 @@ def cmd_certify(args) -> int:
     reports = []
     for q in primes:
         try:
-            r = certify(q, cfg)
+            r = certify(q)
         except Exception as exc:  # one failing prime must not lose the run
             traceback.print_exc()
             r = error_report(q, exc)
@@ -157,7 +150,7 @@ def cmd_certify(args) -> int:
 
 def cmd_z_relation(args) -> int:
     ctx = prime_context(_require_prime(args.p))
-    res = verify_z_relation(ctx, bound=_require_prec(args.prec))
+    res = verify_z_relation(ctx)
     if res.status == "skipped":
         print(f"z-relation skipped for p={ctx.p}: {res.reason}")
         return 0
@@ -165,7 +158,7 @@ def cmd_z_relation(args) -> int:
         sign = res.witness["sign"]
         print(
             f"z == {'+' if sign == 1 else '-'}prod F_(g^j), j < {ctx.k} "
-            f"(exact to {args.prec} steps past leading)"
+            "(formal eta-product identity)"
         )
         return 0
     print(f"z-relation FAILED for p={ctx.p}: {res.reason}")
@@ -210,12 +203,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--range", help="inclusive prime range A..B")
     p_cert.add_argument("--out", help="directory for one JSON report per prime")
     p_cert.add_argument("--json", action="store_true", help="print reports as JSON")
-    p_cert.add_argument("--prec", type=int, default=10, help="exact comparison bound")
+    p_cert.add_argument("--prec", type=int, default=10, help="accepted for compatibility; no effect")
     p_cert.set_defaults(func=cmd_certify)
 
     p_z = sub.add_parser("z-relation", help="check z against the product of F units")
     p_z.add_argument("--p", type=int, required=True)
-    p_z.add_argument("--prec", type=int, default=10)
     p_z.set_defaults(func=cmd_z_relation)
 
     return parser

@@ -7,7 +7,7 @@ verdicts are visible in any pytest run, then asserts.
 import random
 from math import gcd
 
-from etacover.certify import CertifyConfig, certify, cusp_orders, verify_shifting, verify_z_relation
+from etacover.certify import certify, cusp_orders, verify_shifting, verify_z_relation
 from etacover.eta import (
     eta_quotient_series,
     expand_product,
@@ -113,8 +113,7 @@ def test_criterion_4_quotient_structure(capsys):
         if not (qs.character_order == 2 * Np == ctx.degree and qs.kernel_matches):
             bad.append((p, qs.character_order))
             continue
-        # the report's degree field is config-independent, so certify cheaply
-        rep = certify(p, CertifyConfig(n_random=4))
+        rep = certify(p)
         if rep.degree != 2 * Np or rep.Np != Np:
             bad.append((p, rep.degree))
     _verdict(capsys, 4,
@@ -130,7 +129,7 @@ def test_criterion_5_z_relation(capsys):
         if p > 50 or p % 8 == 1:
             continue
         n += 1
-        res = verify_z_relation(prime_context(p), bound=10)
+        res = verify_z_relation(prime_context(p))
         if res.status != "pass" or res.witness["sign"] not in (1, -1):
             bad.append((p, res.reason))
         elif res.witness["sign"] == -1:

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from etacover.certify import (
-    CertifyConfig,
     _certified_unit,
     branch_name,
     certify,
@@ -20,13 +19,39 @@ from etacover.certify import (
     verify_transforms,
     verify_z_relation,
 )
-from etacover.eta import expand_product, orbit_product
+from etacover.eta import eta_quotient_series, expand_product, orbit_product
 from etacover.exact import is_prime, prime_context
+from etacover.qseries import QSeries
 from etacover.subgroups import sign_character
 
 # the package re-exports the function certify, which shadows the module
 # of the same name for dotted lookups such as monkeypatch target strings
 CERTIFY_MODULE = importlib.import_module("etacover.certify")
+
+
+def series_z_relation(ctx, products, bound):
+    """(sign, leading exponent) with z = sign * prod(products) to bound
+    q-steps past leading, or None: the z-relation's former series check."""
+    z = eta_quotient_series(ctx, bound)
+    series = None
+    for f in products:
+        s = expand_product(f, bound)
+        series = s if series is None else series * s
+    upto = min(z.trunc, series.trunc)
+    for sign in (1, -1):
+        if z.agrees_with(series.scale(sign), upto):
+            return sign, str(z.leading()[0])
+    return None
+
+
+def z_factors(ctx, unit=orbit_product):
+    return [unit(pow(ctx.g, j, ctx.p), ctx) for j in range(ctx.k)]
+
+
+def force_residual(monkeypatch):
+    """Every E_g residual reads 1.0, far above the tolerance."""
+    monkeypatch.setattr(CERTIFY_MODULE, "check_E_transform", lambda *args: 1.0)
+
 
 CHECK_ORDER = [
     "shifting",
@@ -128,12 +153,16 @@ def test_shifting_fails_on_wrong_sign(monkeypatch):
 
 def test_shifting_and_invariance_expand_no_series(monkeypatch):
     def refuse(*args):
-        raise AssertionError("expand_product called")
+        raise AssertionError("a series was expanded")
 
-    monkeypatch.setattr(CERTIFY_MODULE, "expand_product", refuse)
+    for name in ("expand_product", "eta_quotient_series"):
+        monkeypatch.setattr(CERTIFY_MODULE, name, refuse, raising=False)
+    monkeypatch.setattr(QSeries, "__mul__", refuse)
     ctx = prime_context(13)
     assert verify_shifting(ctx).status == "pass"
     assert verify_invariance(ctx).status == "pass"
+    for p in (5, 7, 11, 13, 17, 101):
+        assert certify(p).overall, p
 
 
 def test_formal_order_at_infinity_matches_expansion():
@@ -147,9 +176,15 @@ def test_formal_order_at_infinity_matches_expansion():
 
 
 def test_large_primes_certify():
-    # evaluating the unit as a value overflowed or drifted past tol here
-    for p in (509, 547, 1031, 2003):
-        assert certify(p).overall, p
+    # evaluating the unit as a value overflowed or drifted past tol at
+    # 509..2003; at 101, 149 and 173 the pole of z has order above 10, so
+    # a 10-step series comparison never reached q^0
+    for p in (101, 149, 173, 509, 547, 1031, 2003):
+        report = certify(p)
+        assert report.overall, p
+        if p in (101, 149, 173, 2003):
+            z = next(c for c in report.checks if c.name == "z-relation")
+            assert (z.status, z.witness["method"]) == ("pass", "formal"), p
 
 
 def test_negated_psi_fails_the_exact_law(monkeypatch):
@@ -176,6 +211,36 @@ def test_z_relation_signs():
     assert verify_z_relation(prime_context(17)).status == "skipped"
 
 
+def test_z_relation_matches_series_comparison():
+    for p in range(5, 201):
+        if not is_prime(p) or p % 8 == 1:
+            continue
+        ctx = prime_context(p)
+        w = verify_z_relation(ctx).witness
+        assert (w["sign"], w["leading_exponent"]) == series_z_relation(ctx, z_factors(ctx), 10), p
+
+
+def test_z_relation_fails_on_a_unit_wrong_past_ten_steps(monkeypatch):
+    # 2*(+1, -3, +3, -1) on indices 20..23 is a third difference: sum e,
+    # sum e*g and sum e*g^2, hence the leading exponent, do not move, and
+    # the first changed coefficient sits 20 steps past leading
+    ctx = prime_context(101)
+    delta = {20: 2, 21: -6, 22: 6, 23: -2}
+
+    def wrong_unit(h, c):
+        prod = orbit_product(h, c)
+        if h != 1:
+            return prod
+        exps = {g: prod.exponents.get(g, 0) + delta.get(g, 0) for g in {*prod.exponents, *delta}}
+        return dataclasses.replace(prod, exponents={g: e for g, e in exps.items() if e})
+
+    wrong = z_factors(ctx, wrong_unit)
+    assert series_z_relation(ctx, wrong, 10) == series_z_relation(ctx, z_factors(ctx), 10)
+    assert series_z_relation(ctx, wrong, 30) is None
+    monkeypatch.setattr(CERTIFY_MODULE, "orbit_product", wrong_unit)
+    assert verify_z_relation(ctx).status == "fail"
+
+
 def test_cusp_orders_direct():
     check, rows = cusp_orders(prime_context(7))
     assert check.status == "pass"
@@ -185,17 +250,22 @@ def test_cusp_orders_direct():
     assert sum(r.order for r in rows) == 0
 
 
-def test_unreachable_tolerance_fails_loudly():
-    r = verify_transforms(prime_context(5), tol=1e-30, n_random=2)
+def test_unreachable_tolerance_fails_loudly(monkeypatch):
+    force_residual(monkeypatch)
+    r = verify_transforms(prime_context(5))
     assert r.status == "fail"
     assert "max residual" in r.reason
-    report = certify(5, CertifyConfig(tol=1e-30, n_random=2))
+    report = certify(5)
     assert not report.overall
 
 
-def test_json_roundtrip_and_key_order():
+def test_json_roundtrip_and_key_order(monkeypatch):
     r = certify(5)
-    for rep in (r, certify(2), certify(5, CertifyConfig(tol=1e-30, n_random=2))):
+    reps = [r, certify(2)]
+    force_residual(monkeypatch)
+    reps.append(certify(5))
+    assert not reps[-1].overall
+    for rep in reps:
         assert report_from_json(report_to_json(rep)) == rep
     keys = list(json.loads(report_to_json(r)).keys())
     assert keys == ["p", "g", "k", "ell", "Np", "degree", "branch",

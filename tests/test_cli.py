@@ -165,7 +165,7 @@ def test_certify_out_writes_reports(capsys, tmp_path):
 
 
 def test_certify_out_must_be_a_directory(capsys, tmp_path, monkeypatch):
-    def unreachable(p, cfg=None):
+    def unreachable(p):
         raise AssertionError("certified a prime before checking --out")
 
     monkeypatch.setattr("etacover.cli.certify", unreachable)
@@ -194,10 +194,10 @@ def test_certify_argument_validation(capsys):
 
 
 def test_certify_range_survives_a_raising_prime(capsys, tmp_path, monkeypatch):
-    def flaky(p, cfg=None):
+    def flaky(p):
         if p == 7:
             raise RuntimeError("boom")
-        return certify(p, cfg)
+        return certify(p)
 
     monkeypatch.setattr("etacover.cli.certify", flaky)
     outdir = tmp_path / "r"
@@ -213,6 +213,10 @@ def test_certify_range_survives_a_raising_prime(capsys, tmp_path, monkeypatch):
     assert out.endswith("certified 2/3 primes\n")
 
 
+def test_certify_prec_has_no_effect(capsys):
+    assert run(capsys, "certify", "--p", "13", "--prec", "80") == run(capsys, "certify", "--p", "13")
+
+
 def test_certify_repeat_is_byte_identical(capsys):
     first = run(capsys, "certify", "--p", "5", "--json")
     second = run(capsys, "certify", "--p", "5", "--json")
@@ -225,7 +229,7 @@ def test_certify_repeat_is_byte_identical(capsys):
 def test_z_relation_lines(capsys):
     code, out, _ = run(capsys, "z-relation", "--p", "5")
     assert code == 0
-    assert out == "z == -prod F_(g^j), j < 1 (exact to 10 steps past leading)\n"
+    assert out == "z == -prod F_(g^j), j < 1 (formal eta-product identity)\n"
     code, out, _ = run(capsys, "z-relation", "--p", "7")
     assert code == 0
     assert out.startswith("z == +prod F_(g^j), j < 1")
