@@ -21,14 +21,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 from .exact import is_prime, prime_context, PrimeContext, RootOfUnity
 from .eta import (
     EtaProduct,
     find_triplet,
     is_modular_unit,
-    leading_exponent,
-    leading_exponent_at,
+    order_numerator,
     orbit_product,
     transform_product,
     triplet_product,
@@ -89,10 +89,14 @@ def branch_name(p: int) -> str:
 
 
 def _certified_unit(ctx: PrimeContext) -> tuple[EtaProduct, Subgroup]:
-    """The squared unit generating the quadratic extension, and its group."""
+    """The unit whose square generates the quadratic extension, and its group.
+
+    G when ell = 1, with psi its character on Gamma1; F_1 otherwise, with
+    psi*chi (psi when p == 3 mod 4) on Gamma2.
+    """
     if ctx.ell == 1:
-        return triplet_product(find_triplet(ctx.p), ctx.p).squared(), Subgroup.GAMMA1
-    return orbit_product(1, ctx).squared(), Subgroup.GAMMA2
+        return triplet_product(find_triplet(ctx.p), ctx.p), Subgroup.GAMMA1
+    return orbit_product(1, ctx), Subgroup.GAMMA2
 
 
 # -- individual checks -----------------------------------------------------
@@ -139,20 +143,19 @@ def verify_transforms(ctx: PrimeContext) -> CheckResult:
     worst = 0.0
     failed = []
     indices = sorted({1, 2, ctx.g % ctx.p})
-    unit = triplet_product(find_triplet(ctx.p), ctx.p) if ctx.ell == 1 else orbit_product(1, ctx)
+    unit, group = _certified_unit(ctx)
     for _ in range(N_RANDOM):
         m0 = random_member(Subgroup.GAMMA0, ctx, rng)
         pts0 = balanced_samples(m0)
         for g in indices:
             worst = max(worst, check_E_transform(g, ctx.p, m0, pts0))
-        if ctx.ell == 1:
-            m1 = random_member(Subgroup.GAMMA1, ctx, rng)
+        m1 = random_member(group, ctx, rng)
+        if group is Subgroup.GAMMA1:
             laws = [(m1, sign_character(m1), unit)]
         else:
-            m2 = random_member(Subgroup.GAMMA2, ctx, rng)
-            chi = quadratic_character(m2, ctx) if ctx.ell % 2 == 0 else 1
+            chi = quadratic_character(m1, ctx) if ctx.ell % 2 == 0 else 1
             laws = [(m0, sign_character(m0), orbit_product(m0.a, ctx)),
-                    (m2, sign_character(m2) * chi, unit)]
+                    (m1, sign_character(m1) * chi, unit)]
         for m, factor, target in laws:
             root, moved = transform_product(unit, m)
             want = RootOfUnity.from_sign(factor * moved.sign * target.sign)
@@ -176,12 +179,13 @@ def verify_invariance(ctx: PrimeContext) -> CheckResult:
         of E_g (each E_g leads with 1), so the square root genuinely
         enlarges the function field.
     """
-    prod, group = _certified_unit(ctx)
+    unit, group = _certified_unit(ctx)
+    prod = unit.squared()
     if not is_modular_unit(prod):
         return CheckResult("invariance", "fail", reason="congruence criterion violated")
     # order at infinity: the cusp has width 1
-    lead_order = sum(e * leading_exponent(g, ctx.p) for g, e in prod.exponents.items())
-    odd_lead = lead_order.denominator == 1 and int(lead_order) % 2 == 1
+    lead_order = Fraction(order_numerator(prod.exponents, ctx.p, 1, 0), 12 * ctx.p)
+    odd_lead = lead_order.denominator == 1 and lead_order.numerator % 2 == 1
     return CheckResult(
         "invariance", "pass" if odd_lead else "fail",
         reason=None if odd_lead else f"order at infinity {lead_order} is not odd",
@@ -193,10 +197,12 @@ def cusp_orders(ctx: PrimeContext) -> tuple[CheckResult, tuple]:
     """Order of the squared unit at every cusp of its curve.
 
     order = width * sum_g e_g * delta_g with delta the leading exponent
-    of E_g at the cusp; it must be an odd integer everywhere, equal to 1
-    whenever p does not divide c, and the orders of a unit sum to zero.
+    of E_g at the cusp, taken in integers as order_numerator / 12p; it
+    must be an odd integer everywhere, equal to 1 whenever p does not
+    divide c, and the orders of a unit sum to zero.
     """
-    prod, group = _certified_unit(ctx)
+    unit, group = _certified_unit(ctx)
+    prod = unit.squared()
     try:
         table = cusp_set(group, ctx)
     except ArithmeticError as exc:
@@ -204,20 +210,17 @@ def cusp_orders(ctx: PrimeContext) -> tuple[CheckResult, tuple]:
     rows = []
     problems = []
     for cusp, width in table:
-        sec = cusp.section()
-        total = sum(
-            e * leading_exponent_at(g, ctx.p, sec) for g, e in prod.exponents.items()
-        )
-        order = width * total
-        if order.denominator != 1:
+        scaled = width * order_numerator(prod.exponents, ctx.p, cusp.a, cusp.c)
+        order, rest = divmod(scaled, 12 * ctx.p)
+        if rest:
             return (
                 CheckResult(
                     "cusp-orders", "fail",
-                    reason=f"non-integer order {order} at cusp {cusp} (width/delta bug)",
+                    reason=f"non-integer order {Fraction(scaled, 12 * ctx.p)} "
+                    f"at cusp {cusp} (width/delta bug)",
                 ),
                 (),
             )
-        order = int(order)
         if order % 2 == 0:
             problems.append(f"even order {order} at {cusp}")
         if cusp.c % ctx.p != 0 and order != 1:
@@ -242,7 +245,11 @@ def cusp_orders(ctx: PrimeContext) -> tuple[CheckResult, tuple]:
 
 
 def verify_quotient(ctx: PrimeContext) -> CheckResult:
-    """The quotient by Gamma2Prime is cyclic of order 2k, by enumeration."""
+    """The quotient by Gamma2Prime is cyclic of order 2k.
+
+    Decided by quotient_structure from H = <g^k> and the character on a
+    handful of matrices, with no loop over residues.
+    """
     qs = quotient_structure(ctx)
     ok = (
         qs.character_order == ctx.degree
@@ -285,7 +292,7 @@ def verify_z_relation(ctx: PrimeContext) -> CheckResult:
         sign *= f.sign
         for g, x in f.exponents.items():
             exponents[g] = exponents.get(g, 0) + x
-    lead = sum(x * leading_exponent(g, ctx.p) for g, x in exponents.items())
+    lead = Fraction(order_numerator(exponents, ctx.p, 1, 0), 12 * ctx.p)
     want = {r: e for r in range(1, (ctx.p - 1) // 2 + 1)}
     if exponents != want or 24 * lead != e * (1 - ctx.p):
         return CheckResult(

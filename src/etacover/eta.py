@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact import PrimeContext, RootOfUnity, bernoulli2, periodic_bernoulli2
+from .exact import PrimeContext, RootOfUnity, bernoulli2
 from .qseries import QSeries
 from .subgroups import SL2Matrix, eta_multiplier
 
@@ -172,15 +172,21 @@ def is_modular_unit(prod: EtaProduct) -> bool:
     return s0 % 12 == 0 and s1 % 2 == 0 and s2 % (2 * prod.level) == 0
 
 
-def leading_exponent_at(g: int, level: int, gamma: SL2Matrix) -> Fraction:
-    """Leading q-exponent of E_g composed with gamma in SL(2,Z).
+def order_numerator(exponents: dict, level: int, a: int, c: int) -> int:
+    """12*level times the leading q-exponent of prod E_g^e(g) at the cusp a/c.
 
-    With d = gcd(c, level) the value is d^2/(2*level) * P2(a*g/d), P2 the
-    periodic second Bernoulli function; gamma = identity recovers the
-    leading exponent at infinity.
+    Composed with a matrix of first column (a, c), E_g leads with exponent
+    d^2/(2*level) * P2(a*g/d), d = gcd(c, level), P2 the periodic second
+    Bernoulli function.  With x = a*g mod d that is
+    (6x^2 - 6dx + d^2)/(12*level), so the sum is an integer; the cusp
+    1/0 (infinity) recovers the leading exponents level*B(g/level)/2.
     """
-    d = gcd(gamma.c, level)
-    return Fraction(d * d, 2 * level) * periodic_bernoulli2(Fraction(gamma.a * g, d))
+    d = gcd(c, level)
+    total = 0
+    for g, e in exponents.items():
+        x = a * g % d
+        total += e * (6 * x * x - 6 * d * x + d * d)
+    return total
 
 
 def transform_product(prod: EtaProduct, gamma: SL2Matrix) -> tuple[RootOfUnity, EtaProduct]:
@@ -199,15 +205,6 @@ def transform_product(prod: EtaProduct, gamma: SL2Matrix) -> tuple[RootOfUnity, 
     return root, EtaProduct(prod.level, exponents, sign, f"{prod.label} o {gamma.entries()}")
 
 
-def _shifted_residue(x: int, p: int) -> tuple[int, int]:
-    """(residue in [1,p-1], sign) with E_x = sign * E_residue, from x mod 2p."""
-    y = x % (2 * p)
-    r = y % p
-    if r == 0:
-        raise ValueError(f"index {x} vanishes mod {p}")
-    return r, (-1 if y >= p else 1)
-
-
 def orbit_product(h: int, ctx: PrimeContext) -> EtaProduct:
     """The weight-0 unit F_h = (prod_{j<ell} E_{g^(jk) h})^(6/ell).
 
@@ -224,12 +221,8 @@ def orbit_product(h: int, ctx: PrimeContext) -> EtaProduct:
     exponents: dict[int, int] = {}
     e = 6 // ctx.ell
     for j in range(ctx.ell):
-        x = pow(ctx.g, j * ctx.k, 2 * p) * h
-        r, s = _shifted_residue(x, p)
-        sign *= s
-        idx = reduce_index(r, p)
-        if idx.sign != 1:
-            raise ArithmeticError(f"reducing index {r} mod {p} gave sign {idx.sign}")
+        idx = reduce_index(pow(ctx.g, j * ctx.k, 2 * p) * h, p)
+        sign *= idx.sign
         exponents[idx.g] = exponents.get(idx.g, 0) + e
     return EtaProduct(
         level=p,

@@ -17,17 +17,6 @@ def bernoulli2(x) -> Fraction:
     return x * x - x + Fraction(1, 6)
 
 
-def periodic_bernoulli2(x) -> Fraction:
-    """Periodic second Bernoulli function {x}^2 - {x} + 1/6.
-
-    {x} = x - floor(x), so the value is 1-periodic and, because
-    {-x} = 1 - {x} off the integers, also even.
-    """
-    x = Fraction(x)
-    frac = x - (x.numerator // x.denominator)
-    return frac * frac - frac + Fraction(1, 6)
-
-
 def is_prime(n: int) -> bool:
     """Trial division; fine for the desk-scale primes we certify."""
     if n < 2:

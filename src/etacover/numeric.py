@@ -57,22 +57,21 @@ DEFAULT_SAMPLES = (
 )
 
 
-def balanced_samples(gamma, n: int = 2, spread: float = 0.3) -> tuple:
-    """Sample points where tau and gamma tau both have height about 1/|c|.
+def balanced_samples(gamma) -> tuple:
+    """Two sample points where tau and gamma tau both have height about 1/|c|.
 
     Near tau = -d/c + i/|c| the Moebius map preserves the height scale, so
     the truncated products on both sides stay short and the q-power phases
     stay far from the double-precision roll-off that fixed unit-height
-    samples hit once |c tau + d| grows.  Translations keep the defaults.
+    samples hit once |c tau + d| grows.  The points sit 0.3/|c| to either
+    side of -d/c.  Translations keep the first two defaults.
     """
     if gamma.c == 0:
-        return DEFAULT_SAMPLES[:n]
+        return DEFAULT_SAMPLES[:2]
     c = abs(gamma.c)
     center = -gamma.d / gamma.c
-    step = spread / (c * max(n - 1, 1))
-    return tuple(
-        UpperHalfPoint(center + step * (2 * i - (n - 1)), 1.0 / c) for i in range(n)
-    )
+    step = 0.3 / c
+    return tuple(UpperHalfPoint(center + step * s, 1.0 / c) for s in (-1, 1))
 
 
 def _as_point(tau) -> complex:

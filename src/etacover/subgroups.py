@@ -77,8 +77,16 @@ class SL2Matrix:
         return SL2Matrix(self.d, -self.b, -self.c, self.a)
 
     def apply(self, tau: complex) -> complex:
-        """Moebius action (a*tau + b)/(c*tau + d)."""
-        return (self.a * tau + self.b) / (self.c * tau + self.d)
+        """Moebius action (a*tau + b)/(c*tau + d).
+
+        For c != 0 it is evaluated as a/c - 1/(c*(c*tau + d)).  Near -d/c,
+        where the numeric checks sample, a*tau + b cancels down to about
+        1/c, and the quotient form would lose digits in proportion to the
+        entries.
+        """
+        if self.c == 0:
+            return (self.a * tau + self.b) / self.d
+        return self.a / self.c - 1 / (self.c * (self.c * tau + self.d))
 
 
 class Subgroup(Enum):
@@ -207,11 +215,11 @@ def gamma2_generator(ctx: PrimeContext) -> SL2Matrix:
     return lift_with_upper_left(pow(ctx.g, ctx.k, ctx.p), ctx.p)
 
 
-def random_member(group: Subgroup, ctx: PrimeContext, rng, cscale: int = 2) -> SL2Matrix:
-    """Random small-entry member; lower-left is p times an integer in [-cscale, cscale]."""
+def random_member(group: Subgroup, ctx: PrimeContext, rng) -> SL2Matrix:
+    """Random small-entry member; lower-left is p times an integer in [-2, 2]."""
     p = ctx.p
     while True:
-        c0 = rng.randint(-cscale, cscale)
+        c0 = rng.randint(-2, 2)
         if c0 == 0:
             m = SL2Matrix.translation(rng.randint(-4, 4))
             if group is not Subgroup.GAMMA1 and rng.random() < 0.5:
@@ -282,7 +290,7 @@ def quotient_character(ctx: PrimeContext, m: SL2Matrix) -> RootOfUnity:
 
 @dataclass(frozen=True)
 class QuotientStructure:
-    """Enumerated facts about Gamma0(p) / Gamma2Prime(p)."""
+    """Facts about Gamma0(p) / Gamma2Prime(p)."""
 
     index_gamma0_gamma2: int
     curve_index_gamma2_gamma1: int
@@ -291,36 +299,37 @@ class QuotientStructure:
 
 
 def quotient_structure(ctx: PrimeContext) -> QuotientStructure:
-    """Enumerate Gamma0(p)/Gamma2Prime(p) through explicit lifts.
+    """Gamma0(p)/Gamma2Prime(p) from H = <g^k> and four matrices.
 
-    For every residue class a = g^n we take a lift and its translate by T
-    (the two differ in sign character), evaluate the quotient character,
-    and compare its kernel against direct Gamma2Prime membership.  The
-    image of a finite set of roots of unity generates a cyclic group of
-    order lcm of the element orders.
+    H is the group of upper-left residues of Gamma2, with 2*ell <= 12
+    elements: Gamma2 has index (p-1)/|H| in Gamma0, and Gamma1 has index
+    |H/+-1| in Gamma2 on curves, where -1 acts trivially.
+
+    The quotient character and Gamma2Prime membership depend on a member
+    only through (dlog a mod 2k, psi), and Gamma0 maps onto that group of
+    order 4k: the lift of g goes to (1, +-1) and T to (0, -1).  So the
+    image is cyclic, generated by the values on those two, and its order
+    is the lcm of theirs.  When that order is 2k, the kernel has 2 classes,
+    and so has Gamma2Prime: (0, +1) and one of (k, +-1).  The kernels are
+    then equal exactly when character and membership agree on I, T, L and
+    L*T, L the lift of g^k, which represent (0, +-1) and (k, +-1).
     """
     p = ctx.p
-    in_g2 = 0
-    curve_classes = set()
-    orders = [1]
-    kernel_ok = True
+    h = pow(ctx.g, ctx.k, p)
+    residues = [1]
+    while (x := residues[-1] * h % p) != 1:
+        residues.append(x)
     t = SL2Matrix.translation(1)
-    for n in range(p - 1):
-        a = pow(ctx.g, n, p)
-        if n % ctx.k == 0:
-            in_g2 += 1
-            curve_classes.add(min(a, p - a))
-        base = lift_with_upper_left(a, p)
-        for m in (base, base * t):
-            lam = quotient_character(ctx, m)
-            orders.append(lam.order)
-            if lam.is_one() != is_member(m, Subgroup.GAMMA2_PRIME, ctx):
-                kernel_ok = False
+    generators = (lift_with_upper_left(ctx.g, p), t)
+    top = gamma2_generator(ctx)
     return QuotientStructure(
-        index_gamma0_gamma2=(p - 1) // in_g2,
-        curve_index_gamma2_gamma1=len(curve_classes),
-        character_order=lcm(*orders),
-        kernel_matches=kernel_ok,
+        index_gamma0_gamma2=(p - 1) // len(residues),
+        curve_index_gamma2_gamma1=len({min(a, p - a) for a in residues}),
+        character_order=lcm(*(quotient_character(ctx, m).order for m in generators)),
+        kernel_matches=all(
+            quotient_character(ctx, m).is_one() == is_member(m, Subgroup.GAMMA2_PRIME, ctx)
+            for m in (SL2Matrix.identity(), t, top, top * t)
+        ),
     )
 
 

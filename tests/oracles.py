@@ -2,16 +2,29 @@
 
 Everything here recomputes results from defining formulas with plain
 dict/Fraction arithmetic and deliberately shares no code with the
-package internals.  The one exception is scan_cusp_set, which reuses the
+package internals.  There are two exceptions.  scan_cusp_set reuses the
 package's membership test (through cusps_equivalent and cusp_width) but
-not its closed-form cusp rule.
+not its closed-form cusp rule.  enumerate_quotient_structure reuses the
+quotient character and the membership test, but evaluates them on every
+residue class instead of the closed form's handful of matrices.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
-from etacover.subgroups import Cusp, cusp_width, cusps_equivalent, psl_index
+from etacover.subgroups import (
+    Cusp,
+    QuotientStructure,
+    SL2Matrix,
+    Subgroup,
+    cusp_width,
+    cusps_equivalent,
+    is_member,
+    lift_with_upper_left,
+    psl_index,
+    quotient_character,
+)
 
 
 def brute_eta_expansion(g: int, level: int, steps: int):
@@ -177,3 +190,59 @@ def scan_cusp_set(group, ctx):
             f"cusp widths for {group.value}({ctx.p}) sum to {total}, expected {target}"
         )
     return found
+
+
+def periodic_bernoulli2(x) -> Fraction:
+    """Periodic second Bernoulli function {x}^2 - {x} + 1/6.
+
+    {x} = x - floor(x), so the value is 1-periodic and, because
+    {-x} = 1 - {x} off the integers, also even.
+    """
+    x = Fraction(x)
+    frac = x - (x.numerator // x.denominator)
+    return frac * frac - frac + Fraction(1, 6)
+
+
+def leading_exponent_at(g: int, level: int, gamma) -> Fraction:
+    """Leading q-exponent of E_g composed with gamma in SL(2,Z).
+
+    With d = gcd(c, level) the value is d^2/(2*level) * P2(a*g/d), P2 the
+    periodic second Bernoulli function; gamma = identity recovers the
+    leading exponent at infinity.
+    """
+    d = gcd(gamma.c, level)
+    return Fraction(d * d, 2 * level) * periodic_bernoulli2(Fraction(gamma.a * g, d))
+
+
+def enumerate_quotient_structure(ctx) -> QuotientStructure:
+    """Enumerate Gamma0(p)/Gamma2Prime(p) through explicit lifts.
+
+    For every residue class a = g^n we take a lift and its translate by T
+    (the two differ in sign character), evaluate the quotient character,
+    and compare its kernel against direct Gamma2Prime membership.  The
+    image of a finite set of roots of unity generates a cyclic group of
+    order lcm of the element orders.
+    """
+    p = ctx.p
+    in_g2 = 0
+    curve_classes = set()
+    orders = [1]
+    kernel_ok = True
+    t = SL2Matrix.translation(1)
+    for n in range(p - 1):
+        a = pow(ctx.g, n, p)
+        if n % ctx.k == 0:
+            in_g2 += 1
+            curve_classes.add(min(a, p - a))
+        base = lift_with_upper_left(a, p)
+        for m in (base, base * t):
+            lam = quotient_character(ctx, m)
+            orders.append(lam.order)
+            if lam.is_one() != is_member(m, Subgroup.GAMMA2_PRIME, ctx):
+                kernel_ok = False
+    return QuotientStructure(
+        index_gamma0_gamma2=(p - 1) // in_g2,
+        curve_index_gamma2_gamma1=len(curve_classes),
+        character_order=lcm(*orders),
+        kernel_matches=kernel_ok,
+    )

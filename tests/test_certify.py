@@ -3,9 +3,11 @@
 import dataclasses
 import importlib
 import json
+from fractions import Fraction
 
 import pytest
 
+import etacover.subgroups
 from etacover.certify import (
     _certified_unit,
     branch_name,
@@ -15,14 +17,16 @@ from etacover.certify import (
     report_to_dict,
     report_to_json,
     verify_invariance,
+    verify_quotient,
     verify_shifting,
     verify_transforms,
     verify_z_relation,
 )
-from etacover.eta import eta_quotient_series, expand_product, orbit_product
-from etacover.exact import is_prime, prime_context
+from etacover.eta import eta_quotient_series, expand_product, orbit_product, order_numerator
+from etacover.exact import RootOfUnity, is_prime, prime_context
 from etacover.qseries import QSeries
-from etacover.subgroups import sign_character
+from etacover.subgroups import Cusp, dlog, sign_character
+from oracles import leading_exponent_at
 
 # the package re-exports the function certify, which shadows the module
 # of the same name for dotted lookups such as monkeypatch target strings
@@ -170,7 +174,7 @@ def test_formal_order_at_infinity_matches_expansion():
         if not is_prime(p):
             continue
         ctx = prime_context(p)
-        prod, _ = _certified_unit(ctx)
+        prod = _certified_unit(ctx)[0].squared()
         witness = verify_invariance(ctx).witness
         assert witness["order_at_infinity"] == str(expand_product(prod, 1).leading()[0]), p
 
@@ -185,6 +189,14 @@ def test_large_primes_certify():
         if p in (101, 149, 173, 2003):
             z = next(c for c in report.checks if c.name == "z-relation")
             assert (z.status, z.witness["method"]) == ("pass", "formal"), p
+
+
+def test_transforms_pass_where_the_moebius_quotient_cancelled():
+    # (a tau + b)/(c tau + d) lost digits near -d/c, and the E_g residual
+    # crossed tol at 670 of the primes 5..10000, the first being 2347
+    for p in (2347, 3119, 6101):
+        res = verify_transforms(prime_context(p))
+        assert res.status == "pass", (p, res.reason)
 
 
 def test_negated_psi_fails_the_exact_law(monkeypatch):
@@ -239,6 +251,45 @@ def test_z_relation_fails_on_a_unit_wrong_past_ten_steps(monkeypatch):
     assert series_z_relation(ctx, wrong, 30) is None
     monkeypatch.setattr(CERTIFY_MODULE, "orbit_product", wrong_unit)
     assert verify_z_relation(ctx).status == "fail"
+
+
+def test_integer_cusp_orders_match_reference():
+    # order_numerator against the Fraction formula through a section matrix
+    for p in filter(is_prime, range(5, 301)):
+        ctx = prime_context(p)
+        prod = _certified_unit(ctx)[0].squared()
+        check, rows = cusp_orders(ctx)
+        assert check.status == "pass" and rows, p
+        for row in rows:
+            sec = Cusp(row.a, row.c).section()
+            ref = sum(e * leading_exponent_at(g, p, sec) for g, e in prod.exponents.items())
+            assert Fraction(order_numerator(prod.exponents, p, row.a, row.c), 12 * p) == ref
+            assert row.order == row.width * ref, (p, row)
+
+
+def test_cusp_orders_build_no_section(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Cusp.section called")
+
+    monkeypatch.setattr(Cusp, "section", refuse)
+    for p in (5, 7, 11, 13, 101, 1009):
+        assert cusp_orders(prime_context(p))[0].status == "pass", p
+
+
+def test_wrong_quotient_character_fails(monkeypatch):
+    def without_psi(ctx, m):
+        order = ctx.k if ctx.ell % 2 else 2 * ctx.k
+        return RootOfUnity(order, dlog(ctx, m.a))
+
+    def zeta_of_order_k(ctx, m):
+        return RootOfUnity(ctx.k, dlog(ctx, m.a)) * RootOfUnity.from_sign(sign_character(m))
+
+    for p in (11, 13, 17):
+        assert verify_quotient(prime_context(p)).status == "pass", p
+    for mutant, primes in ((without_psi, (11, 13)), (zeta_of_order_k, (13, 17))):
+        monkeypatch.setattr(etacover.subgroups, "quotient_character", mutant)
+        for p in primes:
+            assert verify_quotient(prime_context(p)).status == "fail", (mutant.__name__, p)
 
 
 def test_cusp_orders_direct():

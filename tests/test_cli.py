@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: frozen outputs, exit codes, JSON artifacts."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from etacover.certify import certify
 from etacover.cli import main
+
+
+GOLDEN = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -236,3 +240,15 @@ def test_z_relation_lines(capsys):
     code, out, _ = run(capsys, "z-relation", "--p", "17")
     assert code == 0
     assert out == "z-relation skipped for p=17: p == 1 mod 8: relation not asserted\n"
+
+
+def test_certify_range_json_matches_golden_bytes(capsys):
+    # the stdout of `certify --range 5..100 --json` as recorded before the
+    # closed forms for the quotient and the cusp orders, with the
+    # max_residual lines dropped: those carry the E_g evidence's last digits
+    code, out, _ = run(capsys, "certify", "--range", "5..100", "--json")
+    assert code == 0
+    kept = "".join(
+        line for line in out.splitlines(keepends=True) if '"max_residual"' not in line
+    )
+    assert kept == (GOLDEN / "certify_5_100.json").read_text()

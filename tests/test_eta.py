@@ -11,7 +11,6 @@ from etacover.eta import (
     generalized_eta,
     is_modular_unit,
     leading_exponent,
-    leading_exponent_at,
     orbit_product,
     reduce_index,
     triplet_product,
@@ -22,6 +21,7 @@ from etacover.qseries import QSeries
 from oracles import (
     brute_classical_eta,
     brute_eta_expansion,
+    leading_exponent_at,
     pentagonal_eta,
     smallest_triplet,
 )

@@ -11,12 +11,11 @@ from etacover.exact import (
     bernoulli2,
     is_prime,
     odd_primitive_root,
-    periodic_bernoulli2,
     prime_context,
     prime_factors,
     smallest_primitive_root,
 )
-from oracles import least_primitive_root, multiplicative_order
+from oracles import least_primitive_root, multiplicative_order, periodic_bernoulli2
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=48)
 

@@ -203,11 +203,10 @@ def test_invariance_fails_on_wrong_factor():
 
 def test_balanced_samples_shapes():
     assert balanced_samples(T) == DEFAULT_SAMPLES[:2]
-    assert balanced_samples(T, n=3) == DEFAULT_SAMPLES[:3]
     m = SL2Matrix(1, 0, 22, 1)
-    pts = balanced_samples(m, n=3)
-    assert len(pts) == 3
+    pts = balanced_samples(m)
+    assert len(pts) == 2
     assert all(pt.im == 1.0 / 22 for pt in pts)
     center = -m.d / m.c
-    assert abs(pts[0].re + pts[2].re - 2 * center) < 1e-12
-    assert pts[1].re == pytest.approx(center)
+    assert abs(pts[0].re + pts[1].re - 2 * center) < 1e-12
+    assert pts[1].re - pts[0].re == pytest.approx(0.6 / 22)

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import etacover.subgroups
 from etacover.exact import RootOfUnity, is_prime, prime_context
+from etacover.numeric import balanced_samples
 from etacover.subgroups import (
     Cusp,
     SL2Matrix,
@@ -24,7 +26,7 @@ from etacover.subgroups import (
     random_member,
     sign_character,
 )
-from oracles import scan_cusp_set
+from oracles import enumerate_quotient_structure, scan_cusp_set
 
 S = SL2Matrix(0, -1, 1, 0)
 T = SL2Matrix.translation(1)
@@ -75,6 +77,33 @@ def test_matrix_apply_moebius():
     assert abs(S.apply(z) - (-1 / z)) < 1e-15
     m = SL2Matrix(2, 1, 5, 3)
     assert abs(m.apply(z) - (2 * z + 1) / (5 * z + 3)) < 1e-14
+
+
+def exact_apply(m: SL2Matrix, z: complex) -> complex:
+    """(a z + b)/(c z + d) in Fractions from the exact binary value of z."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    num_re, num_im = m.a * x + m.b, m.a * y
+    den_re, den_im = m.c * x + m.d, m.c * y
+    norm = den_re * den_re + den_im * den_im
+    return complex((num_re * den_re + num_im * den_im) / norm,
+                   (num_im * den_re - num_re * den_im) / norm)
+
+
+def test_matrix_apply_large_entries_matches_exact():
+    # near -d/c the numerator a z + b cancels to about 1/c; the quotient
+    # form was off by about 1e-13 here and by 1e-11 on certify's matrices
+    # at p = 6101
+    m = SL2Matrix(18305, 2287, 74444402, 9300975)
+    for z in (complex(-m.d / m.c, 1 / m.c), complex((0.3 - m.d) / m.c, 1 / m.c)):
+        want = exact_apply(m, z)
+        assert abs(m.apply(z) - want) <= 1e-15 * max(1, abs(want)), z
+    ctx = prime_context(6101)
+    rng = random.Random(1)
+    for _ in range(50):
+        m = random_member(Subgroup.GAMMA0, ctx, rng)
+        for pt in balanced_samples(m):
+            z = pt.as_complex()
+            assert abs(m.apply(z) - exact_apply(m, z)) < 1e-14, m.entries()
 
 
 # -- characters ------------------------------------------------------------
@@ -302,6 +331,25 @@ def test_quotient_order_equals_degree():
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         ctx = prime_context(p)
         assert quotient_structure(ctx).character_order == ctx.degree
+
+
+def test_quotient_structure_matches_enumeration():
+    for p in filter(is_prime, range(5, 1001)):
+        ctx = prime_context(p)
+        assert quotient_structure(ctx) == enumerate_quotient_structure(ctx), p
+
+
+def test_quotient_structure_lifts_no_residue_classes(monkeypatch):
+    lifts = []
+
+    def counted(a, p):
+        lifts.append(a)
+        return lift_with_upper_left(a, p)
+
+    monkeypatch.setattr(etacover.subgroups, "lift_with_upper_left", counted)
+    qs = quotient_structure(prime_context(10009))
+    assert qs.kernel_matches and qs.character_order == 2 * 834
+    assert len(lifts) <= 4
 
 
 # -- cusps -----------------------------------------------------------------
