@@ -124,7 +124,8 @@ def cmd_certify(args) -> int:
             Path(args.out).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ValueError(f"cannot use --out {args.out} as a directory: {exc}") from exc
-    reports = []
+    passed = 0
+    dicts = []  # the one JSON array of a --range --json run
     for q in primes:
         try:
             r = certify(q)
@@ -133,19 +134,19 @@ def cmd_certify(args) -> int:
             r = error_report(q, exc)
         if args.out is not None:
             (Path(args.out) / f"{r.p}.json").write_text(report_to_json(r) + "\n")
-        reports.append(r)
-    if args.json:
-        if args.p is not None:
-            print(report_to_json(reports[0]))
-        else:
-            print(json.dumps([report_to_dict(r) for r in reports], indent=2))
-    else:
-        for r in reports:
+        passed += r.overall
+        if not args.json:
             verdict = "pass" if r.overall else "FAIL"
-            print(f"p={r.p} branch={r.branch} degree={r.degree} overall={verdict}")
-        good = sum(r.overall for r in reports)
-        print(f"certified {good}/{len(reports)} primes")
-    return 0 if all(r.overall for r in reports) else 1
+            print(f"p={r.p} branch={r.branch} degree={r.degree} overall={verdict}", flush=True)
+        elif args.p is not None:
+            print(report_to_json(r))
+        else:
+            dicts.append(report_to_dict(r))
+    if dicts:
+        print(json.dumps(dicts, indent=2))
+    elif not args.json:
+        print(f"certified {passed}/{len(primes)} primes")
+    return 0 if passed == len(primes) else 1
 
 
 def cmd_z_relation(args) -> int:

@@ -1,15 +1,16 @@
 """Sparse exact q-expansions on a fixed fractional lattice.
 
-A QSeries holds finitely many terms c * q^(n/D) with Fraction coefficients
+A QSeries holds finitely many terms c * q^(n/D) with integer coefficients
 plus an explicit truncation order: the series is asserted exact for all
 exponents strictly below `trunc` and says nothing beyond it.  Keeping the
 truncation in the object means precision mistakes surface as exceptions
 instead of silently-true comparisons.
 
-Products convolve integers: each factor is written over one common
-denominator (the lcm of its coefficient denominators, 1 for everything
-the package builds), the integer numerators are multiplied, and each
-product term is divided by the two denominators once.
+Integers suffice because every series the package builds is an eta
+quotient led by +-1: the theta and partition series of E_g, the
+pentagonal series of eta, and their products, powers and (unit-led)
+inverses all stay in q^L * Z[[q^(1/D)]].  A product is one integer
+convolution; an inverse needs a leading coefficient of +-1.
 """
 
 from __future__ import annotations
@@ -20,12 +21,6 @@ from math import ceil, lcm
 
 class PrecisionError(ValueError):
     """A comparison or evaluation asked for more precision than is stored."""
-
-
-def _numerators(coeffs: dict) -> tuple[int, dict]:
-    """(D, {n: D*c}) with D the lcm of the coefficient denominators."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return den, {n: c.numerator * (den // c.denominator) for n, c in coeffs.items()}
 
 
 class QSeries:
@@ -40,10 +35,11 @@ class QSeries:
         cut = ceil(t * denom)  # lattice numerators n >= cut are at or past trunc
         kept = {}
         for n, c in coeffs.items():
-            c = Fraction(c)
             if c == 0 or n >= cut:
                 continue  # zero, or beyond what we certify; drop
-            kept[n] = c
+            kept[n] = int(c)
+            if kept[n] != c:
+                raise ValueError(f"coefficient {c} is not an integer")
         self.denom = denom
         self.coeffs = kept
         self.trunc = t
@@ -56,35 +52,24 @@ class QSeries:
 
     @classmethod
     def one(cls, denom: int, trunc) -> "QSeries":
-        return cls(denom, {0: Fraction(1)}, trunc)
-
-    @classmethod
-    def monomial(cls, coeff, exponent, denom: int, trunc) -> "QSeries":
-        e = Fraction(exponent)
-        n = e * denom
-        if n.denominator != 1:
-            raise ValueError(f"exponent {e} not on the 1/{denom} lattice")
-        return cls(denom, {int(n): Fraction(coeff)}, trunc)
+        return cls(denom, {0: 1}, trunc)
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def exponents(self) -> list[Fraction]:
-        return [Fraction(n, self.denom) for n in sorted(self.coeffs)]
-
-    def coeff(self, exponent) -> Fraction:
+    def coeff(self, exponent) -> int:
         """Coefficient of q^exponent; 0 below trunc, loud at or past it."""
         e = Fraction(exponent)
         if e >= self.trunc:
             raise PrecisionError(f"coefficient at {e} is beyond O(q^{self.trunc})")
         n = e * self.denom
         if n.denominator != 1:
-            return Fraction(0)
-        return self.coeffs.get(int(n), Fraction(0))
+            return 0
+        return self.coeffs.get(int(n), 0)
 
-    def leading(self) -> tuple[Fraction, Fraction]:
+    def leading(self) -> tuple[Fraction, int]:
         """(exponent, coefficient) of the lowest stored term."""
         if not self.coeffs:
             raise ValueError("leading term of a zero series")
@@ -131,15 +116,14 @@ class QSeries:
         a, b = self.rescale(d), other.rescale(d)
         out = dict(a.coeffs)
         for n, c in b.coeffs.items():
-            out[n] = out.get(n, Fraction(0)) + c
+            out[n] = out.get(n, 0) + c
         return QSeries(d, out, min(a.trunc, b.trunc))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
 
-    def scale(self, coeff) -> "QSeries":
-        c0 = Fraction(coeff)
-        return QSeries(self.denom, {n: c0 * c for n, c in self.coeffs.items()}, self.trunc)
+    def scale(self, coeff: int) -> "QSeries":
+        return QSeries(self.denom, {n: coeff * c for n, c in self.coeffs.items()}, self.trunc)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         d = lcm(self.denom, other.denom)
@@ -148,26 +132,25 @@ class QSeries:
         # min(trunc_a + lead_b, trunc_b + lead_a)
         t = min(a.trunc + b._lead_or_trunc(), b.trunc + a._lead_or_trunc())
         cut = ceil(t * d)
-        da, na = _numerators(a.coeffs)
-        db, nb = _numerators(b.coeffs)
-        nb = sorted(nb.items())
+        bs = sorted(b.coeffs.items())
         out = {}
-        for n1, c1 in na.items():
-            for n2, c2 in nb:
+        for n1, c1 in a.coeffs.items():
+            for n2, c2 in bs:
                 n = n1 + n2
                 if n >= cut:
-                    break  # nb is sorted, so every later term is cut too
+                    break  # bs is sorted, so every later term is cut too
                 out[n] = out.get(n, 0) + c1 * c2
-        dab = da * db
-        return QSeries(d, {n: Fraction(c, dab) for n, c in out.items()}, t)
+        return QSeries(d, out, t)
 
     def inverse(self) -> "QSeries":
-        """Reciprocal via the geometric series on the unit part."""
+        """Reciprocal via the geometric series on the unit part; needs a +-1 lead."""
         if not self.coeffs:
             raise ValueError("cannot invert a zero series")
         e, c = self.leading()
-        # write self = c*q^e * (1 + u) with u of positive order
-        u = (self.shift(-e).scale(1 / c) - QSeries.one(self.denom, self.trunc - e))
+        if c not in (1, -1):
+            raise ValueError(f"leading coefficient {c} is not a unit of Z")
+        # write self = c*q^e * (1 + u) with u of positive order; 1/c = c
+        u = (self.shift(-e).scale(c) - QSeries.one(self.denom, self.trunc - e))
         rel = self.trunc - e  # relative precision of the unit part
         acc = QSeries.one(u.denom, rel)
         term = QSeries.one(u.denom, rel)
@@ -180,7 +163,7 @@ class QSeries:
                 acc = acc + term
                 if term.is_zero():
                     break
-        return acc.scale(1 / c).shift(-e)
+        return acc.scale(c).shift(-e)
 
     def __pow__(self, n: int) -> "QSeries":
         if not isinstance(n, int):
@@ -220,7 +203,7 @@ class QSeries:
         for n in set(a.coeffs) | set(b.coeffs):
             if n >= cut:
                 continue
-            if a.coeffs.get(n, Fraction(0)) != b.coeffs.get(n, Fraction(0)):
+            if a.coeffs.get(n, 0) != b.coeffs.get(n, 0):
                 return False
         return True
 

@@ -96,7 +96,7 @@ class Subgroup(Enum):
     GAMMA2_PRIME = "Gamma2Prime"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # callers work one prime at a time
 def _dlog_table(p: int, g: int) -> dict:
     table = {}
     x = 1

@@ -1,8 +1,9 @@
 """Certifier checks, report assembly, and JSON serialization."""
 
 import dataclasses
-import importlib
 import json
+import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -28,10 +29,6 @@ from etacover.qseries import QSeries
 from etacover.subgroups import Cusp, dlog, sign_character
 from oracles import leading_exponent_at
 
-# the package re-exports the function certify, which shadows the module
-# of the same name for dotted lookups such as monkeypatch target strings
-CERTIFY_MODULE = importlib.import_module("etacover.certify")
-
 
 def series_z_relation(ctx, products, bound):
     """(sign, leading exponent) with z = sign * prod(products) to bound
@@ -54,7 +51,7 @@ def z_factors(ctx, unit=orbit_product):
 
 def force_residual(monkeypatch):
     """Every E_g residual reads 1.0, far above the tolerance."""
-    monkeypatch.setattr(CERTIFY_MODULE, "check_E_transform", lambda *args: 1.0)
+    monkeypatch.setattr("etacover.certify.check_E_transform", lambda *args: 1.0)
 
 
 CHECK_ORDER = [
@@ -149,7 +146,7 @@ def test_shifting_fails_on_wrong_sign(monkeypatch):
         prod = orbit_product(h, c)
         return dataclasses.replace(prod, sign=-prod.sign) if h == gk else prod
 
-    monkeypatch.setattr(CERTIFY_MODULE, "orbit_product", wrong_sign)
+    monkeypatch.setattr("etacover.certify.orbit_product", wrong_sign)
     res = verify_shifting(ctx)
     assert res.status == "fail"
     assert res.reason == f"F_{gk} != -1*F_1 as formal eta products"
@@ -160,7 +157,7 @@ def test_shifting_and_invariance_expand_no_series(monkeypatch):
         raise AssertionError("a series was expanded")
 
     for name in ("expand_product", "eta_quotient_series"):
-        monkeypatch.setattr(CERTIFY_MODULE, name, refuse, raising=False)
+        monkeypatch.setattr(f"etacover.certify.{name}", refuse, raising=False)
     monkeypatch.setattr(QSeries, "__mul__", refuse)
     ctx = prime_context(13)
     assert verify_shifting(ctx).status == "pass"
@@ -200,7 +197,7 @@ def test_transforms_pass_where_the_moebius_quotient_cancelled():
 
 
 def test_negated_psi_fails_the_exact_law(monkeypatch):
-    monkeypatch.setattr(CERTIFY_MODULE, "sign_character", lambda m: -sign_character(m))
+    monkeypatch.setattr("etacover.certify.sign_character", lambda m: -sign_character(m))
     for p in (13, 11):  # the F law, and the G law
         res = verify_transforms(prime_context(p))
         assert res.status == "fail", p
@@ -249,7 +246,7 @@ def test_z_relation_fails_on_a_unit_wrong_past_ten_steps(monkeypatch):
     wrong = z_factors(ctx, wrong_unit)
     assert series_z_relation(ctx, wrong, 10) == series_z_relation(ctx, z_factors(ctx), 10)
     assert series_z_relation(ctx, wrong, 30) is None
-    monkeypatch.setattr(CERTIFY_MODULE, "orbit_product", wrong_unit)
+    monkeypatch.setattr("etacover.certify.orbit_product", wrong_unit)
     assert verify_z_relation(ctx).status == "fail"
 
 
@@ -331,3 +328,18 @@ def test_reason_omitted_when_absent():
 
 def test_certify_is_deterministic():
     assert report_to_json(certify(7)) == report_to_json(certify(7))
+
+
+def test_certify_module_is_not_shadowed_by_the_function(monkeypatch):
+    assert isinstance(etacover.certify, types.ModuleType)
+    assert "certify" not in etacover.__all__
+    sentinel = object()
+    monkeypatch.setattr("etacover.certify.orbit_product", sentinel)
+    assert sys.modules["etacover.certify"].orbit_product is sentinel
+
+
+def test_dlog_table_keeps_one_prime():
+    etacover.subgroups._dlog_table.cache_clear()
+    certify(13)
+    certify(11)
+    assert etacover.subgroups._dlog_table.cache_info().currsize == 1

@@ -148,6 +148,20 @@ def test_certify_range_summary(capsys):
     ]
 
 
+def test_certify_range_prints_each_prime_when_it_finishes(capsys, monkeypatch):
+    seen = {}
+
+    def watched(p):
+        seen[p] = capsys.readouterr().out
+        return certify(p)
+
+    monkeypatch.setattr("etacover.cli.certify", watched)
+    code, out, _ = run(capsys, "certify", "--range", "5..7")
+    assert code == 0
+    assert seen == {5: "", 7: "p=5 branch=F-chi degree=2 overall=pass\n"}
+    assert out == "p=7 branch=F-psi degree=2 overall=pass\ncertified 2/2 primes\n"
+
+
 def test_certify_json_shapes(capsys):
     code, out, _ = run(capsys, "certify", "--p", "7", "--json")
     assert code == 0

@@ -220,6 +220,19 @@ def test_squared_product():
     assert series_agree(expand_product(sq, 8), expand_product(f, 8) ** 2)
 
 
+def test_expansions_hold_int_coefficients_led_by_a_unit():
+    series = [generalized_eta(g, 13, 30) for g in range(1, 13)]
+    series += [classical_eta(scale, 30) for scale in (1, 2, 7, 24)]
+    for p in (5, 7, 11, 13, 23):
+        ctx = prime_context(p)
+        series += [expand_product(orbit_product(h, ctx), 20) for h in (1, 2, -1)]
+        series.append(eta_quotient_series(ctx, 20))
+    series += [expand_product(triplet_product(find_triplet(p), p), 20) for p in (11, 23)]
+    for s in series:
+        assert all(type(c) is int for c in s.coeffs.values())
+        assert s.leading()[1] in (1, -1)
+
+
 def test_weight_sums():
     f = orbit_product(1, prime_context(5))
     assert f.weight_sums() == (6, 9, 15)
