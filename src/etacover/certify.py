@@ -19,6 +19,7 @@ with a stable key layout.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -286,22 +287,21 @@ def verify_z_relation(ctx: PrimeContext) -> CheckResult:
             "z-relation", "skipped", reason="p == 1 mod 8: relation not asserted"
         )
     e = 6 // ctx.ell
-    sign, exponents = 1, {}
-    for j in range(ctx.k):
-        f = orbit_product(pow(ctx.g, j, ctx.p), ctx)
-        sign *= f.sign
-        for g, x in f.exponents.items():
-            exponents[g] = exponents.get(g, 0) + x
-    lead = Fraction(order_numerator(exponents, ctx.p, 1, 0), 12 * ctx.p)
+    units = [orbit_product(pow(ctx.g, j, ctx.p), ctx) for j in range(ctx.k)]
+    prod = EtaProduct.from_factors(
+        ctx.p, [item for f in units for item in f.exponents.items()], "prod F_(g^j)",
+        sign=math.prod(f.sign for f in units),
+    )
+    lead = Fraction(order_numerator(prod.exponents, ctx.p, 1, 0), 12 * ctx.p)
     want = {r: e for r in range(1, (ctx.p - 1) // 2 + 1)}
-    if exponents != want or 24 * lead != e * (1 - ctx.p):
+    if prod.exponents != want or 24 * lead != e * (1 - ctx.p):
         return CheckResult(
             "z-relation", "fail",
             reason=f"prod F_(g^j) is not +-z as formal eta products (leading exponent {lead})",
         )
     return CheckResult(
         "z-relation", "pass",
-        witness={"sign": sign, "method": "formal", "leading_exponent": str(lead)},
+        witness={"sign": prod.sign, "method": "formal", "leading_exponent": str(lead)},
     )
 
 

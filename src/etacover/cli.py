@@ -3,25 +3,29 @@
 Exit codes: 0 success, 1 computational failure (including a certification
 verdict of fail), 2 invalid input.  Identical invocations print identical
 bytes; all randomness is seeded per prime.
+
+When stdout's reader goes away (`certify --range 5..400 | head -1`), the
+run stops quietly with exit code 1: stdout is pointed at the null device,
+so nothing is left to flush into the closed pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
 
 from .certify import certify, error_report, report_to_dict, report_to_json, verify_z_relation
 from .eta import (
+    EtaProduct,
     classical_eta,
     eta_quotient_series,
     expand_product,
     find_triplet,
-    generalized_eta,
     orbit_product,
-    reduce_index,
     triplet_product,
 )
 from .exact import is_prime, prime_context
@@ -56,14 +60,12 @@ def cmd_expand(args) -> int:
         print(classical_eta(args.index, prec).render())
         return 0
     p = _require_prime(args.p)
+    ctx = prime_context(p)
     if args.function == "E":
         if args.index % p == 0:
             raise ValueError(f"index {args.index} is divisible by the level {p}")
-        idx = reduce_index(args.index, p)
-        print(generalized_eta(idx.g, p, prec).scale(idx.sign).render())
-        return 0
-    ctx = prime_context(p)
-    if args.function == "F":
+        series = expand_product(EtaProduct.from_factors(p, [(args.index, 1)], "E"), prec)
+    elif args.function == "F":
         if args.index % p == 0:
             raise ValueError(f"index {args.index} is divisible by {p}")
         series = expand_product(orbit_product(args.index, ctx), prec)
@@ -217,7 +219,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (PrecisionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,9 @@ Expansions never multiply the factors out one at a time.  By the Jacobi
 triple product the unit part of E_g is a sparse theta series times the
 partition series at q^N (Yang 2004, "Transformation formulas for
 generalized Dedekind eta functions"), and eta itself is the pentagonal
-series; both are written down term by term with integer coefficients.
+series; both come from one theta sweep (eta(s*tau) is theta at level 3s),
+with integer coefficients.  EtaProduct.from_factors is the one place
+where eta products are built, index reduction and exponent merging included.
 """
 
 from __future__ import annotations
@@ -56,19 +58,27 @@ def leading_exponent(g: int, level: int) -> Fraction:
     return Fraction(level, 2) * bernoulli2(Fraction(g, level))
 
 
+def _theta(level: int, g: int, prec: int) -> dict:
+    """Terms below q^prec of sum_{n in Z} (-1)^n q^(level*n(n-1)/2 + g*n).
+
+    For 0 < g < level the exponents grow with |n| on either side of 0; for
+    g = level/2, n and -n share a term, whose coefficient is 2*(-1)^n.
+    """
+    theta = {}
+    for n, step in ((0, 1), (-1, -1)):
+        while (e := level * n * (n - 1) // 2 + g * n) < prec:
+            theta[e] = theta.get(e, 0) + (-1 if n % 2 else 1)
+            n += step
+    return theta
+
+
 def _partitions(n: int) -> list[int]:
-    """Partition numbers p(0..n) by Euler's pentagonal recurrence."""
+    """Partition numbers p(0..n): with prod (1 - q^m) = sum_e c_e q^e, theta
+    at level 3 and g = 1 (Euler), p(j) = -sum_{0<e<=j} c_e p(j-e)."""
+    pentagonal = sorted(_theta(3, 1, n + 1).items())[1:]  # c_0 = 1 leads
     p = [1] + [0] * n
     for j in range(1, n + 1):
-        total = 0
-        k = 1
-        while (e := k * (3 * k - 1) // 2) <= j:
-            sign = 1 if k % 2 else -1
-            total += sign * p[j - e]
-            if e + k <= j:  # k(3k+1)/2, the pentagonal number of -k
-                total += sign * p[j - e - k]
-            k += 1
-        p[j] = total
+        p[j] = -sum(c * p[j - e] for e, c in pentagonal if e <= j)
     return p
 
 
@@ -83,22 +93,14 @@ def generalized_eta(g: int, level: int, prec: int) -> QSeries:
     prod_m (1 - q^(N(m-1)+g)) (1 - q^(Nm-g)) equals theta_g(q) * P(q^N),
     with theta_g = sum_{n in Z} (-1)^n q^(N*n(n-1)/2 + g*n) and P the
     partition series; the expansion is that one sparse-by-short product.
-    Every theta exponent is >= 0 and grows with |n| on either side of 0.
-    For g = N/2 the exponent is N*n^2/2, so n and -n land on the same
-    term, which then has coefficient 2*(-1)^n.
     """
     if not 1 <= g <= level - 1:
         raise ValueError(f"index {g} outside [1, {level - 1}]")
     if prec < 1:
         raise ValueError("prec must be a positive number of q-steps")
-    theta = {}
-    for n, step in ((0, 1), (-1, -1)):
-        while (e := level * n * (n - 1) // 2 + g * n) < prec:
-            theta[e] = theta.get(e, 0) + (-1 if n % 2 else 1)
-            n += step
     parts = _partitions((prec - 1) // level)
     unit = {}
-    for e, c in theta.items():
+    for e, c in _theta(level, g, prec).items():
         for j in range((prec - 1 - e) // level + 1):
             unit[e + level * j] = unit.get(e + level * j, 0) + c * parts[j]
     denom = 24 * level
@@ -109,19 +111,15 @@ def generalized_eta(g: int, level: int, prec: int) -> QSeries:
 def classical_eta(scale: int, prec: int) -> QSeries:
     """Expansion of eta(scale*tau) = q^(scale/24) prod (1 - q^(scale*m)).
 
-    The product is the pentagonal series sum_{j in Z} (-1)^j
-    q^(scale*j(3j-1)/2) (Euler); its exponents are distinct, so the
-    expansion is written down without a multiply.
+    The product is the pentagonal series (Euler), theta at level 3s and
+    g = s since 3s*n(n-1)/2 + s*n = s*n(3n-1)/2; its exponents are
+    distinct, so the expansion is written down without a multiply.
     """
     if scale < 1:
         raise ValueError("scale must be positive")
     if prec < 1:
         raise ValueError("prec must be a positive number of q-steps")
-    unit = {}
-    for j, step in ((0, 1), (-1, -1)):
-        while (e := scale * j * (3 * j - 1) // 2) < prec:
-            unit[e * 24] = -1 if j % 2 else 1
-            j += step
+    unit = {24 * e: c for e, c in _theta(3 * scale, scale, prec).items()}
     return QSeries(24, unit, prec).shift(Fraction(scale, 24))
 
 
@@ -143,13 +141,23 @@ class EtaProduct:
             if e == 0:
                 raise ValueError(f"index {g} has exponent 0")
 
+    @classmethod
+    def from_factors(cls, level: int, factors, label: str, sign: int = 1) -> "EtaProduct":
+        """sign * prod E_g^e over the (g, e) in factors, g not divisible by level.
+
+        Each g is reduced; its sign from E_(g+N) = -E_g counts once per odd
+        exponent, and the exponents of equal reduced indices add up.
+        """
+        exponents: dict[int, int] = {}
+        for g, e in factors:
+            idx = reduce_index(g, level)
+            sign *= idx.sign ** (e % 2)
+            exponents[idx.g] = exponents.get(idx.g, 0) + e
+        return cls(level, exponents, sign, label)
+
     def squared(self) -> "EtaProduct":
-        return EtaProduct(
-            level=self.level,
-            exponents={g: 2 * e for g, e in self.exponents.items()},
-            sign=1,
-            label=f"({self.label})^2",
-        )
+        factors = [(g, 2 * e) for g, e in self.exponents.items()]
+        return EtaProduct.from_factors(self.level, factors, f"({self.label})^2")
 
     def weight_sums(self) -> tuple[int, int, int]:
         """(sum e, sum g*e, sum g^2*e) over the reduced exponent map."""
@@ -192,44 +200,32 @@ def order_numerator(exponents: dict, level: int, a: int, c: int) -> int:
 def transform_product(prod: EtaProduct, gamma: SL2Matrix) -> tuple[RootOfUnity, EtaProduct]:
     """(root, moved) with prod(gamma tau) = root * moved(tau), gamma in Gamma0.
 
-    E_g^e contributes eta_multiplier^e and moves to the reduced index of a*g
-    (a unit, so no indices merge), whose sign joins the moved product's.
+    E_g^e contributes eta_multiplier^e and moves to E_(a*g)^e (a is a unit,
+    so no indices merge).
     """
-    root, sign, exponents = RootOfUnity.one(), prod.sign, {}
+    root, moved = RootOfUnity.one(), []
     for g, e in prod.exponents.items():
         mult, new_index = eta_multiplier(g, prod.level, gamma)
-        idx = reduce_index(new_index, prod.level)
         root *= mult ** e
-        sign *= idx.sign ** (e % 2)
-        exponents[idx.g] = e
-    return root, EtaProduct(prod.level, exponents, sign, f"{prod.label} o {gamma.entries()}")
+        moved.append((new_index, e))
+    label = f"{prod.label} o {gamma.entries()}"
+    return root, EtaProduct.from_factors(prod.level, moved, label, prod.sign)
 
 
 def orbit_product(h: int, ctx: PrimeContext) -> EtaProduct:
     """The weight-0 unit F_h = (prod_{j<ell} E_{g^(jk) h})^(6/ell).
 
-    Indices run over the literal integer powers g^(jk) times h; shifting
-    them into [1, p-1] contributes one sign per multiple of p, which the
-    6/ell-th power turns into a single global sign.  Changing h by a
+    Indices run over the integer powers g^(jk) (mod 2p) times h, so their
+    reduction signs are those of the literal products.  Changing h by a
     multiple of p never changes the result, so h is normalized mod p.
     """
     p = ctx.p
     if h % p == 0:
         raise ValueError(f"index {h} vanishes mod {p}")
     h = h % p
-    sign = 1
-    exponents: dict[int, int] = {}
     e = 6 // ctx.ell
-    for j in range(ctx.ell):
-        idx = reduce_index(pow(ctx.g, j * ctx.k, 2 * p) * h, p)
-        sign *= idx.sign
-        exponents[idx.g] = exponents.get(idx.g, 0) + e
-    return EtaProduct(
-        level=p,
-        exponents=exponents,
-        sign=sign if e % 2 else 1,
-        label=f"F_{h}",
-    )
+    factors = [(pow(ctx.g, j * ctx.k, 2 * p) * h, e) for j in range(ctx.ell)]
+    return EtaProduct.from_factors(p, factors, f"F_{h}")
 
 
 def find_triplet(p: int) -> tuple[int, int, int]:
@@ -249,16 +245,8 @@ def find_triplet(p: int) -> tuple[int, int, int]:
 
 def triplet_product(triplet: tuple[int, int, int], p: int) -> EtaProduct:
     """The unit G = (E_h1 E_h2 E_h3)^2; squaring cancels reduction signs."""
-    exponents: dict[int, int] = {}
-    for h in triplet:
-        idx = reduce_index(h, p)
-        exponents[idx.g] = exponents.get(idx.g, 0) + 2
-    return EtaProduct(
-        level=p,
-        exponents=exponents,
-        sign=1,
-        label="G_(%d,%d,%d)" % tuple(triplet),
-    )
+    label = "G_(%d,%d,%d)" % tuple(triplet)
+    return EtaProduct.from_factors(p, [(h, 2) for h in triplet], label)
 
 
 def expand_product(prod: EtaProduct, prec: int) -> QSeries:

@@ -10,6 +10,8 @@ of level p:
 
 Membership never needs more than the residue a mod p and a discrete log,
 so every test below is a few modular operations against a cached table.
+Cusp sections, lifts of residues and random members complete their first
+column (a, c) one way only: d is the inverse of a mod c nearest 0.
 
 Gamma0, Gamma1 and Gamma2 are Gamma_H(p), H the upper-left residues, and
 Gamma2Prime is the sign-twisted kernel inside Gamma2, so cusp tables come
@@ -206,8 +208,7 @@ def lift_with_upper_left(a: int, p: int) -> SL2Matrix:
     r = a % p
     if r == 0:
         raise ValueError(f"{a} is divisible by {p}")
-    d = pow(r, -1, p)
-    return SL2Matrix(r, (r * d - 1) // p, p, d)
+    return _with_first_column(r, p)
 
 
 def gamma2_generator(ctx: PrimeContext) -> SL2Matrix:
@@ -235,11 +236,8 @@ def random_member(group: Subgroup, ctx: PrimeContext, rng) -> SL2Matrix:
             a = res + p * rng.randint(0, 2)
             while gcd(a, c) != 1:
                 a += p
-            d, b = _complete_column(a, c)
-            # pull d toward 0, then jitter with translations on both sides
-            t = -round(d / c)
-            d, b = d + t * c, b + t * a
-            m = SL2Matrix(a, b, c, d)
+            # d nearest 0, then jitter with translations on both sides
+            m = _with_first_column(a, c)
             j = rng.randint(-2, 2)
             m = m * SL2Matrix.translation(j)
             i = rng.randint(-2, 2)
@@ -253,21 +251,15 @@ def random_member(group: Subgroup, ctx: PrimeContext, rng) -> SL2Matrix:
         return m
 
 
-def _complete_column(a: int, c: int) -> tuple[int, int]:
-    """(d, b) with a*d - b*c = 1, via the extended Euclid algorithm."""
-    old_r, r = a, c
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_x, x = x, old_x - qq * x
-        old_y, y = y, old_y - qq * y
-    if old_r == -1:
-        old_r, old_x, old_y = 1, -old_x, -old_y
-    if old_r != 1:
-        raise ValueError(f"({a},{c}) is not a coprime pair")
-    return old_x, -old_y
+def _with_first_column(a: int, c: int) -> SL2Matrix:
+    """(a, b; c, d) in SL(2,Z) with d = a^-1 mod c nearest 0; (a, 0; 0, a) for c = 0.
+
+    Raises ValueError when (a, c) is not a coprime pair."""
+    if c == 0:
+        return SL2Matrix(a, 0, 0, a)
+    d = pow(a, -1, c)
+    d -= c * round(d / c)
+    return SL2Matrix(a, (a * d - 1) // c, c, d)
 
 
 # -- the character cutting out Gamma2Prime ---------------------------------
@@ -315,10 +307,7 @@ def quotient_structure(ctx: PrimeContext) -> QuotientStructure:
     L*T, L the lift of g^k, which represent (0, +-1) and (k, +-1).
     """
     p = ctx.p
-    h = pow(ctx.g, ctx.k, p)
-    residues = [1]
-    while (x := residues[-1] * h % p) != 1:
-        residues.append(x)
+    residues = [pow(ctx.g, n, p) for n in range(0, p - 1, ctx.k)]
     t = SL2Matrix.translation(1)
     generators = (lift_with_upper_left(ctx.g, p), t)
     top = gamma2_generator(ctx)
@@ -365,8 +354,7 @@ class Cusp:
 
     def section(self) -> SL2Matrix:
         """A matrix sending infinity to this cusp (first column a, c)."""
-        d, b = _complete_column(self.a, self.c)
-        return SL2Matrix(self.a, b, self.c, d)
+        return _with_first_column(self.a, self.c)
 
     def __str__(self) -> str:
         return "inf" if self.c == 0 else f"{self.a}/{self.c}"

@@ -104,6 +104,15 @@ def brute_classical_eta(scale: int, steps: int):
     return 24, {scale + 24 * n: c for n, c in poly.items()}
 
 
+def coin_change_partitions(n: int) -> list[int]:
+    """p(0..n) by counting multisets of parts, adding parts 1, 2, ..., n in turn."""
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways
+
+
 def naive_product(a, b):
     """(denom, trunc, coeffs) of the product of two truncated q-series.
 

@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: frozen outputs, exit codes, JSON artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import etacover
 from etacover.certify import certify
 from etacover.cli import main
 
@@ -254,6 +258,22 @@ def test_z_relation_lines(capsys):
     code, out, _ = run(capsys, "z-relation", "--p", "17")
     assert code == 0
     assert out == "z-relation skipped for p=17: p == 1 mod 8: relation not asserted\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_certify_into_a_closed_pipe_exits_quietly(extra):
+    # `etacover certify --range 5..400 | head -1`: the reader leaves after
+    # one line, and the run must stop without a traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(etacover.__file__).parent.parent)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "etacover", "certify", "--range", "5..400", *extra],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err.decode()
 
 
 def test_certify_range_json_matches_golden_bytes(capsys):

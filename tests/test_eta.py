@@ -4,6 +4,7 @@ import pytest
 
 from etacover.eta import (
     EtaProduct,
+    _partitions,
     classical_eta,
     eta_quotient_series,
     expand_product,
@@ -21,6 +22,7 @@ from etacover.qseries import QSeries
 from oracles import (
     brute_classical_eta,
     brute_eta_expansion,
+    coin_change_partitions,
     leading_exponent_at,
     pentagonal_eta,
     smallest_triplet,
@@ -97,6 +99,11 @@ def test_generalized_eta_matches_oracle():
             assert s.denom == denom
             assert dict(s.coeffs) == want, (level, g)
             assert s.leading()[0] == leading_exponent(g, level)
+
+
+def test_partitions_match_coin_change():
+    assert _partitions(200) == coin_change_partitions(200)
+    assert _partitions(100)[100] == 190_569_292
 
 
 def test_generalized_eta_rejects():
@@ -209,6 +216,21 @@ def test_expand_product_against_factor_arithmetic():
     e1 = generalized_eta(1, 5, 10)
     e2 = generalized_eta(2, 5, 10)
     assert series_agree(f, ((e1 * e2) ** 3).scale(-1))
+
+
+@pytest.mark.parametrize("level, g", [(7, 2), (12, 5), (13, 6)])
+def test_from_factors_matches_the_defining_products(level, g):
+    # g, -g, N-g, g+N and g+2N all reduce to g, with signs +, -, +, -, +;
+    # the even power of E_(-g) drops its sign, the odd powers keep theirs
+    factors = [(g, 1), (-g, 2), (level - g, 3), (g + level, 3), (g + 2 * level, -1), (1, 1)]
+    prod = EtaProduct.from_factors(level, factors, "mixed")
+    assert (prod.exponents, prod.sign) == ({g: 8, 1: 1}, -1)
+    want = None
+    for h, e in factors:
+        denom, coeffs = brute_eta_expansion(h, level, 12)
+        factor = QSeries(denom, coeffs, Fraction(min(coeffs), denom) + 12) ** e
+        want = factor if want is None else want * factor
+    assert series_agree(expand_product(prod, 12), want)
 
 
 def test_squared_product():

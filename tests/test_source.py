@@ -21,6 +21,25 @@ def test_no_bare_asserts():
     assert SOURCES and found == []
 
 
+def test_eta_products_are_built_only_by_from_factors():
+    # index reduction and exponent merging live in EtaProduct.from_factors
+    found, constructors = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "from_factors":
+                constructors += 1
+                inside.update(id(n) for n in ast.walk(node))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            and "EtaProduct" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert constructors == 1 and found == []
+
+
 def test_benchmark_trace_targets_resolve():
     # perfbench/tracing.py wraps these names from outside the package, and
     # `perfbench/run.py --trace 1` stops with LookupError if one is gone
