@@ -1,111 +1,26 @@
 """Exact generalized eta products and certification of the cyclic covering
-they generate over the modular curve of prime level."""
+they generate over the modular curve of prime level.
 
-from .certify import (
-    CertReport,
-    CheckResult,
-    report_from_json,
-    report_to_json,
-)
-from .eta import (
-    EtaIndex,
-    EtaProduct,
-    classical_eta,
-    eta_quotient_series,
-    expand_product,
-    find_triplet,
-    generalized_eta,
-    is_modular_unit,
-    leading_exponent,
-    orbit_product,
-    reduce_index,
-    triplet_product,
-)
-from .exact import (
-    PrimeContext,
-    RootOfUnity,
-    bernoulli2,
-    is_prime,
-    odd_primitive_root,
-    prime_context,
-)
-from .numeric import (
-    UpperHalfPoint,
-    check_E_transform,
-    check_F_transform,
-    check_G_transform,
-    check_invariance,
-    eval_classical_eta,
-    eval_generalized_eta,
-    eval_product,
-    eval_series,
-)
-from .qseries import PrecisionError, QSeries
-from .subgroups import (
-    Cusp,
-    SL2Matrix,
-    Subgroup,
-    cusp_set,
-    cusp_width,
-    cusps_equivalent,
-    epsilon_factor,
-    eta_multiplier,
-    is_member,
-    quadratic_character,
-    quotient_character,
-    quotient_structure,
-    random_member,
-    sign_character,
-)
+Re-exports the documented library surface; the rest lives in its module.
+"""
+
+from .certify import CertReport, CheckResult, report_from_json, report_to_json
+from .eta import EtaProduct, expand_product, generalized_eta, orbit_product
+from .exact import PrimeContext, prime_context
+from .qseries import QSeries
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CertReport",
     "CheckResult",
-    "Cusp",
-    "EtaIndex",
     "EtaProduct",
-    "PrecisionError",
     "PrimeContext",
     "QSeries",
-    "RootOfUnity",
-    "SL2Matrix",
-    "Subgroup",
-    "UpperHalfPoint",
-    "bernoulli2",
-    "check_E_transform",
-    "check_F_transform",
-    "check_G_transform",
-    "check_invariance",
-    "classical_eta",
-    "cusp_set",
-    "cusp_width",
-    "cusps_equivalent",
-    "epsilon_factor",
-    "eta_multiplier",
-    "eta_quotient_series",
-    "eval_classical_eta",
-    "eval_generalized_eta",
-    "eval_product",
-    "eval_series",
     "expand_product",
-    "find_triplet",
     "generalized_eta",
-    "is_member",
-    "is_modular_unit",
-    "is_prime",
-    "leading_exponent",
-    "odd_primitive_root",
     "orbit_product",
     "prime_context",
-    "quadratic_character",
-    "quotient_character",
-    "quotient_structure",
-    "random_member",
-    "reduce_index",
     "report_from_json",
     "report_to_json",
-    "sign_character",
-    "triplet_product",
 ]

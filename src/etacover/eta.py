@@ -4,11 +4,12 @@ The building block at level N is, with q = e^(2*pi*i*tau),
 
     E_g(tau) = q^(N*B(g/N)/2) * prod_{m>=1} (1 - q^(N(m-1)+g)) (1 - q^(Nm-g))
 
-for integers g not divisible by N, B(x) = x^2 - x + 1/6.  Index shifts obey
-E_{g+N} = E_{-g} = -E_g, and inside [1, N-1] the two factor families swap
-under g -> N-g, so E_{N-g} = E_g with no sign.  Reduction therefore lands
-in [1, floor(N/2)] picking up one sign per level-shift and none from the
-reflection.
+for integers g not divisible by N, B(x) = x^2 - x + 1/6; the leading
+exponent is exact.order_numerator at the cusp 1/0 over 12N.  Index shifts
+obey E_{g+N} = E_{-g} = -E_g, and inside [1, N-1] the two factor families
+swap under g -> N-g, so E_{N-g} = E_g with no sign.  Reduction therefore
+lands in [1, floor(N/2)] picking up one sign per level-shift and none from
+the reflection.
 
 Expansions never multiply the factors out one at a time.  By the Jacobi
 triple product the unit part of E_g is a sparse theta series times the
@@ -23,9 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .exact import PrimeContext, RootOfUnity, bernoulli2
+from .exact import PrimeContext, RootOfUnity, order_numerator
 from .qseries import QSeries
 from .subgroups import SL2Matrix, eta_multiplier
 
@@ -51,11 +51,6 @@ def reduce_index(g: int, level: int) -> EtaIndex:
     if 2 * r > level:
         r = level - r
     return EtaIndex(level=level, g=r, sign=sign)
-
-
-def leading_exponent(g: int, level: int) -> Fraction:
-    """q-exponent N*B(g/N)/2 of the leading term of E_g."""
-    return Fraction(level, 2) * bernoulli2(Fraction(g, level))
 
 
 def _theta(level: int, g: int, prec: int) -> dict:
@@ -105,7 +100,7 @@ def generalized_eta(g: int, level: int, prec: int) -> QSeries:
             unit[e + level * j] = unit.get(e + level * j, 0) + c * parts[j]
     denom = 24 * level
     series = QSeries(denom, {e * denom: c for e, c in unit.items()}, prec)
-    return series.shift(leading_exponent(g, level))
+    return series.shift(Fraction(order_numerator({g: 1}, level, 1, 0), 12 * level))
 
 
 def classical_eta(scale: int, prec: int) -> QSeries:
@@ -159,13 +154,6 @@ class EtaProduct:
         factors = [(g, 2 * e) for g, e in self.exponents.items()]
         return EtaProduct.from_factors(self.level, factors, f"({self.label})^2")
 
-    def weight_sums(self) -> tuple[int, int, int]:
-        """(sum e, sum g*e, sum g^2*e) over the reduced exponent map."""
-        s0 = sum(self.exponents.values())
-        s1 = sum(g * e for g, e in self.exponents.items())
-        s2 = sum(g * g * e for g, e in self.exponents.items())
-        return s0, s1, s2
-
 
 def is_modular_unit(prod: EtaProduct) -> bool:
     """Congruence test for descending to a function on Gamma1(level).
@@ -174,27 +162,12 @@ def is_modular_unit(prod: EtaProduct) -> bool:
     sum g^2*e == 0 mod 2*level; for odd level the middle one is implied
     and the last relaxes to mod level.
     """
-    s0, s1, s2 = prod.weight_sums()
+    s0 = sum(prod.exponents.values())
+    s1 = sum(g * e for g, e in prod.exponents.items())
+    s2 = sum(g * g * e for g, e in prod.exponents.items())
     if prod.level % 2:
         return s0 % 12 == 0 and s2 % prod.level == 0
     return s0 % 12 == 0 and s1 % 2 == 0 and s2 % (2 * prod.level) == 0
-
-
-def order_numerator(exponents: dict, level: int, a: int, c: int) -> int:
-    """12*level times the leading q-exponent of prod E_g^e(g) at the cusp a/c.
-
-    Composed with a matrix of first column (a, c), E_g leads with exponent
-    d^2/(2*level) * P2(a*g/d), d = gcd(c, level), P2 the periodic second
-    Bernoulli function.  With x = a*g mod d that is
-    (6x^2 - 6dx + d^2)/(12*level), so the sum is an integer; the cusp
-    1/0 (infinity) recovers the leading exponents level*B(g/level)/2.
-    """
-    d = gcd(c, level)
-    total = 0
-    for g, e in exponents.items():
-        x = a * g % d
-        total += e * (6 * x * x - 6 * d * x + d * d)
-    return total
 
 
 def transform_product(prod: EtaProduct, gamma: SL2Matrix) -> tuple[RootOfUnity, EtaProduct]:

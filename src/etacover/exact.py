@@ -1,4 +1,4 @@
-"""Exact rational helpers: Bernoulli values, primitive roots, roots of unity.
+"""Exact helpers: leading exponents of E_g at cusps, primitive roots, roots of unity.
 
 Everything in here is plain integer/Fraction arithmetic; no floats.
 """
@@ -11,10 +11,21 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def bernoulli2(x) -> Fraction:
-    """Second Bernoulli polynomial B(x) = x^2 - x + 1/6, exactly."""
-    x = Fraction(x)
-    return x * x - x + Fraction(1, 6)
+def order_numerator(exponents: dict, level: int, a: int, c: int) -> int:
+    """12*level times the leading q-exponent of prod E_g^e(g) at the cusp a/c.
+
+    Composed with a matrix of first column (a, c), E_g leads with exponent
+    d^2/(2*level) * P2(a*g/d), d = gcd(c, level), P2 the periodic second
+    Bernoulli function.  With x = a*g mod d that is
+    (6x^2 - 6dx + d^2)/(12*level), so the sum is an integer; the cusp
+    1/0 (infinity) recovers the leading exponents level*B(g/level)/2.
+    """
+    d = gcd(c, level)
+    total = 0
+    for g, e in exponents.items():
+        x = a * g % d
+        total += e * (6 * x * x - 6 * d * x + d * d)
+    return total
 
 
 def is_prime(n: int) -> bool:
@@ -140,19 +151,8 @@ class RootOfUnity:
     def __pow__(self, n: int) -> "RootOfUnity":
         return RootOfUnity(self.order, self.exponent * n)
 
-    def conjugate(self) -> "RootOfUnity":
-        return RootOfUnity(self.order, -self.exponent)
-
     def is_one(self) -> bool:
         return self.order == 1
-
-    def as_sign(self) -> int:
-        """+1 or -1; raises if the value is not real."""
-        if self.order == 1:
-            return 1
-        if self.order == 2:
-            return -1
-        raise ValueError(f"{self} is not a sign")
 
     def value(self) -> complex:
         return cmath.exp(2j * cmath.pi * self.exponent / self.order)

@@ -1,9 +1,10 @@
 """Floating-point evaluation of the eta functions and transformation checks.
 
-Truncated products converge like |q|^(level*terms), so the number of
-factors is chosen adaptively from Im(tau): transformed points gamma*tau
-sit much lower in the upper half plane than the samples and need more
-terms, not a different algorithm.
+Sample points are plain complex numbers, which ``_as_point`` rejects off
+the upper half plane.  Truncated products converge like |q|^(level*terms),
+so the number of factors is chosen adaptively from Im(tau): transformed
+points gamma*tau sit much lower in the upper half plane than the samples
+and need more terms, not a different algorithm.
 
 Every law is checked by one routine, ``_max_residual``: it evaluates the
 left side at gamma*tau once per sample and takes the largest relative
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import partial
 from math import ceil, pi
 
@@ -33,27 +33,11 @@ from .subgroups import (
 # target e^-45 ~ 3e-20 for the first dropped factor
 _LOG_TAIL_TARGET = 45.0
 
-
-@dataclass(frozen=True)
-class UpperHalfPoint:
-    """A sample point re + im*i, im > 0."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        if not self.im > 0:
-            raise ValueError(f"point must lie in the upper half plane, im={self.im}")
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
 DEFAULT_SAMPLES = (
-    UpperHalfPoint(0.0, 1.0),
-    UpperHalfPoint(0.25, 1.0),
-    UpperHalfPoint(-1.0 / 3.0, 2.0),
-    UpperHalfPoint(0.1, 0.8),
+    complex(0.0, 1.0),
+    complex(0.25, 1.0),
+    complex(-1.0 / 3.0, 2.0),
+    complex(0.1, 0.8),
 )
 
 
@@ -71,11 +55,11 @@ def balanced_samples(gamma) -> tuple:
     c = abs(gamma.c)
     center = -gamma.d / gamma.c
     step = 0.3 / c
-    return tuple(UpperHalfPoint(center + step * s, 1.0 / c) for s in (-1, 1))
+    return tuple(complex(center + step * s, 1.0 / c) for s in (-1, 1))
 
 
 def _as_point(tau) -> complex:
-    z = tau.as_complex() if isinstance(tau, UpperHalfPoint) else complex(tau)
+    z = complex(tau)
     if not z.imag > 0:
         raise ValueError(f"evaluation point {z} is not in the upper half plane")
     return z

@@ -47,10 +47,6 @@ class QSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, denom: int, trunc) -> "QSeries":
-        return cls(denom, {}, trunc)
-
-    @classmethod
     def one(cls, denom: int, trunc) -> "QSeries":
         return cls(denom, {0: 1}, trunc)
 
@@ -58,16 +54,6 @@ class QSeries:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coeff(self, exponent) -> int:
-        """Coefficient of q^exponent; 0 below trunc, loud at or past it."""
-        e = Fraction(exponent)
-        if e >= self.trunc:
-            raise PrecisionError(f"coefficient at {e} is beyond O(q^{self.trunc})")
-        n = e * self.denom
-        if n.denominator != 1:
-            return 0
-        return self.coeffs.get(int(n), 0)
 
     def leading(self) -> tuple[Fraction, int]:
         """(exponent, coefficient) of the lowest stored term."""
@@ -90,13 +76,6 @@ class QSeries:
             raise ValueError(f"lattice 1/{denom} does not refine 1/{self.denom}")
         f = denom // self.denom
         return QSeries(denom, {n * f: c for n, c in self.coeffs.items()}, self.trunc)
-
-    def restrict(self, trunc) -> "QSeries":
-        """Forget terms at or past a tighter truncation."""
-        t = Fraction(trunc)
-        if t > self.trunc:
-            raise PrecisionError(f"cannot extend O(q^{self.trunc}) to O(q^{t})")
-        return QSeries(self.denom, self.coeffs, t)
 
     def shift(self, exponent) -> "QSeries":
         """Multiply by q^exponent (any rational; the lattice is refined)."""

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exact import PrimeContext, RootOfUnity, bernoulli2
+from .exact import PrimeContext, RootOfUnity, order_numerator
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,8 @@ def eta_multiplier(g: int, level: int, m: SL2Matrix) -> tuple[RootOfUnity, int]:
         raise ValueError(f"{m.entries()} is not in Gamma0({level})")
     if m.c == 0:
         b = m.b if m.a == 1 else -m.b  # a = d = -1: use -m, same action
-        phase = RootOfUnity.from_half_turns(b * level * bernoulli2(Fraction(g, level)))
+        lead = order_numerator({g: 1}, level, 1, 0)  # 12*level times N*B(g/N)/2
+        phase = RootOfUnity.from_half_turns(Fraction(b * lead, 6 * level))
         return phase, g
     eps = epsilon_factor(m.a, m.b * level, m.c // level, m.d)
     phase = RootOfUnity.from_half_turns(Fraction(g * g * m.a * m.b, level) - g * m.b)
@@ -341,16 +342,6 @@ class Cusp:
     @classmethod
     def infinity(cls) -> "Cusp":
         return cls(1, 0)
-
-    @classmethod
-    def from_pair(cls, a: int, c: int) -> "Cusp":
-        g = gcd(a, c)
-        if g == 0:
-            raise ValueError("0/0 is not a cusp")
-        a, c = a // g, c // g
-        if c < 0 or (c == 0 and a < 0):
-            a, c = -a, -c
-        return cls(a, c)
 
     def section(self) -> SL2Matrix:
         """A matrix sending infinity to this cusp (first column a, c)."""

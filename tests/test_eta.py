@@ -11,8 +11,8 @@ from etacover.eta import (
     find_triplet,
     generalized_eta,
     is_modular_unit,
-    leading_exponent,
     orbit_product,
+    order_numerator,
     reduce_index,
     triplet_product,
 )
@@ -31,6 +31,11 @@ from oracles import (
 
 def series_agree(a, b) -> bool:
     return a.agrees_with(b, min(a.trunc, b.trunc))
+
+
+def leading_exponent(g: int, level: int) -> Fraction:
+    """N*B(g/N)/2, the leading exponent of E_g, from the package's one formula."""
+    return Fraction(order_numerator({g: 1}, level, 1, 0), 12 * level)
 
 
 # -- index reduction -------------------------------------------------------
@@ -98,7 +103,7 @@ def test_generalized_eta_matches_oracle():
             s = generalized_eta(g, level, 12)
             assert s.denom == denom
             assert dict(s.coeffs) == want, (level, g)
-            assert s.leading()[0] == leading_exponent(g, level)
+            assert s.leading()[0] == leading_exponent_at(g, level, SL2Matrix.identity())
 
 
 def test_partitions_match_coin_change():
@@ -256,8 +261,19 @@ def test_expansions_hold_int_coefficients_led_by_a_unit():
 
 
 def test_weight_sums():
-    f = orbit_product(1, prime_context(5))
-    assert f.weight_sums() == (6, 9, 15)
+    # is_modular_unit decides on (sum e, sum g*e, sum g^2*e); each case
+    # below is settled by the one congruence named beside it
+    cases = [
+        (5, {1: 3, 2: 3}, False),   # F_1: (6, 9, 15), sum e not 0 mod 12
+        (5, {1: 6, 2: 6}, True),    # F_1^2: (12, 18, 30)
+        (5, {1: 12}, False),        # (12, 12, 12): sum g^2*e not 0 mod 5
+        (5, {1: 11, 2: 1}, True),   # (12, 13, 15): odd level, mod 5 suffices
+        (6, {1: 12}, True),         # (12, 12, 12): 0 mod 2*6
+        (12, {1: 12}, False),       # (12, 12, 12): even level needs mod 2*12
+    ]
+    for level, exponents, want in cases:
+        prod = EtaProduct(level=level, exponents=exponents, sign=1, label="sums")
+        assert is_modular_unit(prod) is want, (level, exponents)
 
 
 # -- triplets and the G unit -----------------------------------------------
@@ -345,7 +361,7 @@ def test_leading_exponent_at_identity_is_global():
 
 
 def test_leading_exponent_at_zero_cusp():
-    sec = Cusp.from_pair(0, 1).section()
+    sec = Cusp(0, 1).section()
     # c coprime to the level: delta = P2(a*g)/(2*level) = (1/6)/(2*level)
     assert leading_exponent_at(1, 5, sec) == Fraction(1, 60)
     assert leading_exponent_at(2, 5, sec) == Fraction(1, 60)

@@ -8,16 +8,29 @@ from hypothesis import given, strategies as st
 from etacover.exact import (
     PrimeContext,
     RootOfUnity,
-    bernoulli2,
     is_prime,
     odd_primitive_root,
+    order_numerator,
     prime_context,
     prime_factors,
     smallest_primitive_root,
 )
-from oracles import least_primitive_root, multiplicative_order, periodic_bernoulli2
+from etacover.subgroups import SL2Matrix, eta_multiplier
+from oracles import (
+    leading_exponent_at,
+    least_primitive_root,
+    multiplicative_order,
+    periodic_bernoulli2,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=48)
+
+
+def bernoulli2(x: Fraction) -> Fraction:
+    """B(x) = x^2 - x + 1/6 for x = g/N, read off order_numerator at the cusp
+    1/0, which is 12N times the leading exponent N*B(g/N)/2, so 6N^2*B(g/N)."""
+    return Fraction(order_numerator({x.numerator: 1}, x.denominator, 1, 0),
+                    6 * x.denominator ** 2)
 
 
 @pytest.mark.parametrize(
@@ -38,6 +51,20 @@ def test_bernoulli2_values(x, want):
 @given(st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda x: x < 1))
 def test_periodic_matches_polynomial_on_unit_interval(x):
     assert periodic_bernoulli2(x) == bernoulli2(x)
+
+
+def test_order_numerator_is_the_leading_exponent():
+    # the one formula: the leading exponent N*B(g/N)/2 of E_g at infinity,
+    # and through it the phase e^(pi*i*b*N*B(g/N)) of E_g under +-T^b
+    identity = SL2Matrix.identity()
+    for level in range(2, 41):
+        for g in range(1, level):
+            lead = Fraction(order_numerator({g: 1}, level, 1, 0), 12 * level)
+            assert lead == leading_exponent_at(g, level, identity), (level, g)
+            for b in range(-3, 4):
+                for t in (SL2Matrix.translation(b), -SL2Matrix.translation(b)):
+                    root, index = eta_multiplier(g, level, t)
+                    assert (root, index) == (RootOfUnity.from_half_turns(2 * b * lead), g)
 
 
 @given(rationals)
@@ -165,14 +192,14 @@ def test_root_group_law(x, y, z):
     assert (x * y) * z == x * (y * z)
     assert x * y == y * x
     assert x * RootOfUnity.one() == x
-    assert (x * x.conjugate()).is_one()
+    assert (x * x**-1).is_one()
 
 
 @given(small_roots, st.integers(min_value=-6, max_value=6))
 def test_root_powers(x, n):
     acc = RootOfUnity.one()
     for _ in range(abs(n)):
-        acc = acc * (x if n >= 0 else x.conjugate())
+        acc = acc * (x if n >= 0 else RootOfUnity(x.order, -x.exponent))
     assert x**n == acc
 
 
@@ -187,13 +214,6 @@ def test_root_value_on_unit_circle(x):
     v = x.value()
     assert abs(abs(v) - 1) < 1e-12
     assert abs(v - cmath.exp(2j * cmath.pi * x.exponent / x.order)) < 1e-12
-
-
-def test_as_sign():
-    assert RootOfUnity.one().as_sign() == 1
-    assert RootOfUnity.minus_one().as_sign() == -1
-    with pytest.raises(ValueError):
-        RootOfUnity(4, 1).as_sign()
 
 
 def test_root_str_canonical():

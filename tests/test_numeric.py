@@ -16,7 +16,6 @@ from etacover.eta import (
 from etacover.exact import prime_context
 from etacover.numeric import (
     DEFAULT_SAMPLES,
-    UpperHalfPoint,
     balanced_samples,
     check_E_transform,
     check_F_transform,
@@ -26,6 +25,7 @@ from etacover.numeric import (
     eval_generalized_eta,
     eval_product,
     eval_series,
+    _as_point,
     _terms_for,
 )
 from etacover.qseries import PrecisionError, QSeries
@@ -40,10 +40,11 @@ T = SL2Matrix.translation(1)
 
 def test_point_must_be_in_upper_half_plane():
     with pytest.raises(ValueError):
-        UpperHalfPoint(0.0, -1.0)
+        _as_point(complex(0.0, -1.0))
     with pytest.raises(ValueError):
-        UpperHalfPoint(0.5, 0.0)
-    assert UpperHalfPoint(0.25, 1.0).as_complex() == 0.25 + 1.0j
+        _as_point(complex(0.5, 0.0))
+    assert _as_point(complex(0.25, 1.0)) == 0.25 + 1.0j
+    assert all(pt.imag > 0 for pt in DEFAULT_SAMPLES)
 
 
 def test_evaluators_reject_lower_half_plane():
@@ -121,7 +122,7 @@ _E15 = generalized_eta(1, 5, 25)
     im=st.floats(min_value=0.7, max_value=2.0),
 )
 def test_backends_agree_on_random_points(re, im):
-    tau = UpperHalfPoint(re, im)
+    tau = complex(re, im)
     a = eval_series(_E15, tau)
     b = eval_generalized_eta(1, 5, tau)
     assert abs(a - b) <= 1e-10 * abs(b)
@@ -130,9 +131,9 @@ def test_backends_agree_on_random_points(re, im):
 def test_eval_series_refuses_visible_tail():
     stub = QSeries.one(1, 3)
     with pytest.raises(PrecisionError):
-        eval_series(stub, UpperHalfPoint(0.0, 0.8))
+        eval_series(stub, complex(0.0, 0.8))
     # high enough up the tail really is below double noise
-    assert eval_series(stub, UpperHalfPoint(0.0, 2.0)) == 1
+    assert eval_series(stub, complex(0.0, 2.0)) == 1
 
 
 # -- transformation residuals ---------------------------------------------
@@ -206,7 +207,7 @@ def test_balanced_samples_shapes():
     m = SL2Matrix(1, 0, 22, 1)
     pts = balanced_samples(m)
     assert len(pts) == 2
-    assert all(pt.im == 1.0 / 22 for pt in pts)
+    assert all(pt.imag == 1.0 / 22 for pt in pts)
     center = -m.d / m.c
-    assert abs(pts[0].re + pts[1].re - 2 * center) < 1e-12
-    assert pts[1].re - pts[0].re == pytest.approx(0.6 / 22)
+    assert abs(pts[0].real + pts[1].real - 2 * center) < 1e-12
+    assert pts[1].real - pts[0].real == pytest.approx(0.6 / 22)

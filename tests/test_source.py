@@ -2,12 +2,21 @@
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import etacover
 from etacover.qseries import QSeries
 
 SOURCES = sorted(Path(etacover.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the README's Library section, the one surface etacover re-exports
+LIBRARY = [
+    "CertReport", "CheckResult", "EtaProduct", "PrimeContext", "QSeries",
+    "expand_product", "generalized_eta", "orbit_product", "prime_context",
+    "report_from_json", "report_to_json",
+]
 
 
 def test_no_bare_asserts():
@@ -54,3 +63,39 @@ def test_benchmark_trace_targets_resolve():
     ]
     missing += [m for m in tracing.TIMED_METHODS.values() if m not in vars(QSeries)]
     assert targets and missing == []
+
+
+def test_no_unused_imports():
+    # every imported name is used in its module; __init__ imports exactly __all__
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        imports = [
+            node for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+        ]
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in imports for alias in node.names
+        }
+        if path.name == "__init__.py":
+            if sorted(imported) != sorted(etacover.__all__):
+                found.append(f"{path.name}: imports {sorted(imported)} != __all__")
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
+        ]
+    assert SOURCES and found == []
+
+
+def test_package_exports_the_library_surface():
+    assert etacover.__all__ == LIBRARY
+    assert all(getattr(etacover, name, None) is not None for name in LIBRARY)
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
