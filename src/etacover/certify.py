@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .exact import is_prime, order_numerator, prime_context, PrimeContext, RootOfUnity
@@ -358,8 +358,20 @@ def certify(p: int) -> CertReport:
 
 
 def report_to_dict(report: CertReport) -> dict:
-    """Key order is CertReport's field order; absent reason/witness are dropped."""
-    return asdict(report, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+    """Key order is CertReport's field order; absent reason/witness are dropped.
+
+    Built field by field, sharing the witness dicts with the report:
+    asdict would deep-copy every cusp row of a large prime.
+    """
+    out = {f.name: getattr(report, f.name) for f in fields(CertReport)}
+    out["checks"] = tuple(
+        {f.name: v for f in fields(CheckResult) if (v := getattr(c, f.name)) is not None}
+        for c in report.checks
+    )
+    out["cusps"] = tuple(
+        {"a": r.a, "c": r.c, "width": r.width, "order": r.order} for r in report.cusps
+    )
+    return out
 
 
 def report_to_json(report: CertReport) -> str:

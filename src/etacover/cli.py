@@ -12,13 +12,13 @@ so nothing is left to flush into the closed pipe.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import traceback
+from functools import cache
 from pathlib import Path
 
-from .certify import certify, error_report, report_to_dict, report_to_json, verify_z_relation
+from .certify import certify, error_report, report_to_json, verify_z_relation
 from .eta import (
     EtaProduct,
     classical_eta,
@@ -127,7 +127,7 @@ def cmd_certify(args) -> int:
         except OSError as exc:
             raise ValueError(f"cannot use --out {args.out} as a directory: {exc}") from exc
     passed = 0
-    dicts = []  # the one JSON array of a --range --json run
+    opening = "[\n"  # a --range --json run prints one array, item by item
     for q in primes:
         try:
             r = certify(q)
@@ -143,11 +143,14 @@ def cmd_certify(args) -> int:
         elif args.p is not None:
             print(report_to_json(r))
         else:
-            dicts.append(report_to_dict(r))
-    if dicts:
-        print(json.dumps(dicts, indent=2))
-    elif not args.json:
+            # json.dumps(reports, indent=2) byte for byte, one report at a time
+            item = report_to_json(r).replace("\n", "\n  ")
+            print(f"{opening}  {item}", end="", flush=True)
+            opening = ",\n"
+    if not args.json:
         print(f"certified {passed}/{len(primes)} primes")
+    elif args.p is None:
+        print("\n]")
     return 0 if passed == len(primes) else 1
 
 
@@ -168,6 +171,7 @@ def cmd_z_relation(args) -> int:
     return 1
 
 
+@cache  # built on first use, not at import, and reused by every main()
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etacover",

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .exact import PrimeContext, RootOfUnity, order_numerator
 from .qseries import QSeries
-from .subgroups import SL2Matrix, eta_multiplier
+from .subgroups import SL2Matrix, multiplier_turns
 
 
 @dataclass(frozen=True)
@@ -159,30 +159,30 @@ def is_modular_unit(prod: EtaProduct) -> bool:
     """Congruence test for descending to a function on Gamma1(level).
 
     General conditions: sum e == 0 mod 12, sum g*e == 0 mod 2 and
-    sum g^2*e == 0 mod 2*level; for odd level the middle one is implied
-    and the last relaxes to mod level.
+    sum g^2*e == 0 mod 2*level.  The middle one is implied by the last,
+    since g^2 == g mod 2; for odd level the last relaxes to mod level.
     """
     s0 = sum(prod.exponents.values())
-    s1 = sum(g * e for g, e in prod.exponents.items())
     s2 = sum(g * g * e for g, e in prod.exponents.items())
-    if prod.level % 2:
-        return s0 % 12 == 0 and s2 % prod.level == 0
-    return s0 % 12 == 0 and s1 % 2 == 0 and s2 % (2 * prod.level) == 0
+    modulus = prod.level if prod.level % 2 else 2 * prod.level
+    return s0 % 12 == 0 and s2 % modulus == 0
 
 
 def transform_product(prod: EtaProduct, gamma: SL2Matrix) -> tuple[RootOfUnity, EtaProduct]:
     """(root, moved) with prod(gamma tau) = root * moved(tau), gamma in Gamma0.
 
-    E_g^e contributes eta_multiplier^e and moves to E_(a*g)^e (a is a unit,
-    so no indices merge).
+    E_g^e contributes e times the multiplier exponent t of multiplier_turns
+    and moves to E_(a*g)^e (a is a unit, so no indices merge); the
+    exponents add up in one integer mod 24*level, made a root once.
     """
-    root, moved = RootOfUnity.one(), []
+    turns, moved = 0, []
     for g, e in prod.exponents.items():
-        mult, new_index = eta_multiplier(g, prod.level, gamma)
-        root *= mult ** e
+        t, new_index = multiplier_turns(g, prod.level, gamma)
+        turns += e * t
         moved.append((new_index, e))
     label = f"{prod.label} o {gamma.entries()}"
-    return root, EtaProduct.from_factors(prod.level, moved, label, prod.sign)
+    moved_prod = EtaProduct.from_factors(prod.level, moved, label, prod.sign)
+    return RootOfUnity(24 * prod.level, turns), moved_prod
 
 
 def orbit_product(h: int, ctx: PrimeContext) -> EtaProduct:

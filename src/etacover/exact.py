@@ -1,13 +1,13 @@
 """Exact helpers: leading exponents of E_g at cusps, primitive roots, roots of unity.
 
-Everything in here is plain integer/Fraction arithmetic; no floats.
+Everything in here is plain integer arithmetic; only RootOfUnity.value
+returns a float.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -136,12 +136,6 @@ class RootOfUnity:
         if s not in (1, -1):
             raise ValueError(f"sign must be 1 or -1, not {s}")
         return cls.one() if s == 1 else cls.minus_one()
-
-    @classmethod
-    def from_half_turns(cls, r) -> "RootOfUnity":
-        """The value e^(pi*i*r) for rational r."""
-        t = Fraction(r) / 2
-        return cls(t.denominator, t.numerator)
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         m = lcm(self.order, other.order)

@@ -4,7 +4,10 @@ Sample points are plain complex numbers, which ``_as_point`` rejects off
 the upper half plane.  Truncated products converge like |q|^(level*terms),
 so the number of factors is chosen adaptively from Im(tau): transformed
 points gamma*tau sit much lower in the upper half plane than the samples
-and need more terms, not a different algorithm.
+and need more terms, not a different algorithm.  E_g takes its factors
+from running powers of q, advanced by q^level, and its leading exponent
+from exact.order_numerator, so no power of q is taken per factor and no
+exponent is spelled in floats.
 
 Every law is checked by one routine, ``_max_residual``: it evaluates the
 left side at gamma*tau once per sample and takes the largest relative
@@ -18,7 +21,7 @@ import math
 from functools import partial
 from math import ceil, pi
 
-from .exact import PrimeContext
+from .exact import PrimeContext, order_numerator
 from .eta import EtaProduct, orbit_product, reduce_index, triplet_product
 from .qseries import PrecisionError, QSeries
 from .subgroups import (
@@ -70,16 +73,25 @@ def _terms_for(im: float, level: int) -> int:
 
 
 def eval_generalized_eta(g: int, level: int, tau) -> complex:
-    """Truncated-product value of E_g at tau."""
+    """Truncated-product value of E_g at tau.
+
+    The factors 1 - q^(N(m-1)+g) and 1 - q^(Nm-g) come from two running
+    powers that start at q^g and q^(N-g) and advance by q^N, so each
+    value costs three complex powers whatever the level.
+    """
     if not 1 <= g <= level - 1:
         raise ValueError(f"index {g} outside [1, {level - 1}]")
     z = _as_point(tau)
-    terms = _terms_for(z.imag, level)
     q = cmath.exp(2j * pi * z)
-    m = range(1, terms + 1)
-    head = cmath.exp(2j * pi * z * (level * ((g / level) ** 2 - g / level + 1 / 6) / 2))
-    value = head * math.prod(1 - q ** (level * (n - 1) + g) for n in m)
-    return value * math.prod(1 - q ** (level * n - g) for n in m)
+    step = q ** level
+    lo, hi = q ** g, q ** (level - g)
+    lead = order_numerator({g: 1}, level, 1, 0) / (12 * level)
+    value = cmath.exp(2j * pi * z * lead)
+    for _ in range(_terms_for(z.imag, level)):
+        value *= (1 - lo) * (1 - hi)
+        lo *= step
+        hi *= step
+    return value
 
 
 def eval_classical_eta(scale: int, tau) -> complex:

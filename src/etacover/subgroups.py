@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -152,20 +151,29 @@ def epsilon_factor(a: int, b: int, c: int, d: int) -> RootOfUnity:
     """
     if a * d - b * c != 1:
         raise ValueError(f"determinant of ({a},{b},{c},{d}) is not 1")
+    return RootOfUnity(12, _epsilon_twelfths(a, b, c, d))
+
+
+def _epsilon_twelfths(a: int, b: int, c: int, d: int) -> int:
+    """The exponent of epsilon_factor in twelfths of a turn, unreduced."""
     if c % 2:
-        return RootOfUnity(12, b * d * (1 - c * c) + c * (a + d - 3))
+        return b * d * (1 - c * c) + c * (a + d - 3)
     if d % 2:
-        return RootOfUnity(12, a * c * (1 - d * d) + d * (b - c + 3) + 9)
+        return a * c * (1 - d * d) + d * (b - c + 3) + 9
     raise ValueError("c and d cannot both be even in SL(2,Z)")
 
 
-def eta_multiplier(g: int, level: int, m: SL2Matrix) -> tuple[RootOfUnity, int]:
-    """(root of unity, new index) with E_g(m tau) = root * E_newindex(tau).
+def multiplier_turns(g: int, level: int, m: SL2Matrix) -> tuple[int, int]:
+    """(t, new index) with E_g(m tau) = e^(2*pi*i*t/(24*level)) * E_newindex(tau).
 
+    The integer form of eta_multiplier, for loops that compose many
+    multipliers: t is unreduced, so exponents of products just add.
     m must lie in Gamma0(level).  Translations (c = 0, normalized so the
-    diagonal is +1) contribute e^(pi*i*b*N*B(g/N)) and keep the index;
-    otherwise the factor is epsilon(a, b*N, c/N, d) * e^(pi*i*(g^2 a b/N - g b))
-    and the index moves to a*g.  The returned index is unreduced.
+    diagonal is +1) give e^(pi*i*b*N*B(g/N)), that is t = 2*b times
+    order_numerator at 1/0, and keep the index; otherwise the factor is
+    epsilon(a, b*N, c/N, d) * e^(pi*i*(g^2 a b/N - g b)), that is
+    t = 2N*eps12 + 12*(g^2 a b - g b N), and the index moves to a*g
+    (unreduced).
     """
     if g % level == 0:
         raise ValueError(f"index {g} vanishes mod {level}")
@@ -173,12 +181,19 @@ def eta_multiplier(g: int, level: int, m: SL2Matrix) -> tuple[RootOfUnity, int]:
         raise ValueError(f"{m.entries()} is not in Gamma0({level})")
     if m.c == 0:
         b = m.b if m.a == 1 else -m.b  # a = d = -1: use -m, same action
-        lead = order_numerator({g: 1}, level, 1, 0)  # 12*level times N*B(g/N)/2
-        phase = RootOfUnity.from_half_turns(Fraction(b * lead, 6 * level))
-        return phase, g
-    eps = epsilon_factor(m.a, m.b * level, m.c // level, m.d)
-    phase = RootOfUnity.from_half_turns(Fraction(g * g * m.a * m.b, level) - g * m.b)
-    return eps * phase, m.a * g
+        return 2 * b * order_numerator({g: 1}, level, 1, 0), g
+    eps12 = _epsilon_twelfths(m.a, m.b * level, m.c // level, m.d)
+    return 2 * level * eps12 + 12 * (g * g * m.a * m.b - g * m.b * level), m.a * g
+
+
+def eta_multiplier(g: int, level: int, m: SL2Matrix) -> tuple[RootOfUnity, int]:
+    """(root of unity, new index) with E_g(m tau) = root * E_newindex(tau).
+
+    The root is e^(2*pi*i*t/(24*level)) with t from multiplier_turns, an
+    integer exponent mod 24*level; the returned index is unreduced.
+    """
+    t, new_index = multiplier_turns(g, level, m)
+    return RootOfUnity(24 * level, t), new_index
 
 
 # -- membership ------------------------------------------------------------

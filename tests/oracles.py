@@ -2,17 +2,22 @@
 
 Everything here recomputes results from defining formulas with plain
 dict/Fraction arithmetic and deliberately shares no code with the
-package internals.  There are two exceptions.  scan_cusp_set reuses the
+package internals.  There are three exceptions.  scan_cusp_set reuses the
 package's membership test (through cusps_equivalent and cusp_width) but
 not its closed-form cusp rule.  enumerate_quotient_structure reuses the
 quotient character and the membership test, but evaluates them on every
 residue class instead of the closed form's handful of matrices.
+half_turn_eta_multiplier reuses epsilon_factor, the classical eta
+multiplier, but composes the phase in Fractions of a half turn.
 """
 
+import cmath
+import math
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import ceil, gcd, lcm, pi
 
+from etacover.exact import RootOfUnity
 from etacover.subgroups import (
     Cusp,
     QuotientStructure,
@@ -20,6 +25,7 @@ from etacover.subgroups import (
     Subgroup,
     cusp_width,
     cusps_equivalent,
+    epsilon_factor,
     is_member,
     lift_with_upper_left,
     psl_index,
@@ -255,3 +261,41 @@ def enumerate_quotient_structure(ctx) -> QuotientStructure:
         character_order=lcm(*orders),
         kernel_matches=kernel_ok,
     )
+
+
+def from_half_turns(r) -> RootOfUnity:
+    """The root of unity e^(pi*i*r) for rational r."""
+    t = Fraction(r) / 2
+    return RootOfUnity(t.denominator, t.numerator)
+
+
+def half_turn_eta_multiplier(g: int, level: int, m: SL2Matrix):
+    """(root, unreduced new index) with E_g(m tau) = root * E_new(tau).
+
+    The multiplier in half turns (Yang 2004): a translation +-T^b gives
+    e^(pi*i*b*N*B(g/N)) and keeps g; any other m in Gamma0(N) gives
+    epsilon(a, b*N, c/N, d) * e^(pi*i*(g^2 a b/N - g b)) and moves g to a*g.
+    """
+    if m.c == 0:
+        b = m.b if m.a == 1 else -m.b
+        lead = leading_exponent_at(g, level, SL2Matrix.identity())
+        return from_half_turns(2 * b * lead), g
+    eps = epsilon_factor(m.a, m.b * level, m.c // level, m.d)
+    phase = from_half_turns(Fraction(g * g * m.a * m.b, level) - g * m.b)
+    return eps * phase, m.a * g
+
+
+def power_eval_generalized_eta(g: int, level: int, tau: complex) -> complex:
+    """E_g at tau as a truncated product, each factor's q-power taken alone.
+
+    Same truncation rule as the package (first dropped factor below about
+    e^-45), but every 1 - q^n is built from its own q ** n and the
+    leading exponent N*B(g/N)/2 is taken in Fractions.
+    """
+    terms = max(4, ceil(45.0 / (2 * pi * tau.imag * level)) + 2)
+    q = cmath.exp(2j * pi * tau)
+    m = range(1, terms + 1)
+    lead = leading_exponent_at(g, level, SL2Matrix.identity())
+    head = cmath.exp(2j * pi * tau * float(lead))
+    value = head * math.prod(1 - q ** (level * (n - 1) + g) for n in m)
+    return value * math.prod(1 - q ** (level * n - g) for n in m)

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import etacover
-from etacover.certify import certify
-from etacover.cli import main
+from etacover.certify import certify, report_to_json
+from etacover.cli import _build_parser, main
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -81,6 +81,35 @@ def test_bad_function_choice_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--p", "5", "--function", "Q"])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_call(capsys):
+    # main() reuses one cached parser; a mixed run through it, in either
+    # order, prints what a freshly built parser prints for each command
+    commands = [
+        ["cusps", "--p", "11", "--group", "Gamma1"],
+        ["certify", "--p", "13", "--json"],
+        ["expand", "--function", "eta"],
+        ["expand", "--p", "5", "--function", "Q"],  # argparse rejects: exit 2
+        ["certify", "--p", "9"],  # not prime: exit 2
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in commands:
+        _build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 2]
+    assert _build_parser() is _build_parser()
+    assert [outcome(argv) for argv in commands] == fresh
+    assert [outcome(argv) for argv in reversed(commands)] == fresh[::-1]
 
 
 # -- character -------------------------------------------------------------
@@ -164,6 +193,21 @@ def test_certify_range_prints_each_prime_when_it_finishes(capsys, monkeypatch):
     assert code == 0
     assert seen == {5: "", 7: "p=5 branch=F-chi degree=2 overall=pass\n"}
     assert out == "p=7 branch=F-psi degree=2 overall=pass\ncertified 2/2 primes\n"
+
+
+def test_certify_range_json_streams_each_report(capsys, monkeypatch):
+    seen = {}
+
+    def watched(p):
+        seen[p] = capsys.readouterr().out
+        return certify(p)
+
+    monkeypatch.setattr("etacover.cli.certify", watched)
+    code, out, _ = run(capsys, "certify", "--range", "5..7", "--json")
+    assert code == 0
+    assert seen[5] == "" and seen[7].startswith('[\n  {\n    "p": 5,')
+    reports = [json.loads(report_to_json(certify(q))) for q in (5, 7)]
+    assert seen[7] + out == json.dumps(reports, indent=2) + "\n"
 
 
 def test_certify_json_shapes(capsys):

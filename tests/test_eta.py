@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -261,8 +262,10 @@ def test_expansions_hold_int_coefficients_led_by_a_unit():
 
 
 def test_weight_sums():
-    # is_modular_unit decides on (sum e, sum g*e, sum g^2*e); each case
-    # below is settled by the one congruence named beside it
+    # is_modular_unit decides on (sum e, sum g^2*e); the comments list
+    # (sum e, sum g*e, sum g^2*e), and each case below is settled by the
+    # one congruence named beside it.  The parity of sum g*e is never
+    # tested: g^2 == g mod 2, so it follows from sum g^2*e
     cases = [
         (5, {1: 3, 2: 3}, False),   # F_1: (6, 9, 15), sum e not 0 mod 12
         (5, {1: 6, 2: 6}, True),    # F_1^2: (12, 18, 30)
@@ -274,6 +277,25 @@ def test_weight_sums():
     for level, exponents, want in cases:
         prod = EtaProduct(level=level, exponents=exponents, sign=1, label="sums")
         assert is_modular_unit(prod) is want, (level, exponents)
+
+
+def test_modular_unit_needs_no_separate_parity_rule():
+    # the rule with the parity of sum g*e spelled out, on every exponent
+    # map with |e| <= 3 at even levels, where it used to be tested
+    agreed = 0
+    for level in (4, 6, 8, 12):
+        indices = range(1, level // 2 + 1)
+        for exps in product(range(-3, 4), repeat=len(indices)):
+            exponents = {g: e for g, e in zip(indices, exps) if e}
+            if not exponents:
+                continue
+            s0 = sum(exps)
+            s1 = sum(g * e for g, e in zip(indices, exps))
+            s2 = sum(g * g * e for g, e in zip(indices, exps))
+            old = s0 % 12 == 0 and s1 % 2 == 0 and s2 % (2 * level) == 0
+            assert is_modular_unit(EtaProduct(level, exponents, 1, "e")) is old, exponents
+            agreed += old
+    assert agreed > 0
 
 
 # -- triplets and the G unit -----------------------------------------------

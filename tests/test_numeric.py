@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etacover.certify import DEFAULT_SEED, N_RANDOM
 from etacover.eta import (
     classical_eta,
     eta_quotient_series,
@@ -30,6 +31,7 @@ from etacover.numeric import (
 )
 from etacover.qseries import PrecisionError, QSeries
 from etacover.subgroups import SL2Matrix, Subgroup, gamma2_generator, lift_with_upper_left, random_member
+from oracles import power_eval_generalized_eta
 
 S = SL2Matrix(0, -1, 1, 0)
 T = SL2Matrix.translation(1)
@@ -126,6 +128,27 @@ def test_backends_agree_on_random_points(re, im):
     a = eval_series(_E15, tau)
     b = eval_generalized_eta(1, 5, tau)
     assert abs(a - b) <= 1e-10 * abs(b)
+
+
+@pytest.mark.parametrize("p", [5, 13, 101, 1009, 10007])
+def test_running_powers_match_power_per_factor(p):
+    # certify's matrices, drawn as verify_transforms draws them, at their
+    # balanced samples and the images there; the indices are certify's
+    # plus p - 1, where the two running powers trade places
+    ctx = prime_context(p)
+    group = Subgroup.GAMMA1 if ctx.ell == 1 else Subgroup.GAMMA2
+    rng = random.Random(DEFAULT_SEED + p)
+    points = []
+    for _ in range(N_RANDOM):
+        for m in (random_member(Subgroup.GAMMA0, ctx, rng), random_member(group, ctx, rng)):
+            points += [z for tau in balanced_samples(m) for z in (tau, m.apply(tau))]
+    worst = 0.0
+    for z in points:
+        for g in {1, 2, ctx.g % p, p - 1}:
+            a = eval_generalized_eta(g, p, z)
+            b = power_eval_generalized_eta(g, p, z)
+            worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
+    assert worst <= 1e-12
 
 
 def test_eval_series_refuses_visible_tail():

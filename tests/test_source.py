@@ -49,6 +49,18 @@ def test_eta_products_are_built_only_by_from_factors():
     assert constructors == 1 and found == []
 
 
+def test_group_layer_imports_no_fractions():
+    # multipliers are integer exponents mod 24N, never Fractions of a turn
+    tree = ast.parse((Path(etacover.__file__).parent / "subgroups.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+    ]
+    assert found == []
+
+
 def test_benchmark_trace_targets_resolve():
     # perfbench/tracing.py wraps these names from outside the package, and
     # `perfbench/run.py --trace 1` stops with LookupError if one is gone

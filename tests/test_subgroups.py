@@ -1,9 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 
 import etacover.subgroups
+from etacover.eta import EtaProduct, transform_product
 from etacover.exact import RootOfUnity, is_prime, prime_context
 from etacover.numeric import balanced_samples
 from etacover.subgroups import (
@@ -26,7 +30,7 @@ from etacover.subgroups import (
     random_member,
     sign_character,
 )
-from oracles import enumerate_quotient_structure, scan_cusp_set
+from oracles import enumerate_quotient_structure, half_turn_eta_multiplier, scan_cusp_set
 
 S = SL2Matrix(0, -1, 1, 0)
 T = SL2Matrix.translation(1)
@@ -224,6 +228,63 @@ def test_eta_multiplier_index_motion():
             continue
         _, new_g = eta_multiplier(2, 5, m)
         assert new_g == m.a * 2
+
+
+def _multiplier_cases():
+    """(level, matrix, indices) covering both branches of the multiplier.
+
+    Every random_member draw of the matrix golden, +-T^b for b in -5..5 at
+    levels 2..24, and random Gamma0(N) matrices for N in 2..60, where even
+    levels exercise the c/N and b*N parities of epsilon.
+    """
+    golden = json.loads((Path(__file__).parent / "data" / "matrix_golden.json").read_text())
+    for key, mats in golden["draws"].items():
+        p = int(key.split("/")[0])
+        for entries in mats:
+            yield p, SL2Matrix(*entries), range(1, p, 1 + p // 40)
+    for level in range(2, 25):
+        for b in range(-5, 6):
+            for m in (SL2Matrix.translation(b), -SL2Matrix.translation(b)):
+                yield level, m, range(1, level)
+    rng = random.Random(59)
+    for level in range(2, 61):
+        for _ in range(8):
+            c = level * rng.choice((-3, -2, -1, 1, 2, 3))
+            a = rng.choice([x for x in range(-4 * level, 4 * level) if gcd(x, c) == 1])
+            d = pow(a, -1, abs(c))
+            m = SL2Matrix(a, (a * d - 1) // c, c, d) * SL2Matrix.translation(rng.randint(-3, 3))
+            yield level, (-m if rng.random() < 0.5 else m), range(1, level)
+
+
+def test_eta_multiplier_matches_half_turn_oracle():
+    # the integer exponent mod 24N against the Fraction-of-a-half-turn form
+    count = 0
+    for level, m, indices in _multiplier_cases():
+        for g in indices:
+            assert eta_multiplier(g, level, m) == half_turn_eta_multiplier(g, level, m), (
+                level, m.entries(), g)
+            count += 1
+    assert count > 20000
+
+
+def test_transform_product_matches_half_turn_oracle():
+    # one root per product from summed integer exponents, against the
+    # product of the oracle's roots; the moved product is built alike
+    rng = random.Random(61)
+    for level, m, _ in _multiplier_cases():
+        half = range(1, level // 2 + 1)
+        chosen = rng.sample(half, min(len(half), 8))
+        exponents = {g: e for g in chosen if (e := rng.randint(-3, 3))} or {1: 1}
+        prod = EtaProduct(level, exponents, rng.choice((1, -1)), "P")
+        root, moved = transform_product(prod, m)
+        want, factors = RootOfUnity.one(), []
+        for g, e in exponents.items():
+            mult, new_index = half_turn_eta_multiplier(g, level, m)
+            want *= mult ** e
+            factors.append((new_index, e))
+        want_moved = EtaProduct.from_factors(level, factors, "P", prod.sign)
+        assert root == want, (level, m.entries(), exponents)
+        assert (moved.exponents, moved.sign) == (want_moved.exponents, want_moved.sign)
 
 
 # -- membership ------------------------------------------------------------
