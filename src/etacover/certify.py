@@ -32,7 +32,7 @@ from .eta import (
     transform_product,
     triplet_product,
 )
-from .numeric import balanced_samples, check_E_transform
+from .numeric import balanced_samples, check_E_transforms
 from .subgroups import (
     Subgroup,
     cusp_set,
@@ -145,9 +145,7 @@ def verify_transforms(ctx: PrimeContext) -> CheckResult:
     unit, group = _certified_unit(ctx)
     for _ in range(N_RANDOM):
         m0 = random_member(Subgroup.GAMMA0, ctx, rng)
-        pts0 = balanced_samples(m0)
-        for g in indices:
-            worst = max(worst, check_E_transform(g, ctx.p, m0, pts0))
+        worst = max(worst, check_E_transforms(indices, ctx.p, m0, balanced_samples(m0)))
         m1 = random_member(group, ctx, rng)
         if group is Subgroup.GAMMA1:
             laws = [(m1, sign_character(m1), unit)]

@@ -6,12 +6,16 @@ so the number of factors is chosen adaptively from Im(tau): transformed
 points gamma*tau sit much lower in the upper half plane than the samples
 and need more terms, not a different algorithm.  E_g takes its factors
 from running powers of q, advanced by q^level, and its leading exponent
-from exact.order_numerator, so no power of q is taken per factor and no
-exponent is spelled in floats.
+from the integer 6g^2 - 6Ng + N^2 over 12N (exact.order_numerator at
+1/0), so no power of q is taken per factor and no exponent is spelled in
+floats.  ``_eval_at`` is the one truncated-product loop for E_g.
 
-Every law is checked by one routine, ``_max_residual``: it evaluates the
-left side at gamma*tau once per sample and takes the largest relative
-error against each right side at tau.
+The E_g law is checked by ``check_E_transforms``, for several indices
+under one matrix: each index's multiplier once, and gamma*tau, q, q^level
+and the term count once per sample, shared by every index.  The laws of
+eta products go through ``_max_residual``: it evaluates the left side at
+gamma*tau once per sample and takes the largest relative error against
+each right side at tau.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from functools import partial
 from math import ceil, pi
 
-from .exact import PrimeContext, order_numerator
+from .exact import PrimeContext
 from .eta import EtaProduct, orbit_product, reduce_index, triplet_product
 from .qseries import PrecisionError, QSeries
 from .subgroups import (
@@ -72,26 +76,44 @@ def _terms_for(im: float, level: int) -> int:
     return max(4, ceil(_LOG_TAIL_TARGET / (2 * pi * im * level)) + 2)
 
 
-def eval_generalized_eta(g: int, level: int, tau) -> complex:
-    """Truncated-product value of E_g at tau.
+def _lead(g: int, level: int) -> float:
+    """Leading exponent of E_g, 1 <= g <= level - 1: order_numerator at 1/0 over 12N."""
+    return (6 * g * g - 6 * level * g + level * level) / (12 * level)
+
+
+def _at_point(tau, level: int) -> tuple:
+    """What every E_g of the level shares at tau: 2*pi*i*tau, q, q^level, term count."""
+    z = _as_point(tau)
+    s = 2j * pi * z
+    q = cmath.exp(s)
+    return s, q, q ** level, _terms_for(z.imag, level)
+
+
+def _eval_at(g: int, level: int, point: tuple) -> complex:
+    """Truncated-product value of E_g at a point prepared by _at_point.
 
     The factors 1 - q^(N(m-1)+g) and 1 - q^(Nm-g) come from two running
-    powers that start at q^g and q^(N-g) and advance by q^N, so each
-    value costs three complex powers whatever the level.
+    powers that start at q^g and q^(N-g) and advance by q^N.
     """
-    if not 1 <= g <= level - 1:
-        raise ValueError(f"index {g} outside [1, {level - 1}]")
-    z = _as_point(tau)
-    q = cmath.exp(2j * pi * z)
-    step = q ** level
+    s, q, step, terms = point
     lo, hi = q ** g, q ** (level - g)
-    lead = order_numerator({g: 1}, level, 1, 0) / (12 * level)
-    value = cmath.exp(2j * pi * z * lead)
-    for _ in range(_terms_for(z.imag, level)):
+    value = cmath.exp(s * _lead(g, level))
+    for _ in range(terms):
         value *= (1 - lo) * (1 - hi)
         lo *= step
         hi *= step
     return value
+
+
+def _check_index(g: int, level: int) -> None:
+    if not 1 <= g <= level - 1:
+        raise ValueError(f"index {g} outside [1, {level - 1}]")
+
+
+def eval_generalized_eta(g: int, level: int, tau) -> complex:
+    """Truncated-product value of E_g at tau; three complex powers whatever the level."""
+    _check_index(g, level)
+    return _eval_at(g, level, _at_point(tau, level))
 
 
 def eval_classical_eta(scale: int, tau) -> complex:
@@ -130,6 +152,10 @@ def eval_series(series: QSeries, tau) -> complex:
     return sum((complex(c) * cmath.exp(2j * pi * z * (n / series.denom)) for n, c in terms), 0j)
 
 
+def _relative_error(left: complex, right: complex) -> float:
+    return abs(left - right) / max(abs(left), abs(right), 1e-300)
+
+
 def _max_residual(samples, gamma: SL2Matrix, lhs, *rhs) -> float:
     """Max relative error of lhs(gamma tau) against each factor * f(tau).
 
@@ -141,8 +167,7 @@ def _max_residual(samples, gamma: SL2Matrix, lhs, *rhs) -> float:
         z = _as_point(tau)
         left = lhs(gamma.apply(z))
         for factor, f in rhs:
-            right = factor * f(z)
-            worst = max(worst, abs(left - right) / max(abs(left), abs(right), 1e-300))
+            worst = max(worst, _relative_error(left, factor * f(z)))
     return worst
 
 
@@ -153,14 +178,31 @@ def check_invariance(prod: EtaProduct, gamma: SL2Matrix, factor=1,
     return _max_residual(samples, gamma, value, (factor, value))
 
 
+def check_E_transforms(indices, level: int, gamma: SL2Matrix, samples=DEFAULT_SAMPLES) -> float:
+    """Max relative residual of E_g(gamma tau) = mult * E_(a g)(tau) over g in indices.
+
+    Each index's multiplier and reduced target are taken once, and
+    gamma tau, q, q^level and the term count once per sample.
+    """
+    laws = []
+    for g in indices:
+        _check_index(g, level)
+        mult, new_index = eta_multiplier(g, level, gamma)
+        idx = reduce_index(new_index, level)
+        laws.append((g, mult.value() * idx.sign, idx.g))
+    worst = 0.0
+    for tau in samples:
+        z = _as_point(tau)
+        here, there = _at_point(z, level), _at_point(gamma.apply(z), level)
+        for g, factor, target in laws:
+            left = _eval_at(g, level, there)
+            worst = max(worst, _relative_error(left, factor * _eval_at(target, level, here)))
+    return worst
+
+
 def check_E_transform(g: int, level: int, gamma: SL2Matrix, samples=DEFAULT_SAMPLES) -> float:
     """Max relative residual of E_g(gamma tau) = mult * E_(a g)(tau)."""
-    mult, new_index = eta_multiplier(g, level, gamma)
-    idx = reduce_index(new_index, level)
-    return _max_residual(
-        samples, gamma, partial(eval_generalized_eta, g, level),
-        (mult.value() * idx.sign, partial(eval_generalized_eta, idx.g, level)),
-    )
+    return check_E_transforms((g,), level, gamma, samples)
 
 
 def check_F_transform(ctx: PrimeContext, h: int, gamma: SL2Matrix, samples=DEFAULT_SAMPLES) -> float:

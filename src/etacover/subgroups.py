@@ -233,14 +233,16 @@ def gamma2_generator(ctx: PrimeContext) -> SL2Matrix:
 
 
 def random_member(group: Subgroup, ctx: PrimeContext, rng) -> SL2Matrix:
-    """Random small-entry member; lower-left is p times an integer in [-2, 2]."""
+    """Random small-entry member; lower-left is p times an integer in [-2, 2].
+
+    Off the translations it is +-T^i * W * T^j, W the completion of a first
+    column (a, c), written down entry by entry as one matrix.
+    """
     p = ctx.p
     while True:
         c0 = rng.randint(-2, 2)
         if c0 == 0:
-            m = SL2Matrix.translation(rng.randint(-4, 4))
-            if group is not Subgroup.GAMMA1 and rng.random() < 0.5:
-                m = -m
+            a, b, c, d = 1, rng.randint(-4, 4), 0, 1
         else:
             if group is Subgroup.GAMMA0:
                 res = rng.randrange(1, p)
@@ -253,13 +255,13 @@ def random_member(group: Subgroup, ctx: PrimeContext, rng) -> SL2Matrix:
             while gcd(a, c) != 1:
                 a += p
             # d nearest 0, then jitter with translations on both sides
-            m = _with_first_column(a, c)
+            b, d = _second_column(a, c)
             j = rng.randint(-2, 2)
-            m = m * SL2Matrix.translation(j)
+            b, d = b + a * j, d + c * j
             i = rng.randint(-2, 2)
-            m = SL2Matrix.translation(i) * m
-            if group is not Subgroup.GAMMA1 and rng.random() < 0.5:
-                m = -m
+            a, b = a + i * c, b + i * d
+        s = -1 if group is not Subgroup.GAMMA1 and rng.random() < 0.5 else 1
+        m = SL2Matrix(s * a, s * b, s * c, s * d)
         if group is Subgroup.GAMMA2_PRIME and not is_member(m, group, ctx):
             continue  # rejection step: half of Gamma2 lands in the kernel
         if not is_member(m, group, ctx):
@@ -273,9 +275,15 @@ def _with_first_column(a: int, c: int) -> SL2Matrix:
     Raises ValueError when (a, c) is not a coprime pair."""
     if c == 0:
         return SL2Matrix(a, 0, 0, a)
+    b, d = _second_column(a, c)
+    return SL2Matrix(a, b, c, d)
+
+
+def _second_column(a: int, c: int) -> tuple[int, int]:
+    """(b, d) completing the first column (a, c), c != 0, with d = a^-1 mod c nearest 0."""
     d = pow(a, -1, c)
     d -= c * round(d / c)
-    return SL2Matrix(a, (a * d - 1) // c, c, d)
+    return (a * d - 1) // c, d
 
 
 # -- the character cutting out Gamma2Prime ---------------------------------

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+import etacover.certify
 import etacover.subgroups
 from etacover.certify import (
+    N_RANDOM,
     _certified_unit,
     branch_name,
     certify,
@@ -51,7 +53,7 @@ def z_factors(ctx, unit=orbit_product):
 
 def force_residual(monkeypatch):
     """Every E_g residual reads 1.0, far above the tolerance."""
-    monkeypatch.setattr("etacover.certify.check_E_transform", lambda *args: 1.0)
+    monkeypatch.setattr("etacover.certify.check_E_transforms", lambda *args: 1.0)
 
 
 CHECK_ORDER = [
@@ -305,6 +307,23 @@ def test_unreachable_tolerance_fails_loudly(monkeypatch):
     assert "max residual" in r.reason
     report = certify(5)
     assert not report.overall
+
+
+def test_one_residual_call_per_draw(monkeypatch):
+    # every index of a drawn matrix is checked in one call
+    calls = []
+    batched = etacover.certify.check_E_transforms
+
+    def counting(indices, level, gamma, samples):
+        calls.append(tuple(indices))
+        return batched(indices, level, gamma, samples)
+
+    monkeypatch.setattr("etacover.certify.check_E_transforms", counting)
+    for p in (5, 11, 13, 101, 1009):
+        ctx = prime_context(p)
+        calls.clear()
+        assert verify_transforms(ctx).status == "pass"
+        assert calls == [tuple(sorted({1, 2, ctx.g % p}))] * N_RANDOM
 
 
 def test_json_roundtrip_and_key_order(monkeypatch):

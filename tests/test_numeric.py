@@ -14,11 +14,12 @@ from etacover.eta import (
     orbit_product,
     triplet_product,
 )
-from etacover.exact import prime_context
+from etacover.exact import order_numerator, prime_context
 from etacover.numeric import (
     DEFAULT_SAMPLES,
     balanced_samples,
     check_E_transform,
+    check_E_transforms,
     check_F_transform,
     check_G_transform,
     check_invariance,
@@ -27,6 +28,7 @@ from etacover.numeric import (
     eval_product,
     eval_series,
     _as_point,
+    _lead,
     _terms_for,
 )
 from etacover.qseries import PrecisionError, QSeries
@@ -73,6 +75,12 @@ def test_term_count_grows_as_points_sink():
     assert _terms_for(0.5, 1) > _terms_for(2.0, 1)
     # far up the cylinder the floor of 4 factors kicks in
     assert _terms_for(50.0, 5) == 4
+
+
+def test_lead_is_order_numerator_at_infinity():
+    for level in (2, 5, 12, 101, 3001):
+        for g in range(1, level):
+            assert _lead(g, level) == order_numerator({g: 1}, level, 1, 0) / (12 * level)
 
 
 # -- exact expansion vs truncated product ---------------------------------
@@ -130,18 +138,29 @@ def test_backends_agree_on_random_points(re, im):
     assert abs(a - b) <= 1e-10 * abs(b)
 
 
+def certify_draws(ctx) -> list:
+    """verify_transforms' (Gamma0, unit group) matrix pairs, in its RNG order."""
+    group = Subgroup.GAMMA1 if ctx.ell == 1 else Subgroup.GAMMA2
+    rng = random.Random(DEFAULT_SEED + ctx.p)
+    return [
+        (random_member(Subgroup.GAMMA0, ctx, rng), random_member(group, ctx, rng))
+        for _ in range(N_RANDOM)
+    ]
+
+
 @pytest.mark.parametrize("p", [5, 13, 101, 1009, 10007])
 def test_running_powers_match_power_per_factor(p):
-    # certify's matrices, drawn as verify_transforms draws them, at their
-    # balanced samples and the images there; the indices are certify's
-    # plus p - 1, where the two running powers trade places
+    # certify's matrices at their balanced samples and the images there;
+    # the indices are certify's plus p - 1, where the two running powers
+    # trade places
     ctx = prime_context(p)
-    group = Subgroup.GAMMA1 if ctx.ell == 1 else Subgroup.GAMMA2
-    rng = random.Random(DEFAULT_SEED + p)
-    points = []
-    for _ in range(N_RANDOM):
-        for m in (random_member(Subgroup.GAMMA0, ctx, rng), random_member(group, ctx, rng)):
-            points += [z for tau in balanced_samples(m) for z in (tau, m.apply(tau))]
+    points = [
+        z
+        for pair in certify_draws(ctx)
+        for m in pair
+        for tau in balanced_samples(m)
+        for z in (tau, m.apply(tau))
+    ]
     worst = 0.0
     for z in points:
         for g in {1, 2, ctx.g % p, p - 1}:
@@ -167,6 +186,23 @@ def test_E_transform_identity_and_translation():
     assert check_E_transform(1, 5, eye) < 1e-14
     assert check_E_transform(2, 5, T) < 1e-12
     assert check_E_transform(1, 5, -eye) < 1e-12
+
+
+@pytest.mark.parametrize("p", [5, 13, 101, 1009, 10007])
+def test_batched_residual_is_the_max_over_indices(p):
+    ctx = prime_context(p)
+    indices = sorted({1, 2, ctx.g % p})
+    for m, _ in certify_draws(ctx):
+        pts = balanced_samples(m)
+        single = max(check_E_transform(g, p, m, pts) for g in indices)
+        assert check_E_transforms(indices, p, m, pts) == single
+
+
+def test_batched_residual_checks_every_index():
+    with pytest.raises(ValueError):
+        check_E_transforms((1, 5), 5, T)
+    with pytest.raises(ValueError):
+        check_E_transforms((1, 6), 5, T)
 
 
 def test_E_transform_random_gamma0():

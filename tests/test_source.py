@@ -61,6 +61,26 @@ def test_group_layer_imports_no_fractions():
     assert found == []
 
 
+def test_one_truncated_product_loop_for_E_g():
+    # numeric.py multiplies in factors 1 - x in one loop; every value of
+    # E_g, on either side of a law, goes through it
+    tree = ast.parse((Path(etacover.__file__).parent / "numeric.py").read_text())
+
+    def takes_factor(node):
+        return isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult) and any(
+            isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
+            and isinstance(n.left, ast.Constant) and n.left.value == 1
+            for n in ast.walk(node.value)
+        )
+
+    loops = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.While)) and any(takes_factor(n) for n in ast.walk(node))
+    ]
+    assert len(loops) == 1
+
+
 def test_benchmark_trace_targets_resolve():
     # perfbench/tracing.py wraps these names from outside the package, and
     # `perfbench/run.py --trace 1` stops with LookupError if one is gone

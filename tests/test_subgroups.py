@@ -344,6 +344,29 @@ def test_random_member_hits_stated_group():
                 assert is_member(m, group, ctx)
 
 
+def test_random_member_builds_one_matrix_per_draw(monkeypatch):
+    built = []
+    check = SL2Matrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(SL2Matrix, "__post_init__", counting)
+    for p in (5, 13, 101, 1009):
+        ctx = prime_context(p)
+        for group in Subgroup:
+            rng = random.Random(p)
+            for _ in range(30):
+                built.clear()
+                m = random_member(group, ctx, rng)
+                assert built[-1] is m
+                # Gamma2Prime rejects half of its Gamma2 candidates, one matrix each
+                if group is not Subgroup.GAMMA2_PRIME:
+                    assert len(built) == 1
+                assert not any(is_member(x, group, ctx) for x in built[:-1])
+
+
 # -- quotient structure ----------------------------------------------------
 
 
