@@ -89,15 +89,17 @@ def _at_point(tau, level: int) -> tuple:
     return s, q, q ** level, _terms_for(z.imag, level)
 
 
-def _eval_at(g: int, level: int, point: tuple) -> complex:
-    """Truncated-product value of E_g at a point prepared by _at_point.
+def _eval_at(g: int, level: int, point: tuple, shift: float = 0.0) -> complex:
+    """Truncated-product value of E_g at a point prepared by _at_point, times e^-shift.
 
     The factors 1 - q^(N(m-1)+g) and 1 - q^(Nm-g) come from two running
-    powers that start at q^g and q^(N-g) and advance by q^N.
+    powers that start at q^g and q^(N-g) and advance by q^N.  The shift is
+    taken off the exponent of the leading power, so a value whose scale
+    is not representable can still be compared at a common scale.
     """
     s, q, step, terms = point
     lo, hi = q ** g, q ** (level - g)
-    value = cmath.exp(s * _lead(g, level))
+    value = cmath.exp(s * _lead(g, level) - shift)
     for _ in range(terms):
         value *= (1 - lo) * (1 - hi)
         lo *= step
@@ -182,21 +184,26 @@ def check_E_transforms(indices, level: int, gamma: SL2Matrix, samples=DEFAULT_SA
     """Max relative residual of E_g(gamma tau) = mult * E_(a g)(tau) over g in indices.
 
     Each index's multiplier and reduced target are taken once, and
-    gamma tau, q, q^level and the term count once per sample.
+    gamma tau, q, q^level and the term count once per sample.  Both sides
+    are divided by |q^lead| at gamma tau, the size of E_g's leading power
+    there: at height 1 and large level that power leaves the double range
+    (E_1 is 0j from level 1433), and the residual would compare 0 with 0.
     """
     laws = []
     for g in indices:
         _check_index(g, level)
         mult, new_index = eta_multiplier(g, level, gamma)
         idx = reduce_index(new_index, level)
-        laws.append((g, mult.value() * idx.sign, idx.g))
+        laws.append((g, _lead(g, level), mult.value() * idx.sign, idx.g))
     worst = 0.0
     for tau in samples:
         z = _as_point(tau)
         here, there = _at_point(z, level), _at_point(gamma.apply(z), level)
-        for g, factor, target in laws:
-            left = _eval_at(g, level, there)
-            worst = max(worst, _relative_error(left, factor * _eval_at(target, level, here)))
+        for g, lead, factor, target in laws:
+            shift = (there[0] * lead).real
+            left = _eval_at(g, level, there, shift)
+            right = factor * _eval_at(target, level, here, shift)
+            worst = max(worst, _relative_error(left, right))
     return worst
 
 

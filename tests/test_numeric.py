@@ -14,7 +14,7 @@ from etacover.eta import (
     orbit_product,
     triplet_product,
 )
-from etacover.exact import order_numerator, prime_context
+from etacover.exact import RootOfUnity, order_numerator, prime_context
 from etacover.numeric import (
     DEFAULT_SAMPLES,
     balanced_samples,
@@ -32,7 +32,14 @@ from etacover.numeric import (
     _terms_for,
 )
 from etacover.qseries import PrecisionError, QSeries
-from etacover.subgroups import SL2Matrix, Subgroup, gamma2_generator, lift_with_upper_left, random_member
+from etacover.subgroups import (
+    SL2Matrix,
+    Subgroup,
+    eta_multiplier,
+    gamma2_generator,
+    lift_with_upper_left,
+    random_member,
+)
 from oracles import power_eval_generalized_eta
 
 S = SL2Matrix(0, -1, 1, 0)
@@ -224,6 +231,28 @@ def test_E_transform_every_index():
             pts = balanced_samples(m)
             worst = max(check_E_transform(g, p, m, pts) for g in range(1, p))
             assert worst < 1e-8, (p, m.entries(), worst)
+
+
+@pytest.mark.parametrize("p", [1433, 10007, 100003])
+def test_negated_multiplier_fails_on_translations(monkeypatch, p):
+    # at height 1, E_1 at level p >= 1433 underflows to 0j; compared at
+    # its own scale the law still sees the sign
+    def negated_multiplier(g, level, m):
+        root, index = eta_multiplier(g, level, m)
+        return root * RootOfUnity.minus_one(), index
+
+    for m in (T, SL2Matrix(-1, 2, 0, -1)):
+        assert check_E_transform(1, p, m, DEFAULT_SAMPLES[:2]) < 1e-10
+    monkeypatch.setattr("etacover.numeric.eta_multiplier", negated_multiplier)
+    for m in (T, SL2Matrix(-1, 2, 0, -1)):
+        for g in (1, 2):
+            assert check_E_transform(g, p, m, DEFAULT_SAMPLES[:2]) >= 1
+
+
+def test_E_transform_near_half_level_at_height_one():
+    # E_1500 at level 3001 leads with |q|^(-3001/24 + ...), beyond the
+    # double range at height 1; the residual divides that scale out
+    assert check_E_transform(1500, 3001, T, DEFAULT_SAMPLES[:2]) < 1e-8
 
 
 def test_F_transform_rejects_missing_branch_and_nonmembers():
