@@ -7,13 +7,15 @@ package's membership test (through cusps_equivalent and cusp_width) but
 not its closed-form cusp rule.  enumerate_quotient_structure reuses the
 quotient character and the membership test, but evaluates them on every
 residue class instead of the closed form's handful of matrices.
-half_turn_eta_multiplier reuses epsilon_factor, the classical eta
-multiplier, but composes the phase in Fractions of a half turn.
+half_turn_eta_multiplier reuses epsilon_factor, the eta^2 multiplier
+that rademacher_eta_squared_multiplier checks, but composes the phase
+in Fractions of a half turn.
 """
 
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import ceil, gcd, lcm, pi
 
@@ -267,6 +269,37 @@ def from_half_turns(r) -> RootOfUnity:
     """The root of unity e^(pi*i*r) for rational r."""
     t = Fraction(r) / 2
     return RootOfUnity(t.denominator, t.numerator)
+
+
+@lru_cache(maxsize=None)
+def dedekind_sum(d: int, c: int) -> Fraction:
+    """s(d, c) = sum over r = 1..c-1 of ((r/c)) ((d r/c)), c > 0, from its definition.
+
+    ((x)) is x - floor(x) - 1/2, and 0 at integers.
+    """
+    def saw(x: Fraction) -> Fraction:
+        return Fraction(0) if x.denominator == 1 else x - math.floor(x) - Fraction(1, 2)
+
+    return sum((saw(Fraction(r, c)) * saw(Fraction(d * r, c)) for r in range(1, c)), Fraction(0))
+
+
+def rademacher_eta_squared_multiplier(a: int, b: int, c: int, d: int) -> RootOfUnity:
+    """eps with eta(m tau)^2 = eps * (c tau + d) * eta(tau)^2, from Dedekind sums.
+
+    For c > 0, Rademacher: eta(m tau) = e^(pi*i*r) (c tau + d)^(1/2) eta(tau)
+    with r = (a+d)/(12c) - s(d, c) - 1/4, so eps = e^(2*pi*i*r).  -m acts
+    as m does while c tau + d changes sign, so c < 0 takes -eps(-m).  For
+    c = 0, m tau = tau + b*d and eta(tau + n) = e^(pi*i*n/12) eta(tau), so
+    eps = d * e^(pi*i*b*d/6).
+    """
+    if a * d - b * c != 1:
+        raise ValueError(f"determinant of ({a},{b},{c},{d}) is not 1")
+    if c < 0:
+        return rademacher_eta_squared_multiplier(-a, -b, -c, -d) * RootOfUnity.minus_one()
+    if c == 0:
+        return from_half_turns(Fraction(b * d, 6) + (1 - d) // 2)
+    r = Fraction(a + d, 12 * c) - dedekind_sum(d % c, c) - Fraction(1, 4)
+    return from_half_turns(2 * r)
 
 
 def half_turn_eta_multiplier(g: int, level: int, m: SL2Matrix):

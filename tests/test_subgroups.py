@@ -30,7 +30,12 @@ from etacover.subgroups import (
     random_member,
     sign_character,
 )
-from oracles import enumerate_quotient_structure, half_turn_eta_multiplier, scan_cusp_set
+from oracles import (
+    enumerate_quotient_structure,
+    half_turn_eta_multiplier,
+    rademacher_eta_squared_multiplier,
+    scan_cusp_set,
+)
 
 S = SL2Matrix(0, -1, 1, 0)
 T = SL2Matrix.translation(1)
@@ -207,6 +212,30 @@ def test_epsilon_sixth_power_is_sign_character():
         m = random_sl2(rng)
         want = RootOfUnity.from_sign(sign_character(m))
         assert epsilon_factor(m.a, m.b, m.c, m.d) ** 6 == want
+
+
+def sl2_matrices(bound: int):
+    """Every (a, b, c, d) in SL(2,Z) with entries of absolute value <= bound."""
+    for c in range(-bound, bound + 1):
+        for d in range(-bound, bound + 1):
+            if gcd(c, d) != 1:
+                continue
+            if c == 0:
+                yield from ((d, b, 0, d) for b in range(-bound, bound + 1))
+                continue
+            for a in range(-bound, bound + 1):
+                b, rest = divmod(a * d - 1, c)
+                if not rest and abs(b) <= bound:
+                    yield a, b, c, d
+
+
+def test_epsilon_factor_matches_rademacher():
+    # exact: epsilon_factor is the eta^2 multiplier, every branch of it
+    seen = {-1: 0, 0: 0, 1: 0}
+    for a, b, c, d in sl2_matrices(30):
+        assert epsilon_factor(a, b, c, d) == rademacher_eta_squared_multiplier(a, b, c, d)
+        seen[(c > 0) - (c < 0)] += 1
+    assert seen == {-1: 4381, 0: 122, 1: 4381}
 
 
 def test_eta_multiplier_translation():
