@@ -146,9 +146,10 @@ def epsilon_factor(a: int, b: int, c: int, d: int) -> RootOfUnity:
     """Multiplier of eta^2 under (a,b;c,d), a 12th root.
 
     eta(m tau)^2 = epsilon * (c tau + d) * eta(tau)^2, so epsilon is the
-    square of the classical eta multiplier.  Two published branches: for odd c the value is
-    e^(2*pi*i*(bd(1-c^2)+c(a+d-3))/12), for odd d it is -i times
-    e^(2*pi*i*(ac(1-d^2)+d(b-c+3))/12); -i is folded in as 9/12 of a turn.
+    square of the classical eta multiplier.  Two published branches: for
+    odd c the value is e^(2*pi*i*(bd(1-c^2)+c(a+d-3))/12), for odd d it is
+    -i times e^(2*pi*i*(ac(1-d^2)+d(b-c+3))/12); -i is folded in as 9/12
+    of a turn.
     """
     if a * d - b * c != 1:
         raise ValueError(f"determinant of ({a},{b},{c},{d}) is not 1")
