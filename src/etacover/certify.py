@@ -28,6 +28,7 @@ from .eta import (
     EtaProduct,
     find_triplet,
     is_modular_unit,
+    orbit_factors,
     orbit_product,
     transform_product,
     triplet_product,
@@ -210,14 +211,9 @@ def cusp_orders(ctx: PrimeContext) -> tuple[CheckResult, tuple]:
         scaled = width * order_numerator(prod.exponents, ctx.p, cusp.a, cusp.c)
         order, rest = divmod(scaled, 12 * ctx.p)
         if rest:
-            return (
-                CheckResult(
-                    "cusp-orders", "fail",
-                    reason=f"non-integer order {Fraction(scaled, 12 * ctx.p)} "
-                    f"at cusp {cusp} (width/delta bug)",
-                ),
-                (),
-            )
+            bad = Fraction(scaled, 12 * ctx.p)
+            reason = f"non-integer order {bad} at cusp {cusp} (width/delta bug)"
+            return CheckResult("cusp-orders", "fail", reason=reason), ()
         if order % 2 == 0:
             problems.append(f"even order {order} at {cusp}")
         if cusp.c % ctx.p != 0 and order != 1:
@@ -227,18 +223,9 @@ def cusp_orders(ctx: PrimeContext) -> tuple[CheckResult, tuple]:
         problems.append("orders do not sum to zero")
     if problems:
         return CheckResult("cusp-orders", "fail", reason="; ".join(problems)), tuple(rows)
-    return (
-        CheckResult(
-            "cusp-orders", "pass",
-            witness={
-                "unit": prod.label,
-                "cusp_count": len(rows),
-                "width_sum": sum(r.width for r in rows),
-                "ramification_index": 2,
-            },
-        ),
-        tuple(rows),
-    )
+    witness = {"unit": prod.label, "cusp_count": len(rows),
+               "width_sum": sum(r.width for r in rows), "ramification_index": 2}
+    return CheckResult("cusp-orders", "pass", witness=witness), tuple(rows)
 
 
 def verify_quotient(ctx: PrimeContext) -> CheckResult:
@@ -283,22 +270,18 @@ def verify_z_relation(ctx: PrimeContext) -> CheckResult:
             "z-relation", "skipped", reason="p == 1 mod 8: relation not asserted"
         )
     e = 6 // ctx.ell
-    exponents, sign = {}, 1  # the units' indices are reduced: exponents just add
-    for j in range(ctx.k):
-        unit = orbit_product(pow(ctx.g, j, ctx.p), ctx)
-        sign *= unit.sign
-        for g, n in unit.exponents.items():
-            exponents[g] = exponents.get(g, 0) + n
-    lead = Fraction(order_numerator(exponents, ctx.p, 1, 0), 12 * ctx.p)
+    factors = [f for j in range(ctx.k) for f in orbit_factors(pow(ctx.g, j, ctx.p), ctx)]
+    prod = EtaProduct.from_factors(ctx.p, factors, "prod F_(g^j)")
+    lead = Fraction(order_numerator(prod.exponents, ctx.p, 1, 0), 12 * ctx.p)
     want = {r: e for r in range(1, (ctx.p - 1) // 2 + 1)}
-    if exponents != want or 24 * lead != e * (1 - ctx.p):
+    if prod.exponents != want or 24 * lead != e * (1 - ctx.p):
         return CheckResult(
             "z-relation", "fail",
             reason=f"prod F_(g^j) is not +-z as formal eta products (leading exponent {lead})",
         )
     return CheckResult(
         "z-relation", "pass",
-        witness={"sign": sign, "method": "formal", "leading_exponent": str(lead)},
+        witness={"sign": prod.sign, "method": "formal", "leading_exponent": str(lead)},
     )
 
 

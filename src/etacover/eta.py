@@ -185,20 +185,20 @@ def transform_product(prod: EtaProduct, gamma: SL2Matrix) -> tuple[RootOfUnity, 
     return RootOfUnity(24 * prod.level, turns), moved_prod
 
 
-def orbit_product(h: int, ctx: PrimeContext) -> EtaProduct:
-    """The weight-0 unit F_h = (prod_{j<ell} E_{g^(jk) h})^(6/ell).
-
-    Indices run over the integer powers g^(jk) (mod 2p) times h, so their
-    reduction signs are those of the literal products.  Changing h by a
-    multiple of p never changes the result, so h is normalized mod p.
-    """
-    p = ctx.p
-    if h % p == 0:
-        raise ValueError(f"index {h} vanishes mod {p}")
-    h = h % p
+def orbit_factors(h: int, ctx: PrimeContext) -> list:
+    """(g^(jk) mod 2p times h, 6/ell) for j < ell: the factors of F_h, unreduced,
+    so their reduction signs are those of the literal products."""
     e = 6 // ctx.ell
-    factors = [(pow(ctx.g, j * ctx.k, 2 * p) * h, e) for j in range(ctx.ell)]
-    return EtaProduct.from_factors(p, factors, f"F_{h}")
+    return [(pow(ctx.g, j * ctx.k, 2 * ctx.p) * h, e) for j in range(ctx.ell)]
+
+
+def orbit_product(h: int, ctx: PrimeContext) -> EtaProduct:
+    """The weight-0 unit F_h = (prod_{j<ell} E_{g^(jk) h})^(6/ell), h normalized mod p,
+    since changing h by a multiple of p never changes the result."""
+    if h % ctx.p == 0:
+        raise ValueError(f"index {h} vanishes mod {ctx.p}")
+    h = h % ctx.p
+    return EtaProduct.from_factors(ctx.p, orbit_factors(h, ctx), f"F_{h}")
 
 
 def find_triplet(p: int) -> tuple[int, int, int]:

@@ -4,28 +4,24 @@ Sample points are plain complex numbers, which ``_as_point`` rejects off
 the upper half plane.  Truncated products converge like |q|^(level*terms),
 so the number of factors is chosen adaptively from Im(tau): transformed
 points gamma*tau sit much lower in the upper half plane than the samples
-and need more terms, not a different algorithm.  E_g takes its factors
-from running powers of q, advanced by q^level, and its leading exponent
-from the integer 6g^2 - 6Ng + N^2 over 12N (exact.order_numerator at
-1/0), so no power of q is taken per factor and no exponent is spelled in
-floats.  ``_eval_at`` is the one truncated-product loop for E_g.
+and need more terms, not a different algorithm.
 
-The E_g law is checked by ``check_E_transforms``, for several indices
-under one matrix: each index's multiplier once, and gamma*tau, q, q^level
-and the term count once per sample, shared by every index.  The laws of
-eta products go through ``_max_residual``: it evaluates the left side at
-gamma*tau once per sample and takes the largest relative error against
-each right side at tau.
+An eta product is evaluated from its form (L, factors), L the leading
+exponent exact.order_numerator at 1/0 over 12N: ``_value`` takes q^L
+once and multiplies in each factor's unit part from running powers of q
+(``_times_unit``, the one truncated-product loop).  Every law
+lhs(gamma tau) = factor * rhs(tau) goes through ``_residual``; the
+check functions only build laws.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import partial
+from functools import lru_cache
 from math import ceil, pi
 
-from .exact import PrimeContext
+from .exact import PrimeContext, order_numerator
 from .eta import EtaProduct, orbit_product, reduce_index, triplet_product
 from .qseries import PrecisionError, QSeries
 from .subgroups import (
@@ -76,11 +72,6 @@ def _terms_for(im: float, level: int) -> int:
     return max(4, ceil(_LOG_TAIL_TARGET / (2 * pi * im * level)) + 2)
 
 
-def _lead(g: int, level: int) -> float:
-    """Leading exponent of E_g, 1 <= g <= level - 1: order_numerator at 1/0 over 12N."""
-    return (6 * g * g - 6 * level * g + level * level) / (12 * level)
-
-
 def _at_point(tau, level: int) -> tuple:
     """What every E_g of the level shares at tau: 2*pi*i*tau, q, q^level, term count."""
     z = _as_point(tau)
@@ -89,17 +80,27 @@ def _at_point(tau, level: int) -> tuple:
     return s, q, q ** level, _terms_for(z.imag, level)
 
 
-def _eval_at(g: int, level: int, point: tuple, shift: float = 0.0) -> complex:
-    """Truncated-product value of E_g at a point prepared by _at_point, times e^-shift.
+def _form(exponents: dict, level: int) -> tuple:
+    """(L, factors) of prod E_g^e: L = order_numerator at 1/0 over 12N, factors the (g, e)."""
+    return order_numerator(exponents, level, 1, 0) / (12 * level), tuple(exponents.items())
+
+
+@lru_cache(maxsize=128)
+def _eta_form(g: int, level: int) -> tuple:
+    """The form of E_g, 1 <= g <= level - 1, cached: laws at one level reuse a few indices."""
+    if not 1 <= g <= level - 1:
+        raise ValueError(f"index {g} outside [1, {level - 1}]")
+    return _form({g: 1}, level)
+
+
+def _times_unit(value: complex, g: int, level: int, point: tuple) -> complex:
+    """value times the truncated unit part of E_g at a point prepared by _at_point.
 
     The factors 1 - q^(N(m-1)+g) and 1 - q^(Nm-g) come from two running
-    powers that start at q^g and q^(N-g) and advance by q^N.  The shift is
-    taken off the exponent of the leading power, so a value whose scale
-    is not representable can still be compared at a common scale.
+    powers that start at q^g and q^(N-g) and advance by q^N.
     """
-    s, q, step, terms = point
+    _, q, step, terms = point
     lo, hi = q ** g, q ** (level - g)
-    value = cmath.exp(s * _lead(g, level) - shift)
     for _ in range(terms):
         value *= (1 - lo) * (1 - hi)
         lo *= step
@@ -107,15 +108,26 @@ def _eval_at(g: int, level: int, point: tuple, shift: float = 0.0) -> complex:
     return value
 
 
-def _check_index(g: int, level: int) -> None:
-    if not 1 <= g <= level - 1:
-        raise ValueError(f"index {g} outside [1, {level - 1}]")
+def _value(form: tuple, level: int, point: tuple, shift: float = 0.0) -> complex:
+    """Truncated-product value of an eta product from its form, times e^-shift.
+
+    The shift comes off the exponent of q^L, so a value beyond the double
+    range is still compared at a common scale.  A factor with exponent
+    e != 1 (negative too) enters as its unit part to the power e.
+    """
+    lead, factors = form
+    value = cmath.exp(point[0] * lead - shift)
+    for g, e in factors:
+        if e == 1:
+            value = _times_unit(value, g, level, point)
+        else:
+            value *= _times_unit(1, g, level, point) ** e
+    return value
 
 
 def eval_generalized_eta(g: int, level: int, tau) -> complex:
     """Truncated-product value of E_g at tau; three complex powers whatever the level."""
-    _check_index(g, level)
-    return _eval_at(g, level, _at_point(tau, level))
+    return _value(_eta_form(g, level), level, _at_point(tau, level))
 
 
 def eval_classical_eta(scale: int, tau) -> complex:
@@ -130,12 +142,9 @@ def eval_classical_eta(scale: int, tau) -> complex:
 
 
 def eval_product(prod: EtaProduct, tau) -> complex:
-    """Value of an eta product from its factors."""
-    z = _as_point(tau)
-    val = complex(prod.sign)
-    for g, e in sorted(prod.exponents.items()):
-        val *= eval_generalized_eta(g, prod.level, z) ** e
-    return val
+    """Value of an eta product: its leading power once, then each factor's unit part."""
+    form = _form(prod.exponents, prod.level)
+    return prod.sign * _value(form, prod.level, _at_point(tau, prod.level))
 
 
 def eval_series(series: QSeries, tau) -> complex:
@@ -158,53 +167,47 @@ def _relative_error(left: complex, right: complex) -> float:
     return abs(left - right) / max(abs(left), abs(right), 1e-300)
 
 
-def _max_residual(samples, gamma: SL2Matrix, lhs, *rhs) -> float:
-    """Max relative error of lhs(gamma tau) against each factor * f(tau).
+def _residual(laws, level: int, gamma: SL2Matrix, samples) -> float:
+    """Max relative error of lhs(gamma tau) against factor * rhs(tau) over the laws.
 
-    lhs and every f map a point to a value; each right side is a
-    (factor, f) pair.  The left side is evaluated once per sample.
+    A law is (lhs, factor, rhs), two forms at the level.  tau and gamma
+    tau are prepared once per sample, and both sides divided by |q^L| of
+    the left side at gamma tau: at height 1 and large level q^L leaves
+    the double range (E_1 is 0j from level 1433, F_1 overflows at 1453).
     """
     worst = 0.0
     for tau in samples:
         z = _as_point(tau)
-        left = lhs(gamma.apply(z))
-        for factor, f in rhs:
-            worst = max(worst, _relative_error(left, factor * f(z)))
+        here, there = _at_point(z, level), _at_point(gamma.apply(z), level)
+        for lhs, factor, rhs in laws:
+            shift = (there[0] * lhs[0]).real
+            left = _value(lhs, level, there, shift)
+            right = factor * _value(rhs, level, here, shift)
+            worst = max(worst, _relative_error(left, right))
     return worst
 
 
 def check_invariance(prod: EtaProduct, gamma: SL2Matrix, factor=1,
                      samples=DEFAULT_SAMPLES) -> float:
     """Max relative residual of prod(gamma tau) = factor * prod(tau)."""
-    value = partial(eval_product, prod)
-    return _max_residual(samples, gamma, value, (factor, value))
+    form = _form(prod.exponents, prod.level)  # the sign is on both sides
+    return _residual([(form, factor, form)], prod.level, gamma, samples)
 
 
 def check_E_transforms(indices, level: int, gamma: SL2Matrix, samples=DEFAULT_SAMPLES) -> float:
     """Max relative residual of E_g(gamma tau) = mult * E_(a g)(tau) over g in indices.
 
-    Each index's multiplier and reduced target are taken once, and
-    gamma tau, q, q^level and the term count once per sample.  Both sides
-    are divided by |q^lead| at gamma tau, the size of E_g's leading power
-    there: at height 1 and large level that power leaves the double range
-    (E_1 is 0j from level 1433), and the residual would compare 0 with 0.
+    Each index's multiplier and reduced target are taken once, straight
+    into a law of cached E_g forms; gamma tau, q, q^level and the term
+    count are prepared once per sample by ``_residual``.
     """
     laws = []
     for g in indices:
-        _check_index(g, level)
+        lhs = _eta_form(g, level)
         mult, new_index = eta_multiplier(g, level, gamma)
         idx = reduce_index(new_index, level)
-        laws.append((g, _lead(g, level), mult.value() * idx.sign, idx.g))
-    worst = 0.0
-    for tau in samples:
-        z = _as_point(tau)
-        here, there = _at_point(z, level), _at_point(gamma.apply(z), level)
-        for g, lead, factor, target in laws:
-            shift = (there[0] * lead).real
-            left = _eval_at(g, level, there, shift)
-            right = factor * _eval_at(target, level, here, shift)
-            worst = max(worst, _relative_error(left, right))
-    return worst
+        laws.append((lhs, mult.value() * idx.sign, _eta_form(idx.g, level)))
+    return _residual(laws, level, gamma, samples)
 
 
 def check_E_transform(g: int, level: int, gamma: SL2Matrix, samples=DEFAULT_SAMPLES) -> float:
@@ -227,13 +230,13 @@ def check_F_transform(ctx: PrimeContext, h: int, gamma: SL2Matrix, samples=DEFAU
     if not is_member(gamma, Subgroup.GAMMA0, ctx):
         raise ValueError(f"{gamma.entries()} is not in Gamma0({ctx.p})")
     psi = sign_character(gamma)
-    here = orbit_product(h, ctx)
-    moved = orbit_product(gamma.a * h, ctx)
-    rhs = [(psi, partial(eval_product, moved))]
+    here, moved = orbit_product(h, ctx), orbit_product(gamma.a * h, ctx)
+    form = _form(here.exponents, ctx.p)
+    laws = [(form, psi * here.sign * moved.sign, _form(moved.exponents, ctx.p))]
     if is_member(gamma, Subgroup.GAMMA2, ctx):
         fixed_factor = psi * (quadratic_character(gamma, ctx) if ctx.ell % 2 == 0 else 1)
-        rhs.append((fixed_factor, partial(eval_product, here)))
-    return _max_residual(samples, gamma, partial(eval_product, here), *rhs)
+        laws.append((form, fixed_factor, form))
+    return _residual(laws, ctx.p, gamma, samples)
 
 
 def check_G_transform(p: int, triplet: tuple[int, int, int], gamma: SL2Matrix,

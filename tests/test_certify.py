@@ -25,7 +25,14 @@ from etacover.certify import (
     verify_transforms,
     verify_z_relation,
 )
-from etacover.eta import eta_quotient_series, expand_product, orbit_product, order_numerator
+from etacover.eta import (
+    EtaProduct,
+    eta_quotient_series,
+    expand_product,
+    orbit_factors,
+    orbit_product,
+    order_numerator,
+)
 from etacover.exact import RootOfUnity, is_prime, prime_context
 from etacover.qseries import QSeries
 from etacover.subgroups import Cusp, dlog, sign_character
@@ -246,17 +253,16 @@ def test_z_relation_fails_on_a_unit_wrong_past_ten_steps(monkeypatch):
     ctx = prime_context(101)
     delta = {20: 2, 21: -6, 22: 6, 23: -2}
 
+    def wrong_factors(h, c):
+        return orbit_factors(h, c) + (list(delta.items()) if h == 1 else [])
+
     def wrong_unit(h, c):
-        prod = orbit_product(h, c)
-        if h != 1:
-            return prod
-        exps = {g: prod.exponents.get(g, 0) + delta.get(g, 0) for g in {*prod.exponents, *delta}}
-        return dataclasses.replace(prod, exponents={g: e for g, e in exps.items() if e})
+        return EtaProduct.from_factors(c.p, wrong_factors(h, c), f"F_{h}")
 
     wrong = z_factors(ctx, wrong_unit)
     assert series_z_relation(ctx, wrong, 10) == series_z_relation(ctx, z_factors(ctx), 10)
     assert series_z_relation(ctx, wrong, 30) is None
-    monkeypatch.setattr("etacover.certify.orbit_product", wrong_unit)
+    monkeypatch.setattr("etacover.certify.orbit_factors", wrong_factors)
     assert verify_z_relation(ctx).status == "fail"
 
 

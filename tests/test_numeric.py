@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from etacover.certify import DEFAULT_SEED, N_RANDOM
 from etacover.eta import (
+    EtaProduct,
     classical_eta,
     eta_quotient_series,
     expand_product,
@@ -14,7 +15,7 @@ from etacover.eta import (
     orbit_product,
     triplet_product,
 )
-from etacover.exact import RootOfUnity, order_numerator, prime_context
+from etacover.exact import RootOfUnity, prime_context
 from etacover.numeric import (
     DEFAULT_SAMPLES,
     balanced_samples,
@@ -28,7 +29,6 @@ from etacover.numeric import (
     eval_product,
     eval_series,
     _as_point,
-    _lead,
     _terms_for,
 )
 from etacover.qseries import PrecisionError, QSeries
@@ -39,6 +39,7 @@ from etacover.subgroups import (
     gamma2_generator,
     lift_with_upper_left,
     random_member,
+    sign_character,
 )
 from oracles import power_eval_generalized_eta
 
@@ -84,12 +85,6 @@ def test_term_count_grows_as_points_sink():
     assert _terms_for(50.0, 5) == 4
 
 
-def test_lead_is_order_numerator_at_infinity():
-    for level in (2, 5, 12, 101, 3001):
-        for g in range(1, level):
-            assert _lead(g, level) == order_numerator({g: 1}, level, 1, 0) / (12 * level)
-
-
 # -- exact expansion vs truncated product ---------------------------------
 
 CROSS_CASES = [(1, 5), (2, 5), (3, 7), (5, 12)]
@@ -127,6 +122,16 @@ def test_series_matches_product_units():
     for tau in DEFAULT_SAMPLES:
         a = eval_series(z, tau)
         b = (eval_classical_eta(1, tau) / eval_classical_eta(5, tau)) ** 3
+        assert abs(a - b) <= 1e-11 * abs(b)
+
+
+def test_series_matches_product_with_negative_exponent():
+    # a factor with exponent e != 1 enters as its unit part to the power e
+    prod = EtaProduct.from_factors(13, [(1, 2), (2, -1)], "E_1^2/E_2")
+    series = expand_product(prod, 40)
+    for tau in DEFAULT_SAMPLES:
+        a = eval_series(series, tau)
+        b = eval_product(prod, tau)
         assert abs(a - b) <= 1e-11 * abs(b)
 
 
@@ -288,6 +293,26 @@ def test_invariance_fails_on_wrong_factor():
     pts = balanced_samples(m)
     assert check_invariance(unit, m, samples=pts) < 1e-8
     assert check_invariance(unit, m, factor=-1, samples=pts) > 1
+
+
+@pytest.mark.parametrize("p", [1453, 10009])
+def test_unit_laws_at_large_primes(p):
+    # orbit indices near p/2 lead with about |q|^(-p/24) each; the residual
+    # takes the product's leading power once, at its own scale
+    ctx = prime_context(p)
+    f1 = orbit_product(1, ctx)
+    assert check_invariance(f1, T) >= 1  # psi(T) = -1
+    assert check_invariance(f1, T, factor=-1) < 1e-10
+    draws = [m for m, _ in certify_draws(ctx)]
+    assert max(check_F_transform(ctx, 1, m, balanced_samples(m)) for m in draws) < 1e-10
+
+
+@pytest.mark.parametrize("p", [1453, 10009])
+def test_negated_psi_fails_the_F_residual(monkeypatch, p):
+    ctx = prime_context(p)
+    monkeypatch.setattr("etacover.numeric.sign_character", lambda m: -sign_character(m))
+    for m, _ in certify_draws(ctx):
+        assert check_F_transform(ctx, 1, m, balanced_samples(m)) >= 1
 
 
 def test_balanced_samples_shapes():

@@ -81,6 +81,31 @@ def test_one_truncated_product_loop_for_E_g():
     assert len(loops) == 1
 
 
+def _numeric_calls(name):
+    tree = ast.parse((Path(etacover.__file__).parent / "numeric.py").read_text())
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    ]
+
+
+def test_one_residual_routine_in_numeric():
+    # every law, of E_g or of an eta product, is compared in one place
+    assert len(_numeric_calls("_relative_error")) == 1
+
+
+def test_numeric_takes_leading_exponents_from_order_numerator():
+    # 6g^2 - 6Ng + N^2 is spelled in exact.order_numerator alone; numeric.py
+    # asks it for L and writes no coefficient 6 of its own
+    tree = ast.parse((Path(etacover.__file__).parent / "numeric.py").read_text())
+    sixes = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == 6
+    ]
+    assert _numeric_calls("order_numerator") and sixes == []
+
+
 def test_benchmark_trace_targets_resolve():
     # perfbench/tracing.py wraps these names from outside the package, and
     # `perfbench/run.py --trace 1` stops with LookupError if one is gone
