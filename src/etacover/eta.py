@@ -12,12 +12,13 @@ lands in [1, floor(N/2)] picking up one sign per level-shift and none from
 the reflection.
 
 Expansions never multiply the factors out one at a time.  By the Jacobi
-triple product the unit part of E_g is a sparse theta series times the
-partition series at q^N (Yang 2004, "Transformation formulas for
-generalized Dedekind eta functions"), and eta itself is the pentagonal
-series; both come from one theta sweep (eta(s*tau) is theta at level 3s),
-with integer coefficients.  EtaProduct.from_factors is the one place
-where eta products are built, index reduction and exponent merging included.
+triple product the unit part of E_g is a sparse theta series theta_g times
+P(q^N), P the partition series (Yang 2004, "Transformation formulas for
+generalized Dedekind eta functions"), so prod E_g^e expands as
+q^L * prod theta_g^e * P(q^N)^(sum e).  eta is the pentagonal series and P
+its inverse; every theta, eta(s*tau) at level 3s included, comes from one
+integer sweep.  EtaProduct.from_factors is the one place where eta products
+are built, index reduction and exponent merging included.
 """
 
 from __future__ import annotations
@@ -68,13 +69,9 @@ def _theta(level: int, g: int, prec: int) -> dict:
 
 
 def _partitions(n: int) -> list[int]:
-    """Partition numbers p(0..n): with prod (1 - q^m) = sum_e c_e q^e, theta
-    at level 3 and g = 1 (Euler), p(j) = -sum_{0<e<=j} c_e p(j-e)."""
-    pentagonal = sorted(_theta(3, 1, n + 1).items())[1:]  # c_0 = 1 leads
-    p = [1] + [0] * n
-    for j in range(1, n + 1):
-        p[j] = -sum(c * p[j - e] for e, c in pentagonal if e <= j)
-    return p
+    """Partition numbers p(0..n): the inverse of the pentagonal series (Euler)."""
+    inverse = QSeries(1, _theta(3, 1, n + 1), n + 1).inverse()
+    return [inverse.coeffs[j] for j in range(n + 1)]
 
 
 def generalized_eta(g: int, level: int, prec: int) -> QSeries:
@@ -98,8 +95,7 @@ def generalized_eta(g: int, level: int, prec: int) -> QSeries:
     for e, c in _theta(level, g, prec).items():
         for j in range((prec - 1 - e) // level + 1):
             unit[e + level * j] = unit.get(e + level * j, 0) + c * parts[j]
-    denom = 24 * level
-    series = QSeries(denom, {e * denom: c for e, c in unit.items()}, prec)
+    series = QSeries(1, unit, prec).rescale(24 * level)
     return series.shift(Fraction(order_numerator({g: 1}, level, 1, 0), 12 * level))
 
 
@@ -223,18 +219,18 @@ def triplet_product(triplet: tuple[int, int, int], p: int) -> EtaProduct:
 
 
 def expand_product(prod: EtaProduct, prec: int) -> QSeries:
-    """Exact expansion of an eta product to prec q-steps past its leading term.
-
-    Relative precision survives multiplication and integer powers, so each
-    factor is expanded to the same number of steps.
-    """
-    series = None
+    """Exact expansion to prec q-steps past the leading term, as sign * q^L *
+    prod theta_g^e * P(q^N)^(sum e) with L = order_numerator at 1/0 over 12N."""
+    if not prod.exponents or prec < 1:
+        raise ValueError(f"cannot expand {len(prod.exponents)} factors to {prec} q-steps")
+    level = prod.level
+    parts = _partitions((prec - 1) // level)
+    series = QSeries(1, {level * j: c for j, c in enumerate(parts)}, prec)
+    series = series ** sum(prod.exponents.values())
     for g, e in sorted(prod.exponents.items()):
-        factor = generalized_eta(g, prod.level, prec) ** e
-        series = factor if series is None else series * factor
-    if series is None:
-        raise ValueError("empty eta product")
-    return series.scale(prod.sign)
+        series = series * QSeries(1, _theta(level, g, prec), prec) ** e
+    lead = Fraction(order_numerator(prod.exponents, level, 1, 0), 12 * level)
+    return series.scale(prod.sign).rescale(24 * level).shift(lead)
 
 
 def eta_quotient_series(ctx: PrimeContext, prec: int) -> QSeries:

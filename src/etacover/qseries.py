@@ -10,13 +10,14 @@ Integers suffice because every series the package builds is an eta
 quotient led by +-1: the theta and partition series of E_g, the
 pentagonal series of eta, and their products, powers and (unit-led)
 inverses all stay in q^L * Z[[q^(1/D)]].  A product is one integer
-convolution; an inverse needs a leading coefficient of +-1.
+convolution; an inverse is one integer recurrence, b_n = -c * sum a_m b_(n-m),
+and needs a leading coefficient c of +-1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 
 
 class PrecisionError(ValueError):
@@ -122,27 +123,22 @@ class QSeries:
         return QSeries(d, out, t)
 
     def inverse(self) -> "QSeries":
-        """Reciprocal via the geometric series on the unit part; needs a +-1 lead."""
+        """Reciprocal of q^e * sum a_m q^(m/denom) with a_0 = c = +-1 = 1/c: it is
+        q^-e * sum b_n q^(n/denom), b_0 = c and b_n = -c * sum_{0<m<=n} a_m b_(n-m),
+        with n over the multiples of the gcd of the m where a_m != 0 only."""
         if not self.coeffs:
             raise ValueError("cannot invert a zero series")
-        e, c = self.leading()
+        n0 = min(self.coeffs)
+        c = self.coeffs[n0]
         if c not in (1, -1):
             raise ValueError(f"leading coefficient {c} is not a unit of Z")
-        # write self = c*q^e * (1 + u) with u of positive order; 1/c = c
-        u = (self.shift(-e).scale(c) - QSeries.one(self.denom, self.trunc - e))
-        rel = self.trunc - e  # relative precision of the unit part
-        acc = QSeries.one(u.denom, rel)
-        term = QSeries.one(u.denom, rel)
-        if not u.is_zero():
-            ulead = u.leading()[0]
-            n_terms = int(rel / ulead) + 1
-            for _ in range(n_terms):
-                term = term * (-u)
-                term = QSeries(term.denom, term.coeffs, rel)
-                acc = acc + term
-                if term.is_zero():
-                    break
-        return acc.scale(c).shift(-e)
+        step = gcd(*(n - n0 for n in self.coeffs)) or 1
+        unit = sorted(((n - n0) // step, a) for n, a in self.coeffs.items() if n != n0)
+        b = [c]
+        for k in range(1, (ceil(self.trunc * self.denom) - n0 - 1) // step + 1):
+            b.append(-c * sum(a * b[k - m] for m, a in unit if m <= k))
+        coeffs = {k * step - n0: bk for k, bk in enumerate(b)}
+        return QSeries(self.denom, coeffs, self.trunc - 2 * Fraction(n0, self.denom))
 
     def __pow__(self, n: int) -> "QSeries":
         if not isinstance(n, int):

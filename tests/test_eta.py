@@ -12,6 +12,7 @@ from etacover.eta import (
     find_triplet,
     generalized_eta,
     is_modular_unit,
+    orbit_factors,
     orbit_product,
     order_numerator,
     reduce_index,
@@ -224,6 +225,16 @@ def test_expand_product_against_factor_arithmetic():
     assert series_agree(f, ((e1 * e2) ** 3).scale(-1))
 
 
+def brute_product(level: int, factors, steps: int) -> QSeries:
+    """prod E_h^e over the raw (h, e) in factors, each from its defining product."""
+    want = None
+    for h, e in factors:
+        denom, coeffs = brute_eta_expansion(h, level, steps)
+        factor = QSeries(denom, coeffs, Fraction(min(coeffs), denom) + steps) ** e
+        want = factor if want is None else want * factor
+    return want
+
+
 @pytest.mark.parametrize("level, g", [(7, 2), (12, 5), (13, 6)])
 def test_from_factors_matches_the_defining_products(level, g):
     # g, -g, N-g, g+N and g+2N all reduce to g, with signs +, -, +, -, +;
@@ -231,12 +242,35 @@ def test_from_factors_matches_the_defining_products(level, g):
     factors = [(g, 1), (-g, 2), (level - g, 3), (g + level, 3), (g + 2 * level, -1), (1, 1)]
     prod = EtaProduct.from_factors(level, factors, "mixed")
     assert (prod.exponents, prod.sign) == ({g: 8, 1: 1}, -1)
-    want = None
-    for h, e in factors:
-        denom, coeffs = brute_eta_expansion(h, level, 12)
-        factor = QSeries(denom, coeffs, Fraction(min(coeffs), denom) + 12) ** e
-        want = factor if want is None else want * factor
-    assert series_agree(expand_product(prod, 12), want)
+    assert series_agree(expand_product(prod, 12), brute_product(level, factors, 12))
+
+
+@pytest.mark.parametrize("level, factors", [
+    (level, factors) for level in (7, 12, 13) for factors in (
+        [(1, 1), (2, -1)],             # sum e = 0: P(q^N) drops out
+        [(1, -3)],                     # sum e = -3
+        [(level // 2, -2), (1, 1)],    # sum e = -1
+    )
+])
+def test_products_with_a_zero_or_negative_partition_power(level, factors):
+    got = expand_product(EtaProduct.from_factors(level, factors, "x"), 30)
+    assert got.denom == 24 * level
+    assert got == brute_product(level, factors, 30)  # trunc included
+
+
+def test_expand_product_uses_no_generalized_eta(monkeypatch):
+    # products come from theta_g^e and P(q^N)^(sum e), not from expanded E_g
+    def no_eta(*args):
+        raise AssertionError("generalized_eta called")
+
+    monkeypatch.setattr("etacover.eta.generalized_eta", no_eta)
+    ctx = prime_context(13)
+    cases = [(orbit_product(1, ctx), orbit_factors(1, ctx), 200)]
+    triplet = find_triplet(47)
+    cases.append((triplet_product(triplet, 47), [(h, 2) for h in triplet], 300))
+    for prod, factors, prec in cases:
+        # the raw factors carry the reduction signs themselves
+        assert expand_product(prod, prec) == brute_product(prod.level, factors, prec), prod.label
 
 
 def test_squared_product():
