@@ -28,7 +28,6 @@ from .eta import (
     EtaProduct,
     find_triplet,
     is_modular_unit,
-    orbit_factors,
     orbit_product,
     transform_product,
     triplet_product,
@@ -37,6 +36,7 @@ from .numeric import balanced_samples, check_E_transforms
 from .subgroups import (
     Subgroup,
     cusp_set,
+    power,
     quadratic_character,
     quotient_structure,
     random_member,
@@ -105,19 +105,22 @@ def _certified_unit(ctx: PrimeContext) -> tuple[EtaProduct, Subgroup]:
 def verify_shifting(ctx: PrimeContext) -> CheckResult:
     """F_h = F_(-h) = F_(p+h), and F_(g^k h) = -+ F_h per p mod 4.
 
+    Each F_h' is built from its literal factors E_(g^(jk) h'), h' taken
+    as it stands, and compared with the table-built orbit_product(h).
     Decided on the formal eta products: an expansion is a function of
     (level, exponents, sign) alone, so equal products agree at every
     q-power and no series is expanded.
     """
     if ctx.p % 12 == 11:
         return CheckResult("shifting", "skipped", reason="ell=1: F-branch replaced by G-branch")
-    gk = pow(ctx.g, ctx.k, ctx.p)
+    e, gk = 6 // ctx.ell, power(ctx, ctx.k)
     flip = -1 if ctx.p % 4 == 1 else 1
     tested = []
     for h in (1, 2, ctx.g):
         base = orbit_product(h, ctx)
         for other, factor in ((-h, 1), (ctx.p + h, 1), (gk * h, flip)):
-            cand = orbit_product(other, ctx)
+            factors = [(power(ctx, j * ctx.k) * other, e) for j in range(ctx.ell)]
+            cand = EtaProduct.from_factors(ctx.p, factors, f"F_{other}")
             if (cand.exponents, cand.sign) != (base.exponents, factor * base.sign):
                 return CheckResult(
                     "shifting", "fail",
@@ -264,13 +267,14 @@ def verify_z_relation(ctx: PrimeContext) -> CheckResult:
     only, so the identity holds exactly when the merged product has those
     exponents and the leading exponent (6/ell)(1-p)/24; its sign is the
     sign of the relation, since z and every E_r lead with coefficient 1.
+    The F_(g^j) have the factors E_(g^n mod 2p)^(6/ell), n = j + ik < (p-1)/2.
     """
     if ctx.p % 8 == 1:
         return CheckResult(
             "z-relation", "skipped", reason="p == 1 mod 8: relation not asserted"
         )
     e = 6 // ctx.ell
-    factors = [f for j in range(ctx.k) for f in orbit_factors(pow(ctx.g, j, ctx.p), ctx)]
+    factors = [(power(ctx, n), e) for n in range((ctx.p - 1) // 2)]
     prod = EtaProduct.from_factors(ctx.p, factors, "prod F_(g^j)")
     lead = Fraction(order_numerator(prod.exponents, ctx.p, 1, 0), 12 * ctx.p)
     want = {r: e for r in range(1, (ctx.p - 1) // 2 + 1)}

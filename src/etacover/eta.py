@@ -18,7 +18,8 @@ generalized Dedekind eta functions"), so prod E_g^e expands as
 q^L * prod theta_g^e * P(q^N)^(sum e).  eta is the pentagonal series and P
 its inverse; every theta, eta(s*tau) at level 3s included, comes from one
 integer sweep.  EtaProduct.from_factors is the one place where eta products
-are built, index reduction and exponent merging included.
+are built, index reduction and exponent merging included; the units F_h
+read their indices off the prime's orbit table in subgroups.
 """
 
 from __future__ import annotations
@@ -28,20 +29,11 @@ from fractions import Fraction
 
 from .exact import PrimeContext, RootOfUnity, order_numerator
 from .qseries import QSeries
-from .subgroups import SL2Matrix, multiplier_turns
+from .subgroups import SL2Matrix, dlog, multiplier_turns, power
 
 
-@dataclass(frozen=True)
-class EtaIndex:
-    """Canonical index: g in [1, floor(level/2)] and the sign picked up."""
-
-    level: int
-    g: int
-    sign: int
-
-
-def reduce_index(g: int, level: int) -> EtaIndex:
-    """Reduce an arbitrary index, tracking E_{g+N} = -E_g and E_{N-g} = E_g."""
+def reduce_index(g: int, level: int) -> tuple[int, int]:
+    """(r, sign) with E_g = sign * E_r, 1 <= r <= level/2, by E_{g+N} = -E_g, E_{N-g} = E_g."""
     if level < 2:
         raise ValueError(f"level must be >= 2, got {level}")
     if g % level == 0:
@@ -51,7 +43,7 @@ def reduce_index(g: int, level: int) -> EtaIndex:
     sign = -1 if shifts % 2 else 1
     if 2 * r > level:
         r = level - r
-    return EtaIndex(level=level, g=r, sign=sign)
+    return r, sign
 
 
 def _theta(level: int, g: int, prec: int) -> dict:
@@ -141,9 +133,9 @@ class EtaProduct:
         """
         exponents: dict[int, int] = {}
         for g, e in factors:
-            idx = reduce_index(g, level)
-            sign *= idx.sign ** (e % 2)
-            exponents[idx.g] = exponents.get(idx.g, 0) + e
+            r, s = reduce_index(g, level)
+            sign *= s ** (e % 2)
+            exponents[r] = exponents.get(r, 0) + e
         return cls(level, exponents, sign, label)
 
     def squared(self) -> "EtaProduct":
@@ -181,20 +173,16 @@ def transform_product(prod: EtaProduct, gamma: SL2Matrix) -> tuple[RootOfUnity, 
     return RootOfUnity(24 * prod.level, turns), moved_prod
 
 
-def orbit_factors(h: int, ctx: PrimeContext) -> list:
-    """(g^(jk) mod 2p times h, 6/ell) for j < ell: the factors of F_h, unreduced,
-    so their reduction signs are those of the literal products."""
-    e = 6 // ctx.ell
-    return [(pow(ctx.g, j * ctx.k, 2 * ctx.p) * h, e) for j in range(ctx.ell)]
-
-
 def orbit_product(h: int, ctx: PrimeContext) -> EtaProduct:
-    """The weight-0 unit F_h = (prod_{j<ell} E_{g^(jk) h})^(6/ell), h normalized mod p,
-    since changing h by a multiple of p never changes the result."""
-    if h % ctx.p == 0:
-        raise ValueError(f"index {h} vanishes mod {ctx.p}")
-    h = h % ctx.p
-    return EtaProduct.from_factors(ctx.p, orbit_factors(h, ctx), f"F_{h}")
+    """The weight-0 unit F_h = (prod_{j<ell} E_{g^(jk) h})^(6/ell), h normalized mod p.
+
+    Its factors are E_(g^(n+jk) mod 2p), n = dlog(h).  The literal index
+    (g^(jk) mod 2p)*h is that plus an odd multiple of p exactly when h is
+    even, and then the ell factors to the power 6/ell make 6 sign moves.
+    """
+    n, e = dlog(ctx, h), 6 // ctx.ell
+    factors = [(power(ctx, n + j * ctx.k), e) for j in range(ctx.ell)]
+    return EtaProduct.from_factors(ctx.p, factors, f"F_{h % ctx.p}")
 
 
 def find_triplet(p: int) -> tuple[int, int, int]:

@@ -205,8 +205,8 @@ def check_E_transforms(indices, level: int, gamma: SL2Matrix, samples=DEFAULT_SA
     for g in indices:
         lhs = _eta_form(g, level)
         mult, new_index = eta_multiplier(g, level, gamma)
-        idx = reduce_index(new_index, level)
-        laws.append((lhs, mult.value() * idx.sign, _eta_form(idx.g, level)))
+        r, sign = reduce_index(new_index, level)
+        laws.append((lhs, mult.value() * sign, _eta_form(r, level)))
     return _residual(laws, level, gamma, samples)
 
 

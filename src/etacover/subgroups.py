@@ -8,8 +8,9 @@ of level p:
   Gamma2:      a mod p lies in the subgroup generated by g^k (order 2*ell)
   Gamma2Prime: index-2 kernel inside Gamma2 cut out by the sign characters
 
-Membership never needs more than the residue a mod p and a discrete log,
-so every test below is a few modular operations against a cached table.
+Membership never needs more than the residue a mod p and its dlog, read
+off the prime's one orbit table (g^n mod 2p, n < p-1, and its inverse,
+through dlog and power); eta's units F_h and the cusp cosets read it too.
 Cusp sections, lifts of residues and random members complete their first
 column (a, c) one way only: d is the inverse of a mod c nearest 0.
 
@@ -98,13 +99,12 @@ class Subgroup(Enum):
 
 
 @lru_cache(maxsize=1)  # callers work one prime at a time
-def _dlog_table(p: int, g: int) -> dict:
-    table = {}
-    x = 1
-    for n in range(p - 1):
-        table[x] = n
-        x = x * g % p
-    return table
+def _orbit_table(p: int, g: int) -> tuple[list, dict]:
+    """(g^n mod 2p for n < p-1, the map g^n mod p -> n); g is odd, so is every power."""
+    powers = [1]
+    for _ in range(p - 2):
+        powers.append(powers[-1] * g % (2 * p))
+    return powers, {x % p: n for n, x in enumerate(powers)}
 
 
 def dlog(ctx: PrimeContext, a: int) -> int:
@@ -112,7 +112,12 @@ def dlog(ctx: PrimeContext, a: int) -> int:
     r = a % ctx.p
     if r == 0:
         raise ValueError(f"{a} is divisible by {ctx.p}")
-    return _dlog_table(ctx.p, ctx.g)[r]
+    return _orbit_table(ctx.p, ctx.g)[1][r]
+
+
+def power(ctx: PrimeContext, n: int) -> int:
+    """g^n mod 2p, odd, for any integer n: g has order p-1 mod 2p as well."""
+    return _orbit_table(ctx.p, ctx.g)[0][n % (ctx.p - 1)]
 
 
 # -- characters ------------------------------------------------------------
@@ -441,21 +446,14 @@ def cusp_set(group: Subgroup, ctx: PrimeContext) -> list[tuple[Cusp, int]]:
     are 1 at inf and r/p and p at 1/r; the sign twist of Gamma2Prime
     doubles them.  Widths of distinct classes sum to the PSL index, so
     matching the independently computed index shows no class is missing.
+
+    +-H is generated by g^m, m = 1, (p-1)/2 and k in turn, so the coset
+    of r is dlog(r) mod m; a descending pass leaves the least r of each.
     """
     p = ctx.p
-    if group is Subgroup.GAMMA0:
-        step = 1
-    elif group is Subgroup.GAMMA1:
-        step = p - 1
-    else:
-        step = ctx.k
-    plus_minus_h = [s * pow(ctx.g, n, p) for n in range(0, p - 1, step) for s in (1, -1)]
-    reps = []
-    covered = set()
-    for r in range(1, p):
-        if r not in covered:
-            reps.append(r)
-            covered.update(x * r % p for x in plus_minus_h)
+    m = {Subgroup.GAMMA0: 1, Subgroup.GAMMA1: (p - 1) // 2}.get(group, ctx.k)
+    logs = _orbit_table(p, ctx.g)[1]
+    reps = sorted({logs[r] % m: r for r in range(p - 1, 0, -1)}.values())
     scale = 2 if group is Subgroup.GAMMA2_PRIME else 1
     table = [(Cusp.infinity(), scale)]
     table += [(Cusp(r, p), scale) for r in reps[1:]]

@@ -209,6 +209,37 @@ def scan_cusp_set(group, ctx):
     return found
 
 
+def literal_orbit_factors(h: int, ctx) -> list:
+    """(g^(jk) mod 2p times h, 6/ell) for j < ell: the factors of F_h as
+    its definition writes them, unreduced, so that their reduction signs
+    are those of the literal product."""
+    e = 6 // ctx.ell
+    return [(pow(ctx.g, j * ctx.k, 2 * ctx.p) * h, e) for j in range(ctx.ell)]
+
+
+def literal_z_factors(ctx) -> list:
+    """The literal factors of every F_(g^j), j < k, with g^j taken mod p."""
+    return [f for j in range(ctx.k) for f in literal_orbit_factors(pow(ctx.g, j, ctx.p), ctx)]
+
+
+def coset_sweep(group, ctx) -> list:
+    """Least representatives r_1 = 1 < r_2 < ... of the cosets of +-H in (Z/p)^*.
+
+    H is the group's upper-left residues, the powers of g with exponents
+    stepping by 1 (Gamma0), p-1 (Gamma1) or k (Gamma2, Gamma2Prime).  Each
+    r not yet covered becomes a representative and covers its coset.
+    """
+    p = ctx.p
+    step = {Subgroup.GAMMA0: 1, Subgroup.GAMMA1: p - 1}.get(group, ctx.k)
+    plus_minus_h = [s * pow(ctx.g, n, p) for n in range(0, p - 1, step) for s in (1, -1)]
+    reps, covered = [], set()
+    for r in range(1, p):
+        if r not in covered:
+            reps.append(r)
+            covered.update(x * r % p for x in plus_minus_h)
+    return reps
+
+
 def periodic_bernoulli2(x) -> Fraction:
     """Periodic second Bernoulli function {x}^2 - {x} + 1/6.
 

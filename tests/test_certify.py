@@ -29,14 +29,13 @@ from etacover.eta import (
     EtaProduct,
     eta_quotient_series,
     expand_product,
-    orbit_factors,
     orbit_product,
     order_numerator,
 )
 from etacover.exact import RootOfUnity, is_prime, prime_context
 from etacover.qseries import QSeries
 from etacover.subgroups import Cusp, dlog, sign_character
-from oracles import leading_exponent_at
+from oracles import leading_exponent_at, literal_orbit_factors, literal_z_factors
 
 
 def series_z_relation(ctx, products, bound):
@@ -158,7 +157,20 @@ def test_shifting_fails_on_wrong_sign(monkeypatch):
     monkeypatch.setattr("etacover.certify.orbit_product", wrong_sign)
     res = verify_shifting(ctx)
     assert res.status == "fail"
-    assert res.reason == f"F_{gk} != -1*F_1 as formal eta products"
+    assert res.reason == f"F_-{gk} != 1*F_{gk} as formal eta products"
+
+
+def test_shifting_fails_on_negated_units(monkeypatch):
+    # the shifted units are built from their literal factors, so a unit
+    # with the wrong sign no longer passes by being compared with itself
+    def negated(h, c):
+        prod = orbit_product(h, c)
+        return EtaProduct.from_factors(c.p, prod.exponents.items(), prod.label, -prod.sign)
+
+    monkeypatch.setattr("etacover.certify.orbit_product", negated)
+    for p in filter(is_prime, range(5, 60)):
+        if p % 12 != 11:
+            assert verify_shifting(prime_context(p)).status == "fail", p
 
 
 def test_shifting_and_invariance_expand_no_series(monkeypatch):
@@ -246,6 +258,16 @@ def test_z_relation_matches_series_comparison():
         assert (w["sign"], w["leading_exponent"]) == series_z_relation(ctx, z_factors(ctx), 10), p
 
 
+def test_z_relation_sign_is_the_literal_merge():
+    # the orbit table's factors against those of every F_(g^j) as written
+    for p in filter(is_prime, range(5, 2000)):
+        if p % 8 == 1:
+            continue
+        ctx = prime_context(p)
+        literal = EtaProduct.from_factors(p, literal_z_factors(ctx), "literal")
+        assert verify_z_relation(ctx).witness["sign"] == literal.sign, p
+
+
 def test_z_relation_fails_on_a_unit_wrong_past_ten_steps(monkeypatch):
     # 2*(+1, -3, +3, -1) on indices 20..23 is a third difference: sum e,
     # sum e*g and sum e*g^2, hence the leading exponent, do not move, and
@@ -254,7 +276,7 @@ def test_z_relation_fails_on_a_unit_wrong_past_ten_steps(monkeypatch):
     delta = {20: 2, 21: -6, 22: 6, 23: -2}
 
     def wrong_factors(h, c):
-        return orbit_factors(h, c) + (list(delta.items()) if h == 1 else [])
+        return literal_orbit_factors(h, c) + (list(delta.items()) if h == 1 else [])
 
     def wrong_unit(h, c):
         return EtaProduct.from_factors(c.p, wrong_factors(h, c), f"F_{h}")
@@ -262,7 +284,13 @@ def test_z_relation_fails_on_a_unit_wrong_past_ten_steps(monkeypatch):
     wrong = z_factors(ctx, wrong_unit)
     assert series_z_relation(ctx, wrong, 10) == series_z_relation(ctx, z_factors(ctx), 10)
     assert series_z_relation(ctx, wrong, 30) is None
-    monkeypatch.setattr("etacover.certify.orbit_factors", wrong_factors)
+    # the z-relation merges its factors in one from_factors call: F_1's
+    # delta enters there
+    def merged_with_delta(level, factors, label, sign=1):
+        return EtaProduct.from_factors(level, [*factors, *delta.items()], label, sign)
+
+    monkeypatch.setattr("etacover.certify.EtaProduct",
+                        types.SimpleNamespace(from_factors=merged_with_delta))
     assert verify_z_relation(ctx).status == "fail"
 
 
@@ -372,7 +400,7 @@ def test_certify_module_is_not_shadowed_by_the_function(monkeypatch):
 
 
 def test_dlog_table_keeps_one_prime():
-    etacover.subgroups._dlog_table.cache_clear()
+    etacover.subgroups._orbit_table.cache_clear()
     certify(13)
     certify(11)
-    assert etacover.subgroups._dlog_table.cache_info().currsize == 1
+    assert etacover.subgroups._orbit_table.cache_info().currsize == 1

@@ -12,13 +12,12 @@ from etacover.eta import (
     find_triplet,
     generalized_eta,
     is_modular_unit,
-    orbit_factors,
     orbit_product,
     order_numerator,
     reduce_index,
     triplet_product,
 )
-from etacover.exact import prime_context
+from etacover.exact import is_prime, prime_context
 from etacover.subgroups import Cusp, SL2Matrix
 from etacover.qseries import QSeries
 from oracles import (
@@ -26,6 +25,7 @@ from oracles import (
     brute_eta_expansion,
     coin_change_partitions,
     leading_exponent_at,
+    literal_orbit_factors,
     pentagonal_eta,
     smallest_triplet,
 )
@@ -62,9 +62,8 @@ def leading_exponent(g: int, level: int) -> Fraction:
     ],
 )
 def test_reduce_index(g, level, want):
-    idx = reduce_index(g, level)
-    assert (idx.g, idx.sign) == want
-    assert 1 <= idx.g <= level // 2
+    assert reduce_index(g, level) == want
+    assert 1 <= want[0] <= level // 2
 
 
 @pytest.mark.parametrize("g, level", [(0, 5), (10, 5), (-12, 4), (3, 1)])
@@ -81,11 +80,11 @@ def test_reduction_signs_match_defining_product():
         for g in range(-2 * level - 3, 2 * level + 4):
             if g % level == 0:
                 continue
-            idx = reduce_index(g, level)
-            if idx.g not in cache:
-                cache[idx.g] = brute_eta_expansion(idx.g, level, 10)[1]
+            r, sign = reduce_index(g, level)
+            if r not in cache:
+                cache[r] = brute_eta_expansion(r, level, 10)[1]
             _, raw = brute_eta_expansion(g, level, 10)
-            assert raw == {n: idx.sign * c for n, c in cache[idx.g].items()}, (level, g)
+            assert raw == {n: sign * c for n, c in cache[r].items()}, (level, g)
 
 
 # -- expansions ------------------------------------------------------------
@@ -190,6 +189,17 @@ def test_orbit_product_structures():
         assert f.level == p
 
 
+def test_orbit_product_matches_its_literal_factors():
+    # the orbit table reads E_(g^(dlog h + jk) mod 2p); the definition
+    # writes E_((g^(jk) mod 2p) h), and the reduction signs must agree
+    for p in filter(is_prime, range(5, 500)):
+        ctx = prime_context(p)
+        for h in range(1, p):
+            got = orbit_product(h, ctx)
+            want = EtaProduct.from_factors(p, literal_orbit_factors(h, ctx), "literal")
+            assert (got.exponents, got.sign) == (want.exponents, want.sign), (p, h)
+
+
 def test_orbit_product_index_shifts_are_exact_series():
     # the three frozen shift examples, as series to 8 steps past leading
     ctx5 = prime_context(5)
@@ -265,7 +275,7 @@ def test_expand_product_uses_no_generalized_eta(monkeypatch):
 
     monkeypatch.setattr("etacover.eta.generalized_eta", no_eta)
     ctx = prime_context(13)
-    cases = [(orbit_product(1, ctx), orbit_factors(1, ctx), 200)]
+    cases = [(orbit_product(1, ctx), literal_orbit_factors(1, ctx), 200)]
     triplet = find_triplet(47)
     cases.append((triplet_product(triplet, 47), [(h, 2) for h in triplet], 300))
     for prod, factors, prec in cases:

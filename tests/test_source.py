@@ -49,6 +49,25 @@ def test_eta_products_are_built_only_by_from_factors():
     assert constructors == 1 and found == []
 
 
+def test_powers_of_g_belong_to_the_group_layer():
+    # eta and certify read g^n from subgroups' orbit table, and the
+    # reduced index of an eta product is a plain (g, sign) pair
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("eta.py", "certify.py")
+        for node in ast.walk(ast.parse((Path(etacover.__file__).parent / name).read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow"
+        and node.args and getattr(node.args[0], "attr", None) == "g"
+    ]
+    found += [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "EtaIndex"
+    ]
+    assert found == []
+
+
 def test_group_layer_imports_no_fractions():
     # multipliers are integer exponents mod 24N, never Fractions of a turn
     tree = ast.parse((Path(etacover.__file__).parent / "subgroups.py").read_text())

@@ -31,6 +31,7 @@ from etacover.subgroups import (
     sign_character,
 )
 from oracles import (
+    coset_sweep,
     enumerate_quotient_structure,
     half_turn_eta_multiplier,
     rademacher_eta_squared_multiplier,
@@ -549,6 +550,18 @@ def test_cusp_set_matches_scan():
         ctx = prime_context(p)
         for group in Subgroup:
             assert cusp_set(group, ctx) == scan_cusp_set(group, ctx), (p, group)
+
+
+def test_cusp_set_matches_coset_sweep():
+    # the dlog classes against the covered-set sweep, rows in order; for
+    # Gamma1, +-H = {+-1} and there are (p-1)/2 classes
+    for p in filter(is_prime, range(5, 2000)):
+        ctx = prime_context(p)
+        for group in Subgroup:
+            reps = coset_sweep(group, ctx)
+            want = [(1, 0)] + [(r, p) for r in reps[1:]] + [(1, r) for r in reps]
+            got = [(cusp.a, cusp.c) for cusp, _ in cusp_set(group, ctx)]
+            assert got == want, (p, group)
 
 
 def test_cusp_set_large_prime():
