@@ -51,7 +51,7 @@ def test_eta_products_are_built_only_by_from_factors():
 
 def test_powers_of_g_belong_to_the_group_layer():
     # eta and certify read g^n from subgroups' orbit table, and the
-    # reduced index of an eta product is a plain (g, sign) pair
+    # reduced index of an eta product is a plain (r, sign) pair
     found = [
         f"{name}:{node.lineno}"
         for name in ("eta.py", "certify.py")
