@@ -306,12 +306,12 @@ def from_half_turns(r) -> RootOfUnity:
 def dedekind_sum(d: int, c: int) -> Fraction:
     """s(d, c) = sum over r = 1..c-1 of ((r/c)) ((d r/c)), c > 0, from its definition.
 
-    ((x)) is x - floor(x) - 1/2, and 0 at integers.
+    ((x)) is x - floor(x) - 1/2, and 0 at integers.  At x = n/c that is
+    (2(n mod c) - c)/(2c) when c does not divide n, so the sum is taken
+    over integers and divided by 4c^2 once.
     """
-    def saw(x: Fraction) -> Fraction:
-        return Fraction(0) if x.denominator == 1 else x - math.floor(x) - Fraction(1, 2)
-
-    return sum((saw(Fraction(r, c)) * saw(Fraction(d * r, c)) for r in range(1, c)), Fraction(0))
+    total = sum((2 * r - c) * (2 * (d * r % c) - c) for r in range(1, c) if d * r % c)
+    return Fraction(total, 4 * c * c)
 
 
 def rademacher_eta_squared_multiplier(a: int, b: int, c: int, d: int) -> RootOfUnity:
@@ -331,6 +331,67 @@ def rademacher_eta_squared_multiplier(a: int, b: int, c: int, d: int) -> RootOfU
         return from_half_turns(Fraction(b * d, 6) + (1 - d) // 2)
     r = Fraction(a + d, 12 * c) - dedekind_sum(d % c, c) - Fraction(1, 4)
     return from_half_turns(2 * r)
+
+
+def eta_half_turns(a: int, b: int, c: int, d: int) -> Fraction:
+    """r with eta(m tau) = e^(pi*i*r) (c tau + d)^(1/2) eta(tau), m taken with c > 0 or c = 0 < d.
+
+    -m acts as m does, so m is first put in that form; the square root
+    then depends on (c, d) alone, and two matrices with the same c tau + d
+    share it.  For c > 0 r is Rademacher's (a+d)/(12c) - s(d, c) - 1/4; for
+    c = 0, m tau = tau + b and eta(tau + b) = e^(pi*i*b/12) eta(tau).
+    """
+    if c < 0 or c == 0 and d < 0:
+        a, b, c, d = -a, -b, -c, -d
+    if c == 0:
+        return Fraction(b, 12)
+    return Fraction(a + d, 12 * c) - dedekind_sum(d % c, c) - Fraction(1, 4)
+
+
+def eta_quotient_multiplier(m: SL2Matrix, p: int) -> RootOfUnity:
+    """The multiplier of eta(tau)/eta(p tau) under m in Gamma0(p).
+
+    p*(m tau) = m'(p tau) with m' = (a, pb; c/p, d), and c tau + d is
+    (c/p)(p tau) + d, so the square roots cancel and the multiplier is
+    e^(pi*i*(r(m) - r(m'))), r from eta_half_turns.
+    """
+    r = eta_half_turns(m.a, m.b, m.c, m.d) - eta_half_turns(m.a, p * m.b, m.c // p, m.d)
+    return from_half_turns(r)
+
+
+def reduced_law(g: int, level: int, m: SL2Matrix, multiplier) -> tuple:
+    """(root, r) with E_g(m tau) = root * E_r(tau), 1 <= r <= level/2.
+
+    multiplier(g, level, m) gives (root, unreduced new index), as
+    eta_multiplier does; the new index is reduced here by E_(x+N) = -E_x
+    and E_(N-x) = E_x, its sign folded into the root.
+    """
+    root, new = multiplier(g, level, m)
+    shifts, r = divmod(new, level)
+    return root * RootOfUnity(2, shifts), min(r, level - r)
+
+
+def product_identity_holds(p: int, m: SL2Matrix, multiplier) -> bool:
+    """Whether the E_r, 1 <= r <= (p-1)/2, transform as eta(tau)/eta(p tau) does.
+
+    Their product is eta(tau)/eta(p tau) (every n prime to p is N(m-1)+r
+    or Nm-r for exactly one such r), and m permutes the r up to sign, so
+    the composed roots must give eta_quotient_multiplier.
+    """
+    root, moved = RootOfUnity.one(), []
+    for g in range(1, (p - 1) // 2 + 1):
+        mult, r = reduced_law(g, p, m, multiplier)
+        root *= mult
+        moved.append(r)
+    return sorted(moved) == list(range(1, (p - 1) // 2 + 1)) and root == eta_quotient_multiplier(m, p)
+
+
+def cocycle_holds(g: int, level: int, m1: SL2Matrix, m2: SL2Matrix, multiplier) -> bool:
+    """E_g((m1 m2) tau) = E_g(m1 (m2 tau)): the law of m1 m2 is that of m1
+    followed by that of m2 on the moved index, reduction signs included."""
+    root1, r1 = reduced_law(g, level, m1, multiplier)
+    root2, r2 = reduced_law(r1, level, m2, multiplier)
+    return reduced_law(g, level, m1 * m2, multiplier) == (root1 * root2, r2)
 
 
 def half_turn_eta_multiplier(g: int, level: int, m: SL2Matrix):
