@@ -1,7 +1,8 @@
 """Per-prime certification of the cyclic covering data.
 
 For each prime p the certifier checks, with formal eta products and exact
-multipliers, and complex evaluation of E_g alone:
+multipliers, and complex evaluation of E_g alone (per drawn matrix and per
+cusp row the work is on ints: exponent dicts, signs, turns mod 24p):
 
   shifting            index shifts of the units F_h (formal products)
   transformation-law  the unit's character laws under random matrices
@@ -13,29 +14,31 @@ multipliers, and complex evaluation of E_g alone:
                       (primes not 1 mod 8)
 
 The verdict plus the cusp table forms a CertReport, serialized as JSON
-with a stable key layout.
+with a stable key layout, the cusp rows written directly in its bytes.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from .exact import is_prime, order_numerator, prime_context, PrimeContext, RootOfUnity
+from .exact import is_prime, order_numerator, prime_context, PrimeContext
 from .eta import (
     EtaProduct,
     find_triplet,
     is_modular_unit,
+    merge_factors,
+    orbit_factors,
     orbit_product,
-    transform_product,
     triplet_product,
 )
 from .numeric import balanced_samples, check_E_transforms
 from .subgroups import (
     Subgroup,
     cusp_set,
+    multiplier_turns,
     power,
     quadratic_character,
     quotient_structure,
@@ -105,7 +108,7 @@ def _certified_unit(ctx: PrimeContext) -> tuple[EtaProduct, Subgroup]:
 def verify_shifting(ctx: PrimeContext) -> CheckResult:
     """F_h = F_(-h) = F_(p+h), and F_(g^k h) = -+ F_h per p mod 4.
 
-    Each F_h' is built from its literal factors E_(g^(jk) h'), h' taken
+    Each F_h' is merged from its literal factors E_(g^(jk) h'), h' taken
     as it stands, and compared with the table-built orbit_product(h).
     Decided on the formal eta products: an expansion is a function of
     (level, exponents, sign) alone, so equal products agree at every
@@ -120,8 +123,7 @@ def verify_shifting(ctx: PrimeContext) -> CheckResult:
         base = orbit_product(h, ctx)
         for other, factor in ((-h, 1), (ctx.p + h, 1), (gk * h, flip)):
             factors = [(power(ctx, j * ctx.k) * other, e) for j in range(ctx.ell)]
-            cand = EtaProduct.from_factors(ctx.p, factors, f"F_{other}")
-            if (cand.exponents, cand.sign) != (base.exponents, factor * base.sign):
+            if merge_factors(ctx.p, factors) != (base.exponents, factor * base.sign):
                 return CheckResult(
                     "shifting", "fail",
                     reason=f"F_{other} != {factor}*F_{h} as formal eta products",
@@ -133,18 +135,26 @@ def verify_shifting(ctx: PrimeContext) -> CheckResult:
     )
 
 
+def _law(prod: EtaProduct, m) -> tuple[int, dict, int]:
+    """(t mod 24N, exponents, sign) with prod(m tau) = e^(2*pi*i*t/(24N)) * sign * prod E_g^e(tau),
+    on ints: the literal indices a*g (g under a translation) merged, m in Gamma0(N)."""
+    a = m.a if m.c else 1
+    moved = [(a * g, e) for g, e in prod.exponents.items()]
+    exponents, sign = merge_factors(prod.level, moved, prod.sign)
+    return multiplier_turns(prod.exponents, prod.level, m) % (24 * prod.level), exponents, sign
+
+
 def verify_transforms(ctx: PrimeContext) -> CheckResult:
     """Transformation laws of the unit under random small matrices.
 
-    The unit's laws are decided exactly by transform_product: F_1 goes to
-    psi F_a on Gamma0 and to psi*chi F_1 on Gamma2 (psi F_1 when
-    p == 3 mod 4), G to psi G on Gamma1.  They rest on the E_g multiplier,
-    the one numeric input: E_g at g in {1, 2, g mod p} is evaluated on the
-    Gamma0 matrices, at points matched to each matrix's scale.
+    The unit's laws are decided exactly by _law, F_a read off the orbit
+    table: F_1 goes to psi F_a on Gamma0 and to psi*chi F_1 on Gamma2 (psi
+    F_1 when p == 3 mod 4), G to psi G on Gamma1.  They rest on the E_g
+    multiplier, the one numeric input: E_g at g in {1, 2, g mod p} is
+    evaluated on the Gamma0 matrices, at points matched to each matrix's scale.
     """
     rng = random.Random(DEFAULT_SEED + ctx.p)
-    worst = 0.0
-    failed = []
+    worst, failed = 0.0, []
     indices = sorted({1, 2, ctx.g % ctx.p})
     unit, group = _certified_unit(ctx)
     for _ in range(N_RANDOM):
@@ -152,15 +162,14 @@ def verify_transforms(ctx: PrimeContext) -> CheckResult:
         worst = max(worst, check_E_transforms(indices, ctx.p, m0, balanced_samples(m0)))
         m1 = random_member(group, ctx, rng)
         if group is Subgroup.GAMMA1:
-            laws = [(m1, sign_character(m1), unit)]
+            laws = [(m1, sign_character(m1), unit.exponents, unit.sign)]
         else:
             chi = quadratic_character(m1, ctx) if ctx.ell % 2 == 0 else 1
-            laws = [(m0, sign_character(m0), orbit_product(m0.a, ctx)),
-                    (m1, sign_character(m1) * chi, unit)]
-        for m, factor, target in laws:
-            root, moved = transform_product(unit, m)
-            want = RootOfUnity.from_sign(factor * moved.sign * target.sign)
-            if (root, moved.exponents) != (want, target.exponents):
+            laws = [(m0, sign_character(m0), *merge_factors(ctx.p, orbit_factors(m0.a, ctx))),
+                    (m1, sign_character(m1) * chi, unit.exponents, unit.sign)]
+        for m, factor, want, want_sign in laws:
+            turns, exponents, sign = _law(unit, m)
+            if exponents != want or turns != (0 if factor * sign == want_sign else 12 * ctx.p):
                 failed.append(m.entries())
     problems = [f"{unit.label} law fails exactly at {m}" for m in failed[:1]]
     problems += [f"max residual {worst:.3e} >= {TOL}"] if worst >= TOL else []
@@ -200,7 +209,8 @@ def cusp_orders(ctx: PrimeContext) -> tuple[CheckResult, tuple]:
     order = width * sum_g e_g * delta_g with delta the leading exponent
     of E_g at the cusp, taken in integers as order_numerator / 12p; it
     must be an odd integer everywhere, equal to 1 whenever p does not
-    divide c, and the orders of a unit sum to zero.
+    divide c, and the orders of a unit sum to zero.  Where p does not
+    divide c, order_numerator is s0 = sum e at every row, taken once.
     """
     unit, group = _certified_unit(ctx)
     prod = unit.squared()
@@ -208,18 +218,19 @@ def cusp_orders(ctx: PrimeContext) -> tuple[CheckResult, tuple]:
         table = cusp_set(group, ctx)
     except ArithmeticError as exc:
         return CheckResult("cusp-orders", "fail", reason=str(exc)), ()
-    rows = []
-    problems = []
+    rows, problems = [], []
+    s0 = sum(prod.exponents.values())
     for cusp, width in table:
-        scaled = width * order_numerator(prod.exponents, ctx.p, cusp.a, cusp.c)
-        order, rest = divmod(scaled, 12 * ctx.p)
+        on_fiber = cusp.c % ctx.p == 0
+        numerator = order_numerator(prod.exponents, ctx.p, cusp.a, cusp.c) if on_fiber else s0
+        order, rest = divmod(width * numerator, 12 * ctx.p)
         if rest:
-            bad = Fraction(scaled, 12 * ctx.p)
+            bad = Fraction(width * numerator, 12 * ctx.p)
             reason = f"non-integer order {bad} at cusp {cusp} (width/delta bug)"
             return CheckResult("cusp-orders", "fail", reason=reason), ()
         if order % 2 == 0:
             problems.append(f"even order {order} at {cusp}")
-        if cusp.c % ctx.p != 0 and order != 1:
+        if not on_fiber and order != 1:
             problems.append(f"order {order} != 1 at {cusp} with p not dividing c")
         rows.append(CuspRow(a=cusp.a, c=cusp.c, width=width, order=order))
     if sum(r.order for r in rows) != 0:
@@ -249,11 +260,8 @@ def verify_quotient(ctx: PrimeContext) -> CheckResult:
         reason=None if ok else
         f"character order {qs.character_order} (want {ctx.degree}), "
         f"kernel match {qs.kernel_matches}",
-        witness={
-            "character_order": qs.character_order,
-            "index_gamma0_gamma2": qs.index_gamma0_gamma2,
-            "curve_index_gamma2_gamma1": qs.curve_index_gamma2_gamma1,
-        },
+        witness={key: getattr(qs, key) for key in
+                 ("character_order", "index_gamma0_gamma2", "curve_index_gamma2_gamma1")},
     )
 
 
@@ -270,22 +278,19 @@ def verify_z_relation(ctx: PrimeContext) -> CheckResult:
     The F_(g^j) have the factors E_(g^n mod 2p)^(6/ell), n = j + ik < (p-1)/2.
     """
     if ctx.p % 8 == 1:
-        return CheckResult(
-            "z-relation", "skipped", reason="p == 1 mod 8: relation not asserted"
-        )
+        return CheckResult("z-relation", "skipped", reason="p == 1 mod 8: relation not asserted")
     e = 6 // ctx.ell
-    factors = [(power(ctx, n), e) for n in range((ctx.p - 1) // 2)]
-    prod = EtaProduct.from_factors(ctx.p, factors, "prod F_(g^j)")
-    lead = Fraction(order_numerator(prod.exponents, ctx.p, 1, 0), 12 * ctx.p)
+    exponents, sign = merge_factors(ctx.p, [(power(ctx, n), e) for n in range((ctx.p - 1) // 2)])
+    lead = Fraction(order_numerator(exponents, ctx.p, 1, 0), 12 * ctx.p)
     want = {r: e for r in range(1, (ctx.p - 1) // 2 + 1)}
-    if prod.exponents != want or 24 * lead != e * (1 - ctx.p):
+    if exponents != want or 24 * lead != e * (1 - ctx.p):
         return CheckResult(
             "z-relation", "fail",
             reason=f"prod F_(g^j) is not +-z as formal eta products (leading exponent {lead})",
         )
     return CheckResult(
         "z-relation", "pass",
-        witness={"sign": prod.sign, "method": "formal", "leading_exponent": str(lead)},
+        witness={"sign": sign, "method": "formal", "leading_exponent": str(lead)},
     )
 
 
@@ -297,9 +302,7 @@ def _small_prime_report(p: int) -> CertReport:
     # group; nothing to verify beyond recording the degree
     g = 1 if p == 2 else 5
     ell = 0 if p == 2 else 1
-    check = CheckResult(
-        "kummer-cover", "pass", witness={"map": "x -> x^2", "degree": 2}
-    )
+    check = CheckResult("kummer-cover", "pass", witness={"map": "x -> x^2", "degree": 2})
     return CertReport(
         p=p, g=g, k=1, ell=ell, Np=1, degree=2, branch="small-p",
         checks=(check,), cusps=(), overall=True,
@@ -359,8 +362,19 @@ def report_to_dict(report: CertReport) -> dict:
     return out
 
 
+_ROW = '    {\n      "a": %d,\n      "c": %d,\n      "width": %d,\n      "order": %d\n    }'
+
+
 def report_to_json(report: CertReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
+    """json.dumps(report_to_dict(report), indent=2), the cusp rows (_ROW) written directly:
+    strings are written on one line with their quotes escaped, so only the
+    report's own "cusps": [] can follow a newline and two spaces."""
+    text = json.dumps(report_to_dict(replace(report, cusps=())), indent=2)
+    if not report.cusps:
+        return text
+    rows = ",\n".join(_ROW % (r.a, r.c, r.width, r.order) for r in report.cusps)
+    head, _, tail = text.partition('\n  "cusps": []')
+    return f'{head}\n  "cusps": [\n{rows}\n  ]{tail}'
 
 
 def report_from_dict(data: dict) -> CertReport:

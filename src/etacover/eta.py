@@ -17,9 +17,9 @@ P(q^N), P the partition series (Yang 2004, "Transformation formulas for
 generalized Dedekind eta functions"), so prod E_g^e expands as
 q^L * prod theta_g^e * P(q^N)^(sum e).  eta is the pentagonal series and P
 its inverse; every theta, eta(s*tau) at level 3s included, comes from one
-integer sweep.  EtaProduct.from_factors is the one place where eta products
-are built, index reduction and exponent merging included; the units F_h
-read their indices off the prime's orbit table in subgroups.
+integer sweep.  merge_factors reduces indices and merges exponents into an
+(exponents, sign) pair of ints, which EtaProduct.from_factors, the one
+constructor, wraps; the units F_h read their indices off the orbit table.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import PrimeContext, RootOfUnity, order_numerator
+from .exact import PrimeContext, order_numerator
 from .qseries import QSeries
-from .subgroups import SL2Matrix, dlog, multiplier_turns, power
+from .subgroups import dlog, power
 
 
 def reduce_index(g: int, level: int) -> tuple[int, int]:
@@ -106,6 +106,17 @@ def classical_eta(scale: int, prec: int) -> QSeries:
     return QSeries(24, unit, prec).shift(Fraction(scale, 24))
 
 
+def merge_factors(level: int, factors, sign: int = 1) -> tuple[dict, int]:
+    """(exponents, sign) of sign * prod E_g^e over the (g, e) in factors, g not divisible
+    by level: each g is reduced, its sign counted once per odd exponent."""
+    exponents: dict[int, int] = {}
+    for g, e in factors:
+        r, s = reduce_index(g, level)
+        sign *= s ** (e % 2)
+        exponents[r] = exponents.get(r, 0) + e
+    return exponents, sign
+
+
 @dataclass(frozen=True)
 class EtaProduct:
     """Formal product sign * prod E_g^e(g) at one level, indices reduced."""
@@ -126,17 +137,8 @@ class EtaProduct:
 
     @classmethod
     def from_factors(cls, level: int, factors, label: str, sign: int = 1) -> "EtaProduct":
-        """sign * prod E_g^e over the (g, e) in factors, g not divisible by level.
-
-        Each g is reduced; its sign from E_(g+N) = -E_g counts once per odd
-        exponent, and the exponents of equal reduced indices add up.
-        """
-        exponents: dict[int, int] = {}
-        for g, e in factors:
-            r, s = reduce_index(g, level)
-            sign *= s ** (e % 2)
-            exponents[r] = exponents.get(r, 0) + e
-        return cls(level, exponents, sign, label)
+        """sign * prod E_g^e over the (g, e) in factors, merged by merge_factors."""
+        return cls(level, *merge_factors(level, factors, sign), label)
 
     def squared(self) -> "EtaProduct":
         factors = [(g, 2 * e) for g, e in self.exponents.items()]
@@ -156,33 +158,20 @@ def is_modular_unit(prod: EtaProduct) -> bool:
     return s0 % 12 == 0 and s2 % modulus == 0
 
 
-def transform_product(prod: EtaProduct, gamma: SL2Matrix) -> tuple[RootOfUnity, EtaProduct]:
-    """(root, moved) with prod(gamma tau) = root * moved(tau), gamma in Gamma0.
-
-    E_g^e contributes e times the multiplier exponent t of multiplier_turns
-    and moves to E_(a*g)^e (a is a unit, so no indices merge); the
-    exponents add up in one integer mod 24*level, made a root once.
-    """
-    turns, moved = 0, []
-    for g, e in prod.exponents.items():
-        t, new_index = multiplier_turns(g, prod.level, gamma)
-        turns += e * t
-        moved.append((new_index, e))
-    label = f"{prod.label} o {gamma.entries()}"
-    moved_prod = EtaProduct.from_factors(prod.level, moved, label, prod.sign)
-    return RootOfUnity(24 * prod.level, turns), moved_prod
-
-
 def orbit_product(h: int, ctx: PrimeContext) -> EtaProduct:
     """The weight-0 unit F_h = (prod_{j<ell} E_{g^(jk) h})^(6/ell), h normalized mod p.
 
-    Its factors are E_(g^(n+jk) mod 2p), n = dlog(h).  The literal index
+    Its factors (orbit_factors) are E_(g^(n+jk) mod 2p), n = dlog(h).  The literal index
     (g^(jk) mod 2p)*h is that plus an odd multiple of p exactly when h is
     even, and then the ell factors to the power 6/ell make 6 sign moves.
     """
+    return EtaProduct.from_factors(ctx.p, orbit_factors(h, ctx), f"F_{h % ctx.p}")
+
+
+def orbit_factors(h: int, ctx: PrimeContext) -> list:
+    """The factors (g^(n+jk) mod 2p, 6/ell), j < ell, n = dlog(h), of F_h."""
     n, e = dlog(ctx, h), 6 // ctx.ell
-    factors = [(power(ctx, n + j * ctx.k), e) for j in range(ctx.ell)]
-    return EtaProduct.from_factors(ctx.p, factors, f"F_{h % ctx.p}")
+    return [(power(ctx, n + j * ctx.k), e) for j in range(ctx.ell)]
 
 
 def find_triplet(p: int) -> tuple[int, int, int]:

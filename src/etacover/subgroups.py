@@ -170,37 +170,33 @@ def _epsilon_twelfths(a: int, b: int, c: int, d: int) -> int:
     raise ValueError("c and d cannot both be even in SL(2,Z)")
 
 
-def multiplier_turns(g: int, level: int, m: SL2Matrix) -> tuple[int, int]:
-    """(t, new index) with E_g(m tau) = e^(2*pi*i*t/(24*level)) * E_newindex(tau).
+def multiplier_turns(exponents: dict, level: int, m: SL2Matrix) -> int:
+    """t with prod E_g^e(m tau) = e^(2*pi*i*t/(24*level)) * prod E_(a*g)^e(tau), m in Gamma0(level).
 
-    The integer form of eta_multiplier, for loops that compose many
-    multipliers: t is unreduced, so exponents of products just add.
-    m must lie in Gamma0(level).  Translations (c = 0, normalized so the
-    diagonal is +1) give e^(pi*i*b*N*B(g/N)), that is t = 2*b times
-    order_numerator at 1/0, and keep the index; otherwise the factor is
-    epsilon(a, b*N, c/N, d) * e^(pi*i*(g^2 a b/N - g b)), that is
-    t = 2N*eps12 + 12*(g^2 a b - g b N), and the index moves to a*g
-    (unreduced).
+    t is unreduced, so multipliers compose by adding.  Translations (c = 0,
+    diagonal made +1) give E_g e^(pi*i*b*N*B(g/N)) and keep g: t = 2b
+    times order_numerator at 1/0.  Otherwise E_g gets epsilon(a, b*N, c/N, d)
+    * e^(pi*i*(g^2 a b/N - g b)): t = 2N*eps12*sum e + 12b(a*sum e g^2 - N*sum e g).
     """
-    if g % level == 0:
-        raise ValueError(f"index {g} vanishes mod {level}")
+    if any(g % level == 0 for g in exponents):
+        raise ValueError(f"an index of {exponents} vanishes mod {level}")
     if m.c % level:
         raise ValueError(f"{m.entries()} is not in Gamma0({level})")
     if m.c == 0:
         b = m.b if m.a == 1 else -m.b  # a = d = -1: use -m, same action
-        return 2 * b * order_numerator({g: 1}, level, 1, 0), g
+        return 2 * b * order_numerator(exponents, level, 1, 0)
+    s0 = s1 = s2 = 0
+    for g, e in exponents.items():
+        s0, s1, s2 = s0 + e, s1 + e * g, s2 + e * g * g
     eps12 = _epsilon_twelfths(m.a, m.b * level, m.c // level, m.d)
-    return 2 * level * eps12 + 12 * (g * g * m.a * m.b - g * m.b * level), m.a * g
+    return 2 * level * eps12 * s0 + 12 * m.b * (m.a * s2 - level * s1)
 
 
 def eta_multiplier(g: int, level: int, m: SL2Matrix) -> tuple[RootOfUnity, int]:
-    """(root of unity, new index) with E_g(m tau) = root * E_newindex(tau).
-
-    The root is e^(2*pi*i*t/(24*level)) with t from multiplier_turns, an
-    integer exponent mod 24*level; the returned index is unreduced.
-    """
-    t, new_index = multiplier_turns(g, level, m)
-    return RootOfUnity(24 * level, t), new_index
+    """(e^(2*pi*i*t/(24*level)), new index) with E_g(m tau) = root * E_newindex(tau):
+    t = multiplier_turns({g: 1}), the index g under a translation, else a*g unreduced."""
+    t = multiplier_turns({g: 1}, level, m)
+    return RootOfUnity(24 * level, t), g if m.c == 0 else m.a * g
 
 
 # -- membership ------------------------------------------------------------

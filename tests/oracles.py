@@ -9,7 +9,9 @@ quotient character and the membership test, but evaluates them on every
 residue class instead of the closed form's handful of matrices.
 half_turn_eta_multiplier reuses epsilon_factor, the eta^2 multiplier
 that rademacher_eta_squared_multiplier checks, but composes the phase
-in Fractions of a half turn.
+in Fractions of a half turn.  transform_product reuses the one-index
+eta_multiplier and EtaProduct.from_factors, and composes a product's law
+factor by factor, where certify sums the whole product at once.
 """
 
 import cmath
@@ -19,6 +21,7 @@ from functools import lru_cache
 from itertools import product
 from math import ceil, gcd, lcm, pi
 
+from etacover.eta import EtaProduct
 from etacover.exact import RootOfUnity
 from etacover.subgroups import (
     Cusp,
@@ -28,6 +31,7 @@ from etacover.subgroups import (
     cusp_width,
     cusps_equivalent,
     epsilon_factor,
+    eta_multiplier,
     is_member,
     lift_with_upper_left,
     psl_index,
@@ -383,7 +387,8 @@ def product_identity_holds(p: int, m: SL2Matrix, multiplier) -> bool:
         mult, r = reduced_law(g, p, m, multiplier)
         root *= mult
         moved.append(r)
-    return sorted(moved) == list(range(1, (p - 1) // 2 + 1)) and root == eta_quotient_multiplier(m, p)
+    half = list(range(1, (p - 1) // 2 + 1))
+    return sorted(moved) == half and root == eta_quotient_multiplier(m, p)
 
 
 def cocycle_holds(g: int, level: int, m1: SL2Matrix, m2: SL2Matrix, multiplier) -> bool:
@@ -392,6 +397,20 @@ def cocycle_holds(g: int, level: int, m1: SL2Matrix, m2: SL2Matrix, multiplier) 
     root1, r1 = reduced_law(g, level, m1, multiplier)
     root2, r2 = reduced_law(r1, level, m2, multiplier)
     return reduced_law(g, level, m1 * m2, multiplier) == (root1 * root2, r2)
+
+
+def transform_product(prod: EtaProduct, gamma: SL2Matrix) -> tuple:
+    """(root, moved) with prod(gamma tau) = root * moved(tau), gamma in Gamma0.
+
+    Each E_g^e contributes the e-th power of its own eta_multiplier root and
+    moves to its new index; the moved factors are merged by from_factors.
+    """
+    root, moved = RootOfUnity.one(), []
+    for g, e in prod.exponents.items():
+        mult, new_index = eta_multiplier(g, prod.level, gamma)
+        root *= mult ** e
+        moved.append((new_index, e))
+    return root, EtaProduct.from_factors(prod.level, moved, prod.label, prod.sign)
 
 
 def half_turn_eta_multiplier(g: int, level: int, m: SL2Matrix):

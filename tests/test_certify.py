@@ -1,21 +1,28 @@
 """Certifier checks, report assembly, and JSON serialization."""
 
 import dataclasses
+import inspect
 import json
+import random
 import sys
 import types
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import etacover.certify
 import etacover.subgroups
 from etacover.certify import (
+    DEFAULT_SEED,
     N_RANDOM,
+    CheckResult,
     _certified_unit,
+    _law,
     branch_name,
     certify,
     cusp_orders,
+    error_report,
     report_from_json,
     report_to_dict,
     report_to_json,
@@ -29,13 +36,19 @@ from etacover.eta import (
     EtaProduct,
     eta_quotient_series,
     expand_product,
+    merge_factors,
     orbit_product,
     order_numerator,
 )
 from etacover.exact import RootOfUnity, is_prime, prime_context
 from etacover.qseries import QSeries
-from etacover.subgroups import Cusp, dlog, sign_character
-from oracles import leading_exponent_at, literal_orbit_factors, literal_z_factors
+from etacover.subgroups import Cusp, SL2Matrix, Subgroup, dlog, random_member, sign_character
+from oracles import (
+    leading_exponent_at,
+    literal_orbit_factors,
+    literal_z_factors,
+    transform_product,
+)
 
 
 def series_z_relation(ctx, products, bound):
@@ -242,6 +255,86 @@ def test_certify_evaluates_no_eta_product(monkeypatch):
         assert certify(p).overall, p
 
 
+def law_matrices(ctx, group):
+    """verify_transforms' seeded draws, both of each pair, then +-T^b."""
+    rng = random.Random(DEFAULT_SEED + ctx.p)
+    for _ in range(N_RANDOM):
+        yield random_member(Subgroup.GAMMA0, ctx, rng)
+        yield random_member(group, ctx, rng)
+    for b in range(-3, 4):
+        yield SL2Matrix.translation(b)
+        yield -SL2Matrix.translation(b)
+
+
+@pytest.mark.parametrize("primes", [range(5, 500), (10007,)], ids=["below-500", "10007"])
+def test_int_law_matches_the_factor_by_factor_oracle(primes):
+    # the exact law on ints against transform_product, which composes each
+    # factor's eta_multiplier root and builds the moved EtaProduct
+    for p in filter(is_prime, primes):
+        ctx = prime_context(p)
+        unit, group = _certified_unit(ctx)
+        for m in law_matrices(ctx, group):
+            turns, exponents, sign = _law(unit, m)
+            root, moved = transform_product(unit, m)
+            assert RootOfUnity(24 * p, turns) == root, (p, m.entries())
+            assert (exponents, sign) == (moved.exponents, moved.sign), (p, m.entries())
+
+
+def source_mutant(module, name, old, new):
+    """module.name recompiled from its source with old replaced by new."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+LAW_MUTANTS = {
+    "drop a*sum e g^2": ("multiplier_turns", "(m.a * s2 - level * s1)", "(-level * s1)"),
+    "drop N*sum e g": ("multiplier_turns", "(m.a * s2 - level * s1)", "(m.a * s2)"),
+    "flip the moved sign": ("_law", "moved, prod.sign)", "moved, -prod.sign)"),
+    "epsilon12 + 1": None,
+}
+
+
+@pytest.mark.parametrize("name", LAW_MUTANTS)
+def test_law_mutations_fail_below_200(monkeypatch, name):
+    if LAW_MUTANTS[name] is None:
+        twelfths = etacover.subgroups._epsilon_twelfths
+        monkeypatch.setattr(etacover.subgroups, "_epsilon_twelfths", lambda *m: twelfths(*m) + 1)
+    else:
+        func, old, new = LAW_MUTANTS[name]
+        module = etacover.subgroups if func == "multiplier_turns" else etacover.certify
+        monkeypatch.setattr(etacover.certify, func, source_mutant(module, func, old, new))
+    for p in filter(is_prime, range(5, 200)):
+        res = verify_transforms(prime_context(p))
+        if res.status == "fail":
+            assert "law fails exactly" in res.reason, (name, p)
+            return
+    pytest.fail(f"{name} passes every prime below 200")
+
+
+def test_draws_build_no_eta_product(monkeypatch):
+    # per drawn matrix the law is ints only: the from_factors calls of
+    # verify_transforms do not grow with the number of draws
+    calls = []
+    from_factors = EtaProduct.from_factors.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return from_factors(cls, *args, **kwargs)
+
+    monkeypatch.setattr(EtaProduct, "from_factors", classmethod(counting))
+    for p in (11, 13, 19, 101):
+        per_run = []
+        for n in (1, 20):
+            monkeypatch.setattr("etacover.certify.N_RANDOM", n)
+            calls.clear()
+            assert verify_transforms(prime_context(p)).status == "pass", (p, n)
+            per_run.append(len(calls))
+        assert per_run[0] == per_run[1], (p, per_run)
+
+
 def test_z_relation_signs():
     assert verify_z_relation(prime_context(5)).witness["sign"] == -1
     assert verify_z_relation(prime_context(7)).witness["sign"] == 1
@@ -284,28 +377,39 @@ def test_z_relation_fails_on_a_unit_wrong_past_ten_steps(monkeypatch):
     wrong = z_factors(ctx, wrong_unit)
     assert series_z_relation(ctx, wrong, 10) == series_z_relation(ctx, z_factors(ctx), 10)
     assert series_z_relation(ctx, wrong, 30) is None
-    # the z-relation merges its factors in one from_factors call: F_1's
+    # the z-relation merges its factors in one merge_factors call: F_1's
     # delta enters there
-    def merged_with_delta(level, factors, label, sign=1):
-        return EtaProduct.from_factors(level, [*factors, *delta.items()], label, sign)
+    def merged_with_delta(level, factors, sign=1):
+        return merge_factors(level, [*factors, *delta.items()], sign)
 
-    monkeypatch.setattr("etacover.certify.EtaProduct",
-                        types.SimpleNamespace(from_factors=merged_with_delta))
+    monkeypatch.setattr("etacover.certify.merge_factors", merged_with_delta)
     assert verify_z_relation(ctx).status == "fail"
 
 
 def test_integer_cusp_orders_match_reference():
-    # order_numerator against the Fraction formula through a section matrix
-    for p in filter(is_prime, range(5, 301)):
+    # order_numerator against the Fraction formula through a section matrix,
+    # at every row below 2000: cusp_orders takes sum e once off the fiber,
+    # and this recomputes each row.  The formula reads a section through a
+    # and d = gcd(c, p) alone, and P2 has period 1, so a value is kept per
+    # (g, d, a*g mod d), as 12p times the value, which must be an integer
+    for p in filter(is_prime, range(5, 2000)):
         ctx = prime_context(p)
         prod = _certified_unit(ctx)[0].squared()
         check, rows = cusp_orders(ctx)
         assert check.status == "pass" and rows, p
+        lead = {}
         for row in rows:
             sec = Cusp(row.a, row.c).section()
-            ref = sum(e * leading_exponent_at(g, p, sec) for g, e in prod.exponents.items())
-            assert Fraction(order_numerator(prod.exponents, p, row.a, row.c), 12 * p) == ref
-            assert row.order == row.width * ref, (p, row)
+            d, ref = gcd(row.c, p), 0
+            for g, e in prod.exponents.items():
+                key = (g, d, sec.a * g % d)
+                if key not in lead:
+                    value = 12 * p * leading_exponent_at(g, p, sec)
+                    assert value.denominator == 1, (p, row, g)
+                    lead[key] = value.numerator
+                ref += e * lead[key]
+            assert order_numerator(prod.exponents, p, row.a, row.c) == ref, (p, row)
+            assert 12 * p * row.order == row.width * ref, (p, row)
 
 
 def test_cusp_orders_build_no_section(monkeypatch):
@@ -379,6 +483,20 @@ def test_json_roundtrip_and_key_order(monkeypatch):
     keys = list(json.loads(report_to_json(r)).keys())
     assert keys == ["p", "g", "k", "ell", "Np", "degree", "branch",
                     "checks", "cusps", "overall"]
+
+
+def test_report_writer_matches_json_dumps():
+    # the cusp rows are written directly, everything else by json.dumps;
+    # strings that look like the rows' anchor stay one escaped line
+    odd = '"cusps": [],\n  "cusps": [] \\ "quoted" \u00e9\u03c4\u2013\U0001d70f'
+    reports = [certify(p) for p in filter(is_prime, range(2, 2000))]
+    reports.append(error_report(13, ValueError(odd)))
+    check = CheckResult("odd", "fail", reason=odd, witness={"cusps": [], odd: odd})
+    for r in (reports[3], reports[0]):
+        reports.append(dataclasses.replace(r, checks=(check, *r.checks)))
+    assert not reports[0].cusps and not reports[1].cusps
+    for r in reports:
+        assert report_to_json(r) == json.dumps(report_to_dict(r), indent=2), r.p
 
 
 def test_reason_omitted_when_absent():

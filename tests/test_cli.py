@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import etacover
-from etacover.certify import certify, report_to_json
+from etacover.certify import certify, report_to_dict, report_to_json
+from etacover.exact import is_prime
 from etacover.cli import _build_parser, main
 
 
@@ -208,6 +209,14 @@ def test_certify_range_json_streams_each_report(capsys, monkeypatch):
     assert seen[5] == "" and seen[7].startswith('[\n  {\n    "p": 5,')
     reports = [json.loads(report_to_json(certify(q))) for q in (5, 7)]
     assert seen[7] + out == json.dumps(reports, indent=2) + "\n"
+
+
+def test_certify_range_json_is_json_dumps_of_the_reports(capsys):
+    # rows written directly, reports streamed: still json.dumps(list, indent=2)
+    code, out, _ = run(capsys, "certify", "--range", "2..60", "--json")
+    assert code == 0
+    reports = [report_to_dict(certify(q)) for q in range(2, 61) if is_prime(q)]
+    assert out == json.dumps(reports, indent=2) + "\n"
 
 
 def test_certify_json_shapes(capsys):

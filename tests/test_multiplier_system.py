@@ -17,8 +17,14 @@ from pathlib import Path
 import pytest
 
 from etacover.exact import RootOfUnity, prime_context
-from etacover.subgroups import SL2Matrix, Subgroup, eta_multiplier, random_member
-from oracles import cocycle_holds, product_identity_holds
+from etacover.subgroups import (
+    SL2Matrix,
+    Subgroup,
+    eta_multiplier,
+    multiplier_turns,
+    random_member,
+)
+from oracles import cocycle_holds, eta_quotient_multiplier, product_identity_holds
 
 GOLDEN = Path(__file__).parent / "data" / "matrix_golden.json"
 
@@ -74,7 +80,7 @@ def test_cocycle_on_golden_draws():
     for p, mats in golden_draws().items():
         for m1, m2 in zip(mats, mats[1:]):
             for g in range(1, (p - 1) // 2 + 1, 1 + p // 200):
-                assert cocycle_holds(g, p, m1, m2, eta_multiplier), (p, g, m1.entries(), m2.entries())
+                assert cocycle_holds(g, p, m1, m2, eta_multiplier), (p, g, m1, m2)
 
 
 @pytest.mark.parametrize("p, count", [(5, 40), (7, 40), (11, 30), (13, 30), (29, 20),
@@ -87,6 +93,19 @@ def test_identities_on_random_gamma0_matrices(p, count):
     for m1, m2 in zip(mats, mats[1:]):
         for g in range(1, (p - 1) // 2 + 1, step):
             assert cocycle_holds(g, p, m1, m2, eta_multiplier), (p, g, m1.entries(), m2.entries())
+
+
+def test_whole_product_turns_give_the_eta_quotient_multiplier():
+    # multiplier_turns on E_1 ... E_((p-1)/2) in one call; the moved
+    # indices a*r carry (-1)^(a*r div p) each
+    cases = [*golden_draws().items(), (10007, random_gamma0(10007, 2, 97))]
+    for p, mats in cases:
+        exponents = dict.fromkeys(range(1, (p - 1) // 2 + 1), 1)
+        for m in mats:
+            a = m.a if m.c else 1
+            shifts = sum(a * r // p for r in exponents)
+            root = RootOfUnity(24 * p, multiplier_turns(exponents, p, m) + 12 * p * shifts)
+            assert root == eta_quotient_multiplier(m, p), (p, m.entries())
 
 
 @pytest.mark.parametrize("name", MUTANTS)

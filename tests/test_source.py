@@ -49,6 +49,24 @@ def test_eta_products_are_built_only_by_from_factors():
     assert constructors == 1 and found == []
 
 
+def test_exact_law_and_z_relation_build_no_objects():
+    # per drawn matrix and for the z-relation the work is on ints: no eta
+    # product, moved product or root of unity is built
+    tree = ast.parse((Path(etacover.__file__).parent / "certify.py").read_text())
+    banned = {"from_factors", "orbit_product", "transform_product", "RootOfUnity"}
+    checked, found = [], []
+    for fn in tree.body:
+        if getattr(fn, "name", None) in ("verify_transforms", "verify_z_relation"):
+            checked.append(fn.name)
+            found += [
+                f"{fn.name}:{node.lineno}"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & banned
+            ]
+    assert len(checked) == 2 and found == []
+
+
 def test_powers_of_g_belong_to_the_group_layer():
     # eta and certify read g^n from subgroups' orbit table, and the
     # reduced index of an eta product is a plain (r, sign) pair

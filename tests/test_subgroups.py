@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import etacover.subgroups
-from etacover.eta import EtaProduct, transform_product
+from etacover.eta import EtaProduct
 from etacover.exact import RootOfUnity, is_prime, prime_context
 from etacover.numeric import balanced_samples
 from etacover.subgroups import (
@@ -23,6 +23,7 @@ from etacover.subgroups import (
     gamma2_generator,
     is_member,
     lift_with_upper_left,
+    multiplier_turns,
     psl_index,
     quadratic_character,
     quotient_character,
@@ -36,6 +37,7 @@ from oracles import (
     half_turn_eta_multiplier,
     rademacher_eta_squared_multiplier,
     scan_cusp_set,
+    transform_product,
 )
 
 S = SL2Matrix(0, -1, 1, 0)
@@ -298,8 +300,9 @@ def test_eta_multiplier_matches_half_turn_oracle():
 
 
 def test_transform_product_matches_half_turn_oracle():
-    # one root per product from summed integer exponents, against the
-    # product of the oracle's roots; the moved product is built alike
+    # the whole product's multiplier_turns, and the factor-by-factor
+    # transform_product of the oracles, against the product of the
+    # half-turn oracle's roots; the moved product is built alike
     rng = random.Random(61)
     for level, m, _ in _multiplier_cases():
         half = range(1, level // 2 + 1)
@@ -314,6 +317,7 @@ def test_transform_product_matches_half_turn_oracle():
             factors.append((new_index, e))
         want_moved = EtaProduct.from_factors(level, factors, "P", prod.sign)
         assert root == want, (level, m.entries(), exponents)
+        assert RootOfUnity(24 * level, multiplier_turns(exponents, level, m)) == want
         assert (moved.exponents, moved.sign) == (want_moved.exponents, want_moved.sign)
 
 
