@@ -36,6 +36,7 @@ from .eta import (
 )
 from .numeric import balanced_samples, check_E_transforms
 from .subgroups import (
+    SL2Matrix,
     Subgroup,
     cusp_set,
     multiplier_turns,
@@ -135,8 +136,8 @@ def verify_shifting(ctx: PrimeContext) -> CheckResult:
     )
 
 
-def _law(prod: EtaProduct, m) -> tuple[int, dict, int]:
-    """(t mod 24N, exponents, sign) with prod(m tau) = e^(2*pi*i*t/(24N)) * sign * prod E_g^e(tau),
+def _law(prod: EtaProduct, m: SL2Matrix) -> tuple[int, dict, int]:
+    """(t mod 24N, exponents, sign), prod(m tau) = e^(2*pi*i*t/(24N)) * sign * prod E_g^e(tau),
     on ints: the literal indices a*g (g under a translation) merged, m in Gamma0(N)."""
     a = m.a if m.c else 1
     moved = [(a * g, e) for g, e in prod.exponents.items()]
@@ -147,11 +148,11 @@ def _law(prod: EtaProduct, m) -> tuple[int, dict, int]:
 def verify_transforms(ctx: PrimeContext) -> CheckResult:
     """Transformation laws of the unit under random small matrices.
 
-    The unit's laws are decided exactly by _law, F_a read off the orbit
-    table: F_1 goes to psi F_a on Gamma0 and to psi*chi F_1 on Gamma2 (psi
-    F_1 when p == 3 mod 4), G to psi G on Gamma1.  They rest on the E_g
-    multiplier, the one numeric input: E_g at g in {1, 2, g mod p} is
-    evaluated on the Gamma0 matrices, at points matched to each matrix's scale.
+    Decided exactly, on ints: F_1 goes to psi F_a on Gamma0 and to psi*chi
+    F_1 on Gamma2 (psi F_1 when p == 3 mod 4), G to psi G on Gamma1.  A law
+    holds when _law's exponents are the target's (F_a off the orbit table)
+    and t is 0 or 12p as the signs require.  The E_g multiplier they rest on
+    is also evaluated, at g in {1, 2, g mod p} on the Gamma0 matrices.
     """
     rng = random.Random(DEFAULT_SEED + ctx.p)
     worst, failed = 0.0, []
