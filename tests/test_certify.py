@@ -6,7 +6,6 @@ import json
 import random
 import sys
 import types
-from fractions import Fraction
 from math import gcd
 
 import pytest
