@@ -13,8 +13,10 @@ cusp row the work is on ints: exponent dicts, signs, turns mod 24p):
   z-relation          z = +-prod F_{g^j} as formal eta products
                       (primes not 1 mod 8)
 
-The verdict plus the cusp table forms a CertReport, serialized as JSON
-with a stable key layout, the cusp rows written directly in its bytes.
+The unit (F_1, or G when p == 11 mod 12) is derived once per prime and
+passed to the checks that read it.  The verdict plus the cusp rows (int
+CuspRow named tuples) form a CertReport, serialized as JSON with a stable
+key layout, the cusp rows written directly in its bytes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import random
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import is_prime, order_numerator, prime_context, PrimeContext
 from .eta import (
@@ -36,6 +39,7 @@ from .eta import (
 )
 from .numeric import balanced_samples, check_E_transforms
 from .subgroups import (
+    Cusp,
     SL2Matrix,
     Subgroup,
     cusp_set,
@@ -60,8 +64,7 @@ class CheckResult:
     witness: dict | None = None
 
 
-@dataclass(frozen=True)
-class CuspRow:
+class CuspRow(NamedTuple):
     a: int
     c: int
     width: int
@@ -145,7 +148,7 @@ def _law(prod: EtaProduct, m: SL2Matrix) -> tuple[int, dict, int]:
     return multiplier_turns(prod.exponents, prod.level, m) % (24 * prod.level), exponents, sign
 
 
-def verify_transforms(ctx: PrimeContext) -> CheckResult:
+def verify_transforms(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> CheckResult:
     """Transformation laws of the unit under random small matrices.
 
     Decided exactly, on ints: F_1 goes to psi F_a on Gamma0 and to psi*chi
@@ -157,7 +160,6 @@ def verify_transforms(ctx: PrimeContext) -> CheckResult:
     rng = random.Random(DEFAULT_SEED + ctx.p)
     worst, failed = 0.0, []
     indices = sorted({1, 2, ctx.g % ctx.p})
-    unit, group = _certified_unit(ctx)
     for _ in range(N_RANDOM):
         m0 = random_member(Subgroup.GAMMA0, ctx, rng)
         worst = max(worst, check_E_transforms(indices, ctx.p, m0, balanced_samples(m0)))
@@ -181,7 +183,7 @@ def verify_transforms(ctx: PrimeContext) -> CheckResult:
     )
 
 
-def verify_invariance(ctx: PrimeContext) -> CheckResult:
+def verify_invariance(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> CheckResult:
     """The squared unit is a rational modular function on its curve.
 
     (a) the congruence criterion for descending to the curve (invariance
@@ -190,7 +192,6 @@ def verify_invariance(ctx: PrimeContext) -> CheckResult:
         of E_g (each E_g leads with 1), so the square root genuinely
         enlarges the function field.
     """
-    unit, group = _certified_unit(ctx)
     prod = unit.squared()
     if not is_modular_unit(prod):
         return CheckResult("invariance", "fail", reason="congruence criterion violated")
@@ -204,16 +205,15 @@ def verify_invariance(ctx: PrimeContext) -> CheckResult:
     )
 
 
-def cusp_orders(ctx: PrimeContext) -> tuple[CheckResult, tuple]:
+def cusp_orders(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> tuple[CheckResult, tuple]:
     """Order of the squared unit at every cusp of its curve.
 
     order = width * sum_g e_g * delta_g with delta the leading exponent
     of E_g at the cusp, taken in integers as order_numerator / 12p; it
     must be an odd integer everywhere, equal to 1 whenever p does not
-    divide c, and the orders of a unit sum to zero.  Where p does not
-    divide c, order_numerator is s0 = sum e at every row, taken once.
+    divide c, and the orders of a unit sum to zero.  There order_numerator
+    is s0 = sum e, taken once; rows stay ints, a Cusp names a failing row.
     """
-    unit, group = _certified_unit(ctx)
     prod = unit.squared()
     try:
         table = cusp_set(group, ctx)
@@ -221,19 +221,19 @@ def cusp_orders(ctx: PrimeContext) -> tuple[CheckResult, tuple]:
         return CheckResult("cusp-orders", "fail", reason=str(exc)), ()
     rows, problems = [], []
     s0 = sum(prod.exponents.values())
-    for cusp, width in table:
-        on_fiber = cusp.c % ctx.p == 0
-        numerator = order_numerator(prod.exponents, ctx.p, cusp.a, cusp.c) if on_fiber else s0
+    for a, c, width in table:
+        on_fiber = c % ctx.p == 0
+        numerator = order_numerator(prod.exponents, ctx.p, a, c) if on_fiber else s0
         order, rest = divmod(width * numerator, 12 * ctx.p)
         if rest:
             bad = Fraction(width * numerator, 12 * ctx.p)
-            reason = f"non-integer order {bad} at cusp {cusp} (width/delta bug)"
+            reason = f"non-integer order {bad} at cusp {Cusp(a, c)} (width/delta bug)"
             return CheckResult("cusp-orders", "fail", reason=reason), ()
         if order % 2 == 0:
-            problems.append(f"even order {order} at {cusp}")
+            problems.append(f"even order {order} at {Cusp(a, c)}")
         if not on_fiber and order != 1:
-            problems.append(f"order {order} != 1 at {cusp} with p not dividing c")
-        rows.append(CuspRow(a=cusp.a, c=cusp.c, width=width, order=order))
+            problems.append(f"order {order} != 1 at {Cusp(a, c)} with p not dividing c")
+        rows.append(CuspRow(a, c, width, order))
     if sum(r.order for r in rows) != 0:
         problems.append("orders do not sum to zero")
     if problems:
@@ -331,11 +331,12 @@ def certify(p: int) -> CertReport:
     if p in (2, 3):
         return _small_prime_report(p)
     ctx = prime_context(p)
-    order_check, rows = cusp_orders(ctx)
+    unit, group = _certified_unit(ctx)
+    order_check, rows = cusp_orders(ctx, unit, group)
     checks = (
         verify_shifting(ctx),
-        verify_transforms(ctx),
-        verify_invariance(ctx),
+        verify_transforms(ctx, unit, group),
+        verify_invariance(ctx, unit, group),
         verify_quotient(ctx),
         order_check,
         verify_z_relation(ctx),
@@ -357,9 +358,7 @@ def report_to_dict(report: CertReport) -> dict:
         {f.name: v for f in fields(CheckResult) if (v := getattr(c, f.name)) is not None}
         for c in report.checks
     )
-    out["cusps"] = tuple(
-        {"a": r.a, "c": r.c, "width": r.width, "order": r.order} for r in report.cusps
-    )
+    out["cusps"] = tuple(row._asdict() for row in report.cusps)
     return out
 
 
@@ -373,7 +372,7 @@ def report_to_json(report: CertReport) -> str:
     text = json.dumps(report_to_dict(replace(report, cusps=())), indent=2)
     if not report.cusps:
         return text
-    rows = ",\n".join(_ROW % (r.a, r.c, r.width, r.order) for r in report.cusps)
+    rows = ",\n".join(_ROW % row for row in report.cusps)
     head, _, tail = text.partition('\n  "cusps": []')
     return f'{head}\n  "cusps": [\n{rows}\n  ]{tail}'
 

@@ -31,6 +31,7 @@ from .eta import (
 from .exact import is_prime, prime_context
 from .qseries import PrecisionError
 from .subgroups import (
+    Cusp,
     SL2Matrix,
     Subgroup,
     cusp_set,
@@ -92,10 +93,10 @@ def cmd_character(args) -> int:
 def cmd_cusps(args) -> int:
     ctx = prime_context(_require_prime(args.p))
     group = Subgroup(args.group)
-    table = sorted(cusp_set(group, ctx), key=lambda cw: (cw[0].c, cw[0].a))
-    for cusp, width in table:
-        print(f"{str(cusp):>8}  width {width}")
-    total = sum(w for _, w in table)
+    table = sorted(cusp_set(group, ctx), key=lambda row: (row[1], row[0]))
+    for a, c, width in table:
+        print(f"{str(Cusp(a, c)):>8}  width {width}")
+    total = sum(w for _, _, w in table)
     print(f"{len(table)} cusps of {group.value}({ctx.p}), width sum {total}")
     return 0
 
@@ -135,7 +136,11 @@ def cmd_certify(args) -> int:
             traceback.print_exc()
             r = error_report(q, exc)
         if args.out is not None:
-            (Path(args.out) / f"{r.p}.json").write_text(report_to_json(r) + "\n")
+            path = Path(args.out) / f"{r.p}.json"
+            try:
+                path.write_text(report_to_json(r) + "\n")
+            except OSError as exc:
+                raise ValueError(f"cannot write {path}: {exc}") from exc
         passed += r.overall
         if not args.json:
             verdict = "pass" if r.overall else "FAIL"

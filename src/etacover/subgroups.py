@@ -16,8 +16,9 @@ column (a, c) one way only: d is the inverse of a mod c nearest 0.
 
 Gamma0, Gamma1 and Gamma2 are Gamma_H(p), H the upper-left residues, and
 Gamma2Prime is the sign-twisted kernel inside Gamma2, so cusp tables come
-in closed form (Diamond-Shurman, A First Course in Modular Forms, ch. 3)
-and are certified by their widths summing to the index in PSL(2,Z).
+in closed form (Diamond-Shurman, A First Course in Modular Forms, ch. 3),
+as (a, c, width) ints, certified by their widths summing to the index in
+PSL(2,Z).  A Cusp object serves sections and the equivalence/width scans.
 """
 
 from __future__ import annotations
@@ -365,10 +366,6 @@ class Cusp:
         if self.c == 0 and self.a != 1:
             raise ValueError("infinity is normalized as 1/0")
 
-    @classmethod
-    def infinity(cls) -> "Cusp":
-        return cls(1, 0)
-
     def section(self) -> SL2Matrix:
         """A matrix sending infinity to this cusp (first column a, c)."""
         return _with_first_column(self.a, self.c)
@@ -431,8 +428,8 @@ def cusp_width(x: Cusp, group: Subgroup, ctx: PrimeContext) -> int:
     raise ArithmeticError(f"no width <= {2 * ctx.p} at cusp {x}")
 
 
-def cusp_set(group: Subgroup, ctx: PrimeContext) -> list[tuple[Cusp, int]]:
-    """Inequivalent cusps with widths, from the closed form for Gamma_H(p).
+def cusp_set(group: Subgroup, ctx: PrimeContext) -> list[tuple[int, int, int]]:
+    """Inequivalent cusps a/c with widths, as (a, c, width), closed form for Gamma_H(p).
 
     Let H be the group's upper-left residues: all of (Z/p)^* for Gamma0,
     {1} for Gamma1, <g^k> for Gamma2 and Gamma2Prime.  With r_1 = 1 <
@@ -451,10 +448,8 @@ def cusp_set(group: Subgroup, ctx: PrimeContext) -> list[tuple[Cusp, int]]:
     logs = _orbit_table(p, ctx.g)[1]
     reps = sorted({logs[r] % m: r for r in range(p - 1, 0, -1)}.values())
     scale = 2 if group is Subgroup.GAMMA2_PRIME else 1
-    table = [(Cusp.infinity(), scale)]
-    table += [(Cusp(r, p), scale) for r in reps[1:]]
-    table += [(Cusp(1, r), scale * p) for r in reps]
-    total = sum(w for _, w in table)
+    table = [(1, 0, scale)] + [(r, p, scale) for r in reps[1:]] + [(1, r, scale * p) for r in reps]
+    total = sum(w for _, _, w in table)
     target = psl_index(group, ctx)
     if total != target:
         raise ArithmeticError(

@@ -173,7 +173,7 @@ def smallest_triplet(p: int):
 
 def _cusp_candidates(p: int):
     """Candidates covering every class: infinity, a/p, 1/c, then CRT lifts."""
-    yield Cusp.infinity()
+    yield Cusp(1, 0)
     for a in range(1, p):
         yield Cusp(a, p)
     for c in range(1, p + 1):

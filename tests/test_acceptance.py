@@ -7,7 +7,13 @@ verdicts are visible in any pytest run, then asserts.
 import random
 from math import gcd
 
-from etacover.certify import certify, cusp_orders, verify_shifting, verify_z_relation
+from etacover.certify import (
+    _certified_unit,
+    certify,
+    cusp_orders,
+    verify_shifting,
+    verify_z_relation,
+)
 from etacover.eta import (
     eta_quotient_series,
     expand_product,
@@ -88,7 +94,8 @@ def test_criterion_3_odd_cusp_orders(capsys):
     bad = []
     rows_seen = 0
     for p in PRIMES_5_100:
-        check, rows = cusp_orders(prime_context(p))
+        ctx = prime_context(p)
+        check, rows = cusp_orders(ctx, *_certified_unit(ctx))
         if check.status != "pass":
             bad.append((p, check.reason))
             continue
@@ -154,7 +161,7 @@ def test_criterion_6_G_branch(capsys):
         for _ in range(10):
             m = random_member(Subgroup.GAMMA1, ctx, rng)
             worst = max(worst, check_G_transform(p, trip, m, balanced_samples(m)))
-        check, rows = cusp_orders(ctx)
+        check, rows = cusp_orders(ctx, *_certified_unit(ctx))
         if check.status != "pass" or any(r.order % 2 == 0 for r in rows):
             problems.append((p, "cusp orders"))
     ok = not problems and worst < 1e-8

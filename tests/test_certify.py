@@ -194,7 +194,7 @@ def test_shifting_and_invariance_expand_no_series(monkeypatch):
     monkeypatch.setattr(QSeries, "__mul__", refuse)
     ctx = prime_context(13)
     assert verify_shifting(ctx).status == "pass"
-    assert verify_invariance(ctx).status == "pass"
+    assert verify_invariance(ctx, *_certified_unit(ctx)).status == "pass"
     for p in (5, 7, 11, 13, 17, 101):
         assert certify(p).overall, p
 
@@ -204,8 +204,9 @@ def test_formal_order_at_infinity_matches_expansion():
         if not is_prime(p):
             continue
         ctx = prime_context(p)
-        prod = _certified_unit(ctx)[0].squared()
-        witness = verify_invariance(ctx).witness
+        unit, group = _certified_unit(ctx)
+        witness = verify_invariance(ctx, unit, group).witness
+        prod = unit.squared()
         assert witness["order_at_infinity"] == str(expand_product(prod, 1).leading()[0]), p
 
 
@@ -225,7 +226,8 @@ def test_transforms_pass_where_the_moebius_quotient_cancelled():
     # (a tau + b)/(c tau + d) lost digits near -d/c, and the E_g residual
     # crossed tol at 670 of the primes 5..10000, the first being 2347
     for p in (2347, 3119, 6101):
-        res = verify_transforms(prime_context(p))
+        ctx = prime_context(p)
+        res = verify_transforms(ctx, *_certified_unit(ctx))
         assert res.status == "pass", (p, res.reason)
 
 
@@ -233,14 +235,16 @@ def test_transforms_pass_where_the_moebius_quotient_cancelled():
 def test_transforms_residual_stays_small_at_large_primes(p):
     # a fifth of the draws are translations, where E_1 at height 1
     # underflows from p = 1433; the residual still compares real values
-    res = verify_transforms(prime_context(p))
+    ctx = prime_context(p)
+    res = verify_transforms(ctx, *_certified_unit(ctx))
     assert res.status == "pass" and res.witness["max_residual"] < 1e-10, (p, res.witness)
 
 
 def test_negated_psi_fails_the_exact_law(monkeypatch):
     monkeypatch.setattr("etacover.certify.sign_character", lambda m: -sign_character(m))
     for p in (13, 11):  # the F law, and the G law
-        res = verify_transforms(prime_context(p))
+        ctx = prime_context(p)
+        res = verify_transforms(ctx, *_certified_unit(ctx))
         assert res.status == "fail", p
         assert "law fails exactly" in res.reason, p
 
@@ -306,7 +310,8 @@ def test_law_mutations_fail_below_200(monkeypatch, name):
         module = etacover.subgroups if func == "multiplier_turns" else etacover.certify
         monkeypatch.setattr(etacover.certify, func, source_mutant(module, func, old, new))
     for p in filter(is_prime, range(5, 200)):
-        res = verify_transforms(prime_context(p))
+        ctx = prime_context(p)
+        res = verify_transforms(ctx, *_certified_unit(ctx))
         if res.status == "fail":
             assert "law fails exactly" in res.reason, (name, p)
             return
@@ -325,11 +330,12 @@ def test_draws_build_no_eta_product(monkeypatch):
 
     monkeypatch.setattr(EtaProduct, "from_factors", classmethod(counting))
     for p in (11, 13, 19, 101):
-        per_run = []
+        ctx, per_run = prime_context(p), []
+        unit, group = _certified_unit(ctx)
         for n in (1, 20):
             monkeypatch.setattr("etacover.certify.N_RANDOM", n)
             calls.clear()
-            assert verify_transforms(prime_context(p)).status == "pass", (p, n)
+            assert verify_transforms(ctx, unit, group).status == "pass", (p, n)
             per_run.append(len(calls))
         assert per_run[0] == per_run[1], (p, per_run)
 
@@ -393,8 +399,9 @@ def test_integer_cusp_orders_match_reference():
     # (g, d, a*g mod d), as 12p times the value, which must be an integer
     for p in filter(is_prime, range(5, 2000)):
         ctx = prime_context(p)
-        prod = _certified_unit(ctx)[0].squared()
-        check, rows = cusp_orders(ctx)
+        unit, group = _certified_unit(ctx)
+        prod = unit.squared()
+        check, rows = cusp_orders(ctx, unit, group)
         assert check.status == "pass" and rows, p
         lead = {}
         for row in rows:
@@ -412,12 +419,91 @@ def test_integer_cusp_orders_match_reference():
 
 
 def test_cusp_orders_build_no_section(monkeypatch):
+    # the cusp table stays (a, c, width) ints from cusp_set to the report:
+    # a passing run builds no Cusp, let alone a section matrix
     def refuse(self):
-        raise AssertionError("Cusp.section called")
+        raise AssertionError("a Cusp was built or its section taken")
 
     monkeypatch.setattr(Cusp, "section", refuse)
+    monkeypatch.setattr(Cusp, "__post_init__", refuse)
     for p in (5, 7, 11, 13, 101, 1009):
-        assert cusp_orders(prime_context(p))[0].status == "pass", p
+        ctx = prime_context(p)
+        assert cusp_orders(ctx, *_certified_unit(ctx))[0].status == "pass", p
+    for p in (5, 11, 13, 101, 1009, 10007):
+        assert certify(p).overall, p
+
+
+@pytest.mark.parametrize("p, scans", [(11, 1), (13, 0), (10007, 1)])
+def test_certify_derives_the_unit_once(monkeypatch, p, scans):
+    # certify derives the unit once and passes it to the three checks that
+    # read it; on the G branch (p == 11 mod 12) that is one triplet scan
+    calls = {"_certified_unit": 0, "find_triplet": 0}
+    for name in calls:
+        original = getattr(etacover.certify, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(etacover.certify, name, counting)
+    assert certify(p).overall
+    assert calls == {"_certified_unit": 1, "find_triplet": scans}
+
+
+def cusp_orders_check(p):
+    return next(c for c in certify(p).checks if c.name == "cusp-orders")
+
+
+def mutate_order_numerator(monkeypatch, at, change):
+    """order_numerator(e, N, a, c) replaced by change(N, value) at the rows where at(N, c)."""
+    original = etacover.certify.order_numerator
+
+    def mutant(exponents, N, a, c):
+        value = original(exponents, N, a, c)
+        return change(N, value) if at(N, c) else value
+
+    monkeypatch.setattr(etacover.certify, "order_numerator", mutant)
+
+
+NUMERATOR_MUTANTS = {
+    "even order at inf": (13, lambda N, c: c == 0, lambda N, v: 24 * N,
+                          "even order 2 at inf; orders do not sum to zero"),
+    "even order at r/p": (11, lambda N, c: c == N, lambda N, v: 24 * N,
+                          "even order 2 at 2/11; even order 2 at 3/11; even order 2 at 4/11; "
+                          "even order 2 at 5/11; orders do not sum to zero"),
+    "non-integer order": (13, lambda N, c: c == 0, lambda N, v: v + 1,
+                          "non-integer order -155/156 at cusp inf (width/delta bug)"),
+    "orders sum to 2": (17, lambda N, c: c == 0, lambda N, v: v + 24 * N,
+                        "orders do not sum to zero"),
+}
+
+
+@pytest.mark.parametrize("name", NUMERATOR_MUTANTS)
+def test_cusp_orders_fail_on_a_wrong_order(monkeypatch, name):
+    # each failure names its row as Cusp.__str__ does: inf, r/p, 1/r
+    p, at, change, reason = NUMERATOR_MUTANTS[name]
+    mutate_order_numerator(monkeypatch, at, change)
+    check = cusp_orders_check(p)
+    assert (check.status, check.reason) == ("fail", reason)
+
+
+def test_cusp_orders_fail_on_a_wrong_sum_of_exponents(monkeypatch):
+    # the unit times (eta(tau)/eta(p tau))^2: sum e grows by p - 1, so the
+    # order off the p | c fiber, read off sum e, is no longer 1
+    certified_unit = etacover.certify._certified_unit
+
+    def times_eta_quotient(ctx):
+        unit, group = certified_unit(ctx)
+        extra = [(r, 2) for r in range(1, (ctx.p + 1) // 2)]
+        factors = [*unit.exponents.items(), *extra]
+        return EtaProduct.from_factors(ctx.p, factors, unit.label, unit.sign), group
+
+    monkeypatch.setattr(etacover.certify, "_certified_unit", times_eta_quotient)
+    check = cusp_orders_check(13)
+    assert (check.status, check.reason) == ("fail", "order 3 != 1 at 1/1 with p not dividing c")
+    check = cusp_orders_check(37)
+    reasons = [f"order 7 != 1 at 1/{r} with p not dividing c" for r in (1, 2, 3)]
+    assert (check.status, check.reason) == ("fail", "; ".join(reasons))
 
 
 def test_wrong_quotient_character_fails(monkeypatch):
@@ -437,7 +523,8 @@ def test_wrong_quotient_character_fails(monkeypatch):
 
 
 def test_cusp_orders_direct():
-    check, rows = cusp_orders(prime_context(7))
+    ctx = prime_context(7)
+    check, rows = cusp_orders(ctx, *_certified_unit(ctx))
     assert check.status == "pass"
     assert check.witness["ramification_index"] == 2
     assert all(r.order % 2 == 1 for r in rows)
@@ -447,7 +534,8 @@ def test_cusp_orders_direct():
 
 def test_unreachable_tolerance_fails_loudly(monkeypatch):
     force_residual(monkeypatch)
-    r = verify_transforms(prime_context(5))
+    ctx = prime_context(5)
+    r = verify_transforms(ctx, *_certified_unit(ctx))
     assert r.status == "fail"
     assert "max residual" in r.reason
     report = certify(5)
@@ -467,7 +555,7 @@ def test_one_residual_call_per_draw(monkeypatch):
     for p in (5, 11, 13, 101, 1009):
         ctx = prime_context(p)
         calls.clear()
-        assert verify_transforms(ctx).status == "pass"
+        assert verify_transforms(ctx, *_certified_unit(ctx)).status == "pass"
         assert calls == [tuple(sorted({1, 2, ctx.g % p}))] * N_RANDOM
 
 

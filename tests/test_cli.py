@@ -253,6 +253,19 @@ def test_certify_out_must_be_a_directory(capsys, tmp_path, monkeypatch):
     assert blocker.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("argv", [["--p", "7"], ["--range", "5..11"]], ids=["p", "range"])
+def test_certify_unwritable_report_exits_2(capsys, tmp_path, argv):
+    # a directory where the report of 7 should go: the write fails, the
+    # run stops with exit 2 and a one-line error, and earlier lines stay
+    (tmp_path / "7.json").mkdir()
+    code, stdout, err = run(capsys, "certify", *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {tmp_path / '7.json'}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert stdout == ("p=5 branch=F-chi degree=2 overall=pass\n" if argv[0] == "--range" else "")
+    assert (tmp_path / "7.json").is_dir()
+
+
 def test_certify_argument_validation(capsys):
     code, _, err = run(capsys, "certify", "--p", "4")
     assert code == 2 and "not prime" in err

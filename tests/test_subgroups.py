@@ -473,7 +473,7 @@ def test_quotient_structure_lifts_no_residue_classes(monkeypatch):
 
 
 def test_cusp_basics():
-    inf = Cusp.infinity()
+    inf = Cusp(1, 0)
     assert (inf.a, inf.c) == (1, 0)
     assert str(inf) == "inf"
     assert str(Cusp(2, 11)) == "2/11"
@@ -488,14 +488,14 @@ def test_cusp_equivalence_on_gamma0():
     ctx = prime_context(5)
     # all nonzero rationals with denominator prime to 5 collapse to 0
     assert cusps_equivalent(Cusp(0, 1), Cusp(1, 2), Subgroup.GAMMA0, ctx)
-    assert cusps_equivalent(Cusp(1, 5), Cusp.infinity(), Subgroup.GAMMA0, ctx)
-    assert not cusps_equivalent(Cusp(0, 1), Cusp.infinity(), Subgroup.GAMMA0, ctx)
+    assert cusps_equivalent(Cusp(1, 5), Cusp(1, 0), Subgroup.GAMMA0, ctx)
+    assert not cusps_equivalent(Cusp(0, 1), Cusp(1, 0), Subgroup.GAMMA0, ctx)
 
 
 def test_cusp_widths_on_gamma0():
     for p in (5, 11, 13):
         ctx = prime_context(p)
-        assert cusp_width(Cusp.infinity(), Subgroup.GAMMA0, ctx) == 1
+        assert cusp_width(Cusp(1, 0), Subgroup.GAMMA0, ctx) == 1
         assert cusp_width(Cusp(0, 1), Subgroup.GAMMA0, ctx) == p
 
 
@@ -513,11 +513,11 @@ def test_psl_index_values():
 
 def test_cusp_set_gamma0():
     ctx = prime_context(5)
-    table = dict(cusp_set(Subgroup.GAMMA0, ctx))
+    table = cusp_set(Subgroup.GAMMA0, ctx)
     assert len(table) == 2
-    assert table[Cusp.infinity()] == 1
+    assert (1, 0, 1) in table
     # the zero class is represented by 1/1 = T(0)
-    assert table[Cusp(1, 1)] == 5
+    assert (1, 1, 5) in table
     assert cusps_equivalent(Cusp(1, 1), Cusp(0, 1), Subgroup.GAMMA0, ctx)
 
 
@@ -528,9 +528,9 @@ def test_cusp_set_width_sums():
         ctx = prime_context(p)
         for group in Subgroup:
             table = cusp_set(group, ctx)
-            assert sum(w for _, w in table) == psl_index(group, ctx), (p, group)
-            for (x, _), (y, _) in zip(table, table[1:]):
-                assert not cusps_equivalent(x, y, group, ctx)
+            assert sum(w for _, _, w in table) == psl_index(group, ctx), (p, group)
+            for (a, c, _), (b, d, _) in zip(table, table[1:]):
+                assert not cusps_equivalent(Cusp(a, c), Cusp(b, d), group, ctx)
 
 
 def test_cusp_set_gamma2_count():
@@ -544,16 +544,18 @@ def test_gamma1_cusp_count():
     ctx = prime_context(11)
     table = cusp_set(Subgroup.GAMMA1, ctx)
     assert len(table) == 10
-    widths = sorted(w for _, w in table)
+    widths = sorted(w for _, _, w in table)
     assert widths == [1, 1, 1, 1, 1, 11, 11, 11, 11, 11]
 
 
 def test_cusp_set_matches_scan():
-    # the closed form against the scan, as ordered lists of (cusp, width)
+    # the closed form against the scan, as ordered lists of (a, c, width);
+    # every row of the scan is a validated Cusp
     for p in filter(is_prime, range(5, 60)):
         ctx = prime_context(p)
         for group in Subgroup:
-            assert cusp_set(group, ctx) == scan_cusp_set(group, ctx), (p, group)
+            want = [(x.a, x.c, w) for x, w in scan_cusp_set(group, ctx)]
+            assert cusp_set(group, ctx) == want, (p, group)
 
 
 def test_cusp_set_matches_coset_sweep():
@@ -564,7 +566,7 @@ def test_cusp_set_matches_coset_sweep():
         for group in Subgroup:
             reps = coset_sweep(group, ctx)
             want = [(1, 0)] + [(r, p) for r in reps[1:]] + [(1, r) for r in reps]
-            got = [(cusp.a, cusp.c) for cusp, _ in cusp_set(group, ctx)]
+            got = [(a, c) for a, c, _ in cusp_set(group, ctx)]
             assert got == want, (p, group)
 
 
@@ -580,4 +582,4 @@ def test_cusp_set_large_prime():
     for group, count in counts.items():
         table = cusp_set(group, ctx)
         assert len(table) == count, group
-        assert sum(w for _, w in table) == psl_index(group, ctx), group
+        assert sum(w for _, _, w in table) == psl_index(group, ctx), group
