@@ -16,6 +16,7 @@ import os
 import sys
 import traceback
 from functools import cache
+from math import gcd
 from pathlib import Path
 
 from .certify import certify, error_report, report_to_json, verify_z_relation
@@ -83,7 +84,9 @@ def cmd_character(args) -> int:
     if args.which == "psi":
         print(sign_character(m))
     elif args.which == "epsilon":
-        print(epsilon_factor(m.a, m.b, m.c, m.d))
+        t = epsilon_factor(m.a, m.b, m.c, m.d)  # twelfths of a turn
+        n = gcd(t, 12)
+        print({0: "1", 6: "-1"}.get(t, f"e^(2*pi*i*{t // n}/{12 // n})"))
     else:  # chi
         ctx = prime_context(_require_prime(args.p))
         print(quadratic_character(m, ctx))
@@ -135,10 +138,11 @@ def cmd_certify(args) -> int:
         except Exception as exc:  # one failing prime must not lose the run
             traceback.print_exc()
             r = error_report(q, exc)
+        text = report_to_json(r) if args.json or args.out is not None else ""  # one text per prime
         if args.out is not None:
             path = Path(args.out) / f"{r.p}.json"
             try:
-                path.write_text(report_to_json(r) + "\n")
+                path.write_text(text + "\n")
             except OSError as exc:
                 raise ValueError(f"cannot write {path}: {exc}") from exc
         passed += r.overall
@@ -146,10 +150,10 @@ def cmd_certify(args) -> int:
             verdict = "pass" if r.overall else "FAIL"
             print(f"p={r.p} branch={r.branch} degree={r.degree} overall={verdict}", flush=True)
         elif args.p is not None:
-            print(report_to_json(r))
+            print(text)
         else:
             # json.dumps(reports, indent=2) byte for byte, one report at a time
-            item = report_to_json(r).replace("\n", "\n  ")
+            item = text.replace("\n", "\n  ")
             print(f"{opening}  {item}", end="", flush=True)
             opening = ",\n"
     if not args.json:

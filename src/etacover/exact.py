@@ -1,14 +1,12 @@
-"""Exact helpers: leading exponents of E_g at cusps, primitive roots, roots of unity.
+"""Exact helpers: leading exponents of E_g at cusps, primitive roots, prime contexts.
 
-Everything in here is plain integer arithmetic; only RootOfUnity.value
-returns a float.
+Everything in here is plain integer arithmetic.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 
 def order_numerator(exponents: dict, level: int, a: int, c: int) -> int:
@@ -103,57 +101,3 @@ def prime_context(p: int) -> PrimeContext:
     d = gcd(p - 1, 12)
     return PrimeContext(p=p, g=g, k=(p - 1) // d, ell=d // 2)
 
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """e^(2*pi*i*exponent/order), stored with the minimal order.
-
-    Construction normalizes: exponent reduced mod order, then the pair
-    divided by its gcd, so equality of values is equality of fields.
-    """
-
-    order: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.order <= 0:
-            raise ValueError("order must be positive")
-        e = self.exponent % self.order
-        g = gcd(e, self.order)
-        object.__setattr__(self, "order", self.order // g)
-        object.__setattr__(self, "exponent", e // g)
-
-    @classmethod
-    def one(cls) -> "RootOfUnity":
-        return cls(1, 0)
-
-    @classmethod
-    def minus_one(cls) -> "RootOfUnity":
-        return cls(2, 1)
-
-    @classmethod
-    def from_sign(cls, s: int) -> "RootOfUnity":
-        if s not in (1, -1):
-            raise ValueError(f"sign must be 1 or -1, not {s}")
-        return cls.one() if s == 1 else cls.minus_one()
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        m = lcm(self.order, other.order)
-        e = self.exponent * (m // self.order) + other.exponent * (m // other.order)
-        return RootOfUnity(m, e)
-
-    def __pow__(self, n: int) -> "RootOfUnity":
-        return RootOfUnity(self.order, self.exponent * n)
-
-    def is_one(self) -> bool:
-        return self.order == 1
-
-    def value(self) -> complex:
-        return cmath.exp(2j * cmath.pi * self.exponent / self.order)
-
-    def __str__(self) -> str:
-        if self.order == 1:
-            return "1"
-        if self.order == 2:
-            return "-1"
-        return f"e^(2*pi*i*{self.exponent}/{self.order})"

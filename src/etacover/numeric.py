@@ -11,7 +11,8 @@ exponent exact.order_numerator at 1/0 over 12N: ``_value`` takes q^L
 once and multiplies in each factor's unit part from running powers of q
 (``_times_unit``, the one truncated-product loop).  Every law
 lhs(gamma tau) = factor * rhs(tau) goes through ``_residual``; the
-check functions only build laws.
+check functions only build laws.  E_g's factor is eta_multiplier's int t
+mod 24N, taken as e^(2*pi*i*e/o) with e/o = t/(24N) in lowest terms.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from math import ceil, pi
+from math import ceil, gcd, pi
 
 from .exact import PrimeContext, order_numerator
 from .eta import EtaProduct, orbit_product, reduce_index, triplet_product
@@ -204,9 +205,11 @@ def check_E_transforms(indices, level: int, gamma: SL2Matrix, samples=DEFAULT_SA
     laws = []
     for g in indices:
         lhs = _eta_form(g, level)
-        mult, new_index = eta_multiplier(g, level, gamma)
+        t, new_index = eta_multiplier(g, level, gamma)
         r, sign = reduce_index(new_index, level)
-        laws.append((lhs, mult.value() * sign, _eta_form(r, level)))
+        n = gcd(t, 24 * level)
+        mult = cmath.exp(2j * pi * (t // n) / (24 * level // n))
+        laws.append((lhs, mult * sign, _eta_form(r, level)))
     return _residual(laws, level, gamma, samples)
 
 

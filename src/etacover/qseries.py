@@ -53,9 +53,6 @@ class QSeries:
 
     # -- basic queries -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def leading(self) -> tuple[Fraction, int]:
         """(exponent, coefficient) of the lowest stored term."""
         if not self.coeffs:
@@ -87,20 +84,6 @@ class QSeries:
         return QSeries(d, {n + step: c for n, c in s.coeffs.items()}, s.trunc + e)
 
     # -- arithmetic --------------------------------------------------------
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.denom, {n: -c for n, c in self.coeffs.items()}, self.trunc)
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        d = lcm(self.denom, other.denom)
-        a, b = self.rescale(d), other.rescale(d)
-        out = dict(a.coeffs)
-        for n, c in b.coeffs.items():
-            out[n] = out.get(n, 0) + c
-        return QSeries(d, out, min(a.trunc, b.trunc))
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
 
     def scale(self, coeff: int) -> "QSeries":
         return QSeries(self.denom, {n: coeff * c for n, c in self.coeffs.items()}, self.trunc)

@@ -19,6 +19,9 @@ Gamma2Prime is the sign-twisted kernel inside Gamma2, so cusp tables come
 in closed form (Diamond-Shurman, A First Course in Modular Forms, ch. 3),
 as (a, c, width) ints, certified by their widths summing to the index in
 PSL(2,Z).  A Cusp object serves sections and the equivalence/width scans.
+
+Characters and multipliers are ints t, the root e^(2*pi*i*t/M) for the
+modulus M their docstrings name (12, 24N, 2k or 4k); roots add.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exact import PrimeContext, RootOfUnity, order_numerator
+from .exact import PrimeContext, order_numerator
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,8 @@ def quadratic_character(m: SL2Matrix, ctx: PrimeContext) -> int:
     return 1 if n % 2 == 0 else -1
 
 
-def epsilon_factor(a: int, b: int, c: int, d: int) -> RootOfUnity:
-    """Multiplier of eta^2 under (a,b;c,d), a 12th root.
+def epsilon_factor(a: int, b: int, c: int, d: int) -> int:
+    """Multiplier of eta^2 under (a,b;c,d), in twelfths of a turn mod 12.
 
     eta(m tau)^2 = epsilon * (c tau + d) * eta(tau)^2, so epsilon is the
     square of the classical eta multiplier.  Two published branches: for
@@ -159,22 +162,17 @@ def epsilon_factor(a: int, b: int, c: int, d: int) -> RootOfUnity:
     """
     if a * d - b * c != 1:
         raise ValueError(f"determinant of ({a},{b},{c},{d}) is not 1")
-    return RootOfUnity(12, _epsilon_twelfths(a, b, c, d))
-
-
-def _epsilon_twelfths(a: int, b: int, c: int, d: int) -> int:
-    """The exponent of epsilon_factor in twelfths of a turn, unreduced."""
     if c % 2:
-        return b * d * (1 - c * c) + c * (a + d - 3)
+        return (b * d * (1 - c * c) + c * (a + d - 3)) % 12
     if d % 2:
-        return a * c * (1 - d * d) + d * (b - c + 3) + 9
+        return (a * c * (1 - d * d) + d * (b - c + 3) + 9) % 12
     raise ValueError("c and d cannot both be even in SL(2,Z)")
 
 
 def multiplier_turns(exponents: dict, level: int, m: SL2Matrix) -> int:
     """t with prod E_g^e(m tau) = e^(2*pi*i*t/(24*level)) * prod E_(a*g)^e(tau), m in Gamma0(level).
 
-    t is unreduced, so multipliers compose by adding.  Translations (c = 0,
+    t is not reduced mod 24N, so multipliers compose by adding.  Translations (c = 0,
     diagonal made +1) give E_g e^(pi*i*b*N*B(g/N)) and keep g: t = 2b
     times order_numerator at 1/0.  Otherwise E_g gets epsilon(a, b*N, c/N, d)
     * e^(pi*i*(g^2 a b/N - g b)): t = 2N*eps12*sum e + 12b(a*sum e g^2 - N*sum e g).
@@ -189,15 +187,14 @@ def multiplier_turns(exponents: dict, level: int, m: SL2Matrix) -> int:
     s0 = s1 = s2 = 0
     for g, e in exponents.items():
         s0, s1, s2 = s0 + e, s1 + e * g, s2 + e * g * g
-    eps12 = _epsilon_twelfths(m.a, m.b * level, m.c // level, m.d)
+    eps12 = epsilon_factor(m.a, m.b * level, m.c // level, m.d)
     return 2 * level * eps12 * s0 + 12 * m.b * (m.a * s2 - level * s1)
 
 
-def eta_multiplier(g: int, level: int, m: SL2Matrix) -> tuple[RootOfUnity, int]:
-    """(e^(2*pi*i*t/(24*level)), new index) with E_g(m tau) = root * E_newindex(tau):
-    t = multiplier_turns({g: 1}), the index g under a translation, else a*g unreduced."""
-    t = multiplier_turns({g: 1}, level, m)
-    return RootOfUnity(24 * level, t), g if m.c == 0 else m.a * g
+def eta_multiplier(g: int, level: int, m: SL2Matrix) -> tuple[int, int]:
+    """(t mod 24*level, new index) with E_g(m tau) = e^(2*pi*i*t/(24*level)) * E_newindex(tau):
+    t from multiplier_turns({g: 1}), the index g under a translation, else a*g unreduced."""
+    return multiplier_turns({g: 1}, level, m) % (24 * level), g if m.c == 0 else m.a * g
 
 
 # -- membership ------------------------------------------------------------
@@ -293,19 +290,17 @@ def _second_column(a: int, c: int) -> tuple[int, int]:
 # -- the character cutting out Gamma2Prime ---------------------------------
 
 
-def quotient_character(ctx: PrimeContext, m: SL2Matrix) -> RootOfUnity:
-    """Character of Gamma0(p) with kernel exactly Gamma2Prime(p).
+def quotient_character(ctx: PrimeContext, m: SL2Matrix) -> int:
+    """Character of Gamma0(p) with kernel exactly Gamma2Prime(p), as t mod M.
 
-    For a == g^n mod p the value is zeta^n * psi(m) where zeta has order
-    k (ell odd) or 2k (ell even).  Its image has order 2k = p-1 / ell,
-    which is the degree of the certified covering.
+    For a == g^n mod p the value e^(2*pi*i*t/M) is zeta^n * psi(m): zeta has
+    order M/2, k (ell odd) or 2k (ell even), and psi = -1 is M/2 turns.  Its
+    image has order 2k = p-1 / ell, the degree of the certified covering.
     """
     if m.c % ctx.p:
         raise ValueError(f"{m.entries()} is not in Gamma0({ctx.p})")
-    n = dlog(ctx, m.a)
-    order = ctx.k if ctx.ell % 2 else 2 * ctx.k
-    zeta = RootOfUnity(order, n % order)
-    return zeta * RootOfUnity.from_sign(sign_character(m))
+    half = ctx.k if ctx.ell % 2 else 2 * ctx.k
+    return (2 * dlog(ctx, m.a) + (0 if sign_character(m) == 1 else half)) % (2 * half)
 
 
 @dataclass(frozen=True)
@@ -339,12 +334,13 @@ def quotient_structure(ctx: PrimeContext) -> QuotientStructure:
     t = SL2Matrix.translation(1)
     generators = (lift_with_upper_left(ctx.g, p), t)
     top = gamma2_generator(ctx)
+    big = 2 * (ctx.k if ctx.ell % 2 else 2 * ctx.k)  # quotient_character's M
     return QuotientStructure(
         index_gamma0_gamma2=(p - 1) // len(residues),
         curve_index_gamma2_gamma1=len({min(a, p - a) for a in residues}),
-        character_order=lcm(*(quotient_character(ctx, m).order for m in generators)),
+        character_order=lcm(*(big // gcd(quotient_character(ctx, m), big) for m in generators)),
         kernel_matches=all(
-            quotient_character(ctx, m).is_one() == is_member(m, Subgroup.GAMMA2_PRIME, ctx)
+            (quotient_character(ctx, m) == 0) == is_member(m, Subgroup.GAMMA2_PRIME, ctx)
             for m in (SL2Matrix.identity(), t, top, top * t)
         ),
     )

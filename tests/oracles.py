@@ -12,6 +12,10 @@ that rademacher_eta_squared_multiplier checks, but composes the phase
 in Fractions of a half turn.  transform_product reuses the one-index
 eta_multiplier and EtaProduct.from_factors, and composes a product's law
 factor by factor, where certify sums the whole product at once.
+
+A root of unity e^(2*pi*i*x) is the Fraction x mod 1 here, its turns in
+[0, 1): roots compose by adding turns, and the package's int roots t
+over a modulus M compare as turns(t, M).
 """
 
 import cmath
@@ -22,7 +26,6 @@ from itertools import product
 from math import ceil, gcd, lcm, pi
 
 from etacover.eta import EtaProduct
-from etacover.exact import RootOfUnity
 from etacover.subgroups import (
     Cusp,
     QuotientStructure,
@@ -289,8 +292,8 @@ def enumerate_quotient_structure(ctx) -> QuotientStructure:
         base = lift_with_upper_left(a, p)
         for m in (base, base * t):
             lam = quotient_character(ctx, m)
-            orders.append(lam.order)
-            if lam.is_one() != is_member(m, Subgroup.GAMMA2_PRIME, ctx):
+            orders.append(turns(lam, character_modulus(ctx)).denominator)
+            if (lam == 0) != is_member(m, Subgroup.GAMMA2_PRIME, ctx):
                 kernel_ok = False
     return QuotientStructure(
         index_gamma0_gamma2=(p - 1) // in_g2,
@@ -300,10 +303,20 @@ def enumerate_quotient_structure(ctx) -> QuotientStructure:
     )
 
 
-def from_half_turns(r) -> RootOfUnity:
-    """The root of unity e^(pi*i*r) for rational r."""
-    t = Fraction(r) / 2
-    return RootOfUnity(t.denominator, t.numerator)
+def character_modulus(ctx) -> int:
+    """M with quotient_character(ctx, m) = t for the value e^(2*pi*i*t/M):
+    zeta has order k (ell odd) or 2k (ell even), M is twice that."""
+    return 2 * (ctx.k if ctx.ell % 2 else 2 * ctx.k)
+
+
+def turns(t: int, modulus: int) -> Fraction:
+    """The root e^(2*pi*i*t/modulus) as turns in [0, 1)."""
+    return Fraction(t, modulus) % 1
+
+
+def from_half_turns(r) -> Fraction:
+    """The root e^(pi*i*r) for rational r, as turns in [0, 1)."""
+    return Fraction(r) / 2 % 1
 
 
 @lru_cache(maxsize=None)
@@ -318,8 +331,8 @@ def dedekind_sum(d: int, c: int) -> Fraction:
     return Fraction(total, 4 * c * c)
 
 
-def rademacher_eta_squared_multiplier(a: int, b: int, c: int, d: int) -> RootOfUnity:
-    """eps with eta(m tau)^2 = eps * (c tau + d) * eta(tau)^2, from Dedekind sums.
+def rademacher_eta_squared_multiplier(a: int, b: int, c: int, d: int) -> Fraction:
+    """eps with eta(m tau)^2 = eps * (c tau + d) * eta(tau)^2 in turns, from Dedekind sums.
 
     For c > 0, Rademacher: eta(m tau) = e^(pi*i*r) (c tau + d)^(1/2) eta(tau)
     with r = (a+d)/(12c) - s(d, c) - 1/4, so eps = e^(2*pi*i*r).  -m acts
@@ -330,7 +343,7 @@ def rademacher_eta_squared_multiplier(a: int, b: int, c: int, d: int) -> RootOfU
     if a * d - b * c != 1:
         raise ValueError(f"determinant of ({a},{b},{c},{d}) is not 1")
     if c < 0:
-        return rademacher_eta_squared_multiplier(-a, -b, -c, -d) * RootOfUnity.minus_one()
+        return (rademacher_eta_squared_multiplier(-a, -b, -c, -d) + Fraction(1, 2)) % 1
     if c == 0:
         return from_half_turns(Fraction(b * d, 6) + (1 - d) // 2)
     r = Fraction(a + d, 12 * c) - dedekind_sum(d % c, c) - Fraction(1, 4)
@@ -352,8 +365,8 @@ def eta_half_turns(a: int, b: int, c: int, d: int) -> Fraction:
     return Fraction(a + d, 12 * c) - dedekind_sum(d % c, c) - Fraction(1, 4)
 
 
-def eta_quotient_multiplier(m: SL2Matrix, p: int) -> RootOfUnity:
-    """The multiplier of eta(tau)/eta(p tau) under m in Gamma0(p).
+def eta_quotient_multiplier(m: SL2Matrix, p: int) -> Fraction:
+    """The multiplier of eta(tau)/eta(p tau) under m in Gamma0(p), in turns.
 
     p*(m tau) = m'(p tau) with m' = (a, pb; c/p, d), and c tau + d is
     (c/p)(p tau) + d, so the square roots cancel and the multiplier is
@@ -364,15 +377,16 @@ def eta_quotient_multiplier(m: SL2Matrix, p: int) -> RootOfUnity:
 
 
 def reduced_law(g: int, level: int, m: SL2Matrix, multiplier) -> tuple:
-    """(root, r) with E_g(m tau) = root * E_r(tau), 1 <= r <= level/2.
+    """(x, r) with E_g(m tau) = e^(2*pi*i*x) * E_r(tau), 1 <= r <= level/2, x in turns.
 
-    multiplier(g, level, m) gives (root, unreduced new index), as
-    eta_multiplier does; the new index is reduced here by E_(x+N) = -E_x
-    and E_(N-x) = E_x, its sign folded into the root.
+    multiplier(g, level, m) gives (t, unreduced new index) for the root
+    e^(2*pi*i*t/(24*level)), as eta_multiplier does; the new index is
+    reduced here by E_(x+N) = -E_x and E_(N-x) = E_x, its sign folded in
+    as half a turn.
     """
-    root, new = multiplier(g, level, m)
+    t, new = multiplier(g, level, m)
     shifts, r = divmod(new, level)
-    return root * RootOfUnity(2, shifts), min(r, level - r)
+    return turns(12 * level * shifts + t, 24 * level), min(r, level - r)
 
 
 def product_identity_holds(p: int, m: SL2Matrix, multiplier) -> bool:
@@ -380,15 +394,15 @@ def product_identity_holds(p: int, m: SL2Matrix, multiplier) -> bool:
 
     Their product is eta(tau)/eta(p tau) (every n prime to p is N(m-1)+r
     or Nm-r for exactly one such r), and m permutes the r up to sign, so
-    the composed roots must give eta_quotient_multiplier.
+    the turns, added up, must give eta_quotient_multiplier.
     """
-    root, moved = RootOfUnity.one(), []
+    root, moved = Fraction(0), []
     for g in range(1, (p - 1) // 2 + 1):
         mult, r = reduced_law(g, p, m, multiplier)
-        root *= mult
+        root += mult
         moved.append(r)
     half = list(range(1, (p - 1) // 2 + 1))
-    return sorted(moved) == half and root == eta_quotient_multiplier(m, p)
+    return sorted(moved) == half and root % 1 == eta_quotient_multiplier(m, p)
 
 
 def cocycle_holds(g: int, level: int, m1: SL2Matrix, m2: SL2Matrix, multiplier) -> bool:
@@ -396,25 +410,25 @@ def cocycle_holds(g: int, level: int, m1: SL2Matrix, m2: SL2Matrix, multiplier) 
     followed by that of m2 on the moved index, reduction signs included."""
     root1, r1 = reduced_law(g, level, m1, multiplier)
     root2, r2 = reduced_law(r1, level, m2, multiplier)
-    return reduced_law(g, level, m1 * m2, multiplier) == (root1 * root2, r2)
+    return reduced_law(g, level, m1 * m2, multiplier) == ((root1 + root2) % 1, r2)
 
 
 def transform_product(prod: EtaProduct, gamma: SL2Matrix) -> tuple:
-    """(root, moved) with prod(gamma tau) = root * moved(tau), gamma in Gamma0.
+    """(x, moved) with prod(gamma tau) = e^(2*pi*i*x) * moved(tau), gamma in Gamma0, x in turns.
 
-    Each E_g^e contributes the e-th power of its own eta_multiplier root and
+    Each E_g^e contributes e times its own eta_multiplier turns and
     moves to its new index; the moved factors are merged by from_factors.
     """
-    root, moved = RootOfUnity.one(), []
+    root, moved = Fraction(0), []
     for g, e in prod.exponents.items():
-        mult, new_index = eta_multiplier(g, prod.level, gamma)
-        root *= mult ** e
+        t, new_index = eta_multiplier(g, prod.level, gamma)
+        root += turns(e * t, 24 * prod.level)
         moved.append((new_index, e))
-    return root, EtaProduct.from_factors(prod.level, moved, prod.label, prod.sign)
+    return root % 1, EtaProduct.from_factors(prod.level, moved, prod.label, prod.sign)
 
 
 def half_turn_eta_multiplier(g: int, level: int, m: SL2Matrix):
-    """(root, unreduced new index) with E_g(m tau) = root * E_new(tau).
+    """(x, unreduced new index) with E_g(m tau) = e^(2*pi*i*x) * E_new(tau), x in turns.
 
     The multiplier in half turns (Yang 2004): a translation +-T^b gives
     e^(pi*i*b*N*B(g/N)) and keeps g; any other m in Gamma0(N) gives
@@ -424,9 +438,9 @@ def half_turn_eta_multiplier(g: int, level: int, m: SL2Matrix):
         b = m.b if m.a == 1 else -m.b
         lead = leading_exponent_at(g, level, SL2Matrix.identity())
         return from_half_turns(2 * b * lead), g
-    eps = epsilon_factor(m.a, m.b * level, m.c // level, m.d)
+    eps = turns(epsilon_factor(m.a, m.b * level, m.c // level, m.d), 12)
     phase = from_half_turns(Fraction(g * g * m.a * m.b, level) - g * m.b)
-    return eps * phase, m.a * g
+    return (eps + phase) % 1, m.a * g
 
 
 def power_eval_generalized_eta(g: int, level: int, tau: complex) -> complex:

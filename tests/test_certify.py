@@ -39,14 +39,16 @@ from etacover.eta import (
     orbit_product,
     order_numerator,
 )
-from etacover.exact import RootOfUnity, is_prime, prime_context
+from etacover.exact import is_prime, prime_context
 from etacover.qseries import QSeries
 from etacover.subgroups import Cusp, SL2Matrix, Subgroup, dlog, random_member, sign_character
 from oracles import (
+    character_modulus,
     leading_exponent_at,
     literal_orbit_factors,
     literal_z_factors,
     transform_product,
+    turns,
 )
 
 
@@ -272,14 +274,14 @@ def law_matrices(ctx, group):
 @pytest.mark.parametrize("primes", [range(5, 500), (10007,)], ids=["below-500", "10007"])
 def test_int_law_matches_the_factor_by_factor_oracle(primes):
     # the exact law on ints against transform_product, which composes each
-    # factor's eta_multiplier root and builds the moved EtaProduct
+    # factor's eta_multiplier turns and builds the moved EtaProduct
     for p in filter(is_prime, primes):
         ctx = prime_context(p)
         unit, group = _certified_unit(ctx)
         for m in law_matrices(ctx, group):
-            turns, exponents, sign = _law(unit, m)
+            t, exponents, sign = _law(unit, m)
             root, moved = transform_product(unit, m)
-            assert RootOfUnity(24 * p, turns) == root, (p, m.entries())
+            assert turns(t, 24 * p) == root, (p, m.entries())
             assert (exponents, sign) == (moved.exponents, moved.sign), (p, m.entries())
 
 
@@ -303,8 +305,8 @@ LAW_MUTANTS = {
 @pytest.mark.parametrize("name", LAW_MUTANTS)
 def test_law_mutations_fail_below_200(monkeypatch, name):
     if LAW_MUTANTS[name] is None:
-        twelfths = etacover.subgroups._epsilon_twelfths
-        monkeypatch.setattr(etacover.subgroups, "_epsilon_twelfths", lambda *m: twelfths(*m) + 1)
+        twelfths = etacover.subgroups.epsilon_factor
+        monkeypatch.setattr(etacover.subgroups, "epsilon_factor", lambda *m: twelfths(*m) + 1)
     else:
         func, old, new = LAW_MUTANTS[name]
         module = etacover.subgroups if func == "multiplier_turns" else etacover.certify
@@ -507,12 +509,14 @@ def test_cusp_orders_fail_on_a_wrong_sum_of_exponents(monkeypatch):
 
 
 def test_wrong_quotient_character_fails(monkeypatch):
+    # characters as t mod M, M = character_modulus(ctx): zeta^n is 2n, psi = -1 is M/2
     def without_psi(ctx, m):
-        order = ctx.k if ctx.ell % 2 else 2 * ctx.k
-        return RootOfUnity(order, dlog(ctx, m.a))
+        return 2 * dlog(ctx, m.a) % character_modulus(ctx)
 
     def zeta_of_order_k(ctx, m):
-        return RootOfUnity(ctx.k, dlog(ctx, m.a)) * RootOfUnity.from_sign(sign_character(m))
+        big = character_modulus(ctx)
+        zeta = big // ctx.k * dlog(ctx, m.a)
+        return (zeta + (0 if sign_character(m) == 1 else big // 2)) % big
 
     for p in (11, 13, 17):
         assert verify_quotient(prime_context(p)).status == "pass", p

@@ -124,6 +124,19 @@ def test_character_frozen(capsys):
                "--which", "chi") == (0, "1\n", "")
 
 
+@pytest.mark.parametrize("matrix, want", [
+    ("1,0,0,1", "1"),
+    ("-1,0,0,-1", "-1"),
+    ("0,-1,1,0", "e^(2*pi*i*3/4)"),
+    ("1,1,0,1", "e^(2*pi*i*1/12)"),
+    ("1,0,2,1", "e^(2*pi*i*5/6)"),
+])
+def test_character_epsilon_bytes(capsys, matrix, want):
+    # the eta^2 multiplier in twelfths of a turn, printed in lowest terms
+    assert run(capsys, "character", f"--matrix={matrix}", "--which", "epsilon") == (
+        0, want + "\n", "")
+
+
 def test_character_chi_needs_prime_and_even_ell(capsys):
     code, _, err = run(capsys, "character", "--matrix", "1,0,13,1", "--which", "chi")
     assert code == 2 and "--p is required" in err
@@ -237,6 +250,29 @@ def test_certify_out_writes_reports(capsys, tmp_path):
         text = (tmp_path / "r" / f"{p}.json").read_text()
         assert text.endswith("\n")
         assert json.loads(text)["p"] == p
+
+
+@pytest.mark.parametrize("argv", [["--p", "7"], ["--range", "5..11"]], ids=["p", "range"])
+def test_certify_json_and_out_serialize_once(capsys, tmp_path, monkeypatch, argv):
+    # --json and --out share one report text per prime; each file holds
+    # the report as printed, plus a newline
+    calls = []
+
+    def counted(r):
+        calls.append(r.p)
+        return report_to_json(r)
+
+    monkeypatch.setattr("etacover.cli.report_to_json", counted)
+    code, out, _ = run(capsys, "certify", *argv, "--json", "--out", str(tmp_path))
+    primes = [7] if argv[0] == "--p" else [5, 7, 11]
+    assert code == 0 and calls == primes
+    texts = [(tmp_path / f"{p}.json").read_text() for p in primes]
+    assert all(t.endswith("}\n") for t in texts)
+    if argv[0] == "--p":
+        assert texts == [out]
+    else:
+        items = ",\n  ".join(t[:-1].replace("\n", "\n  ") for t in texts)
+        assert out == f"[\n  {items}\n]\n"
 
 
 def test_certify_out_must_be_a_directory(capsys, tmp_path, monkeypatch):

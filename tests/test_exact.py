@@ -1,13 +1,11 @@
-import cmath
+import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from etacover.exact import (
     PrimeContext,
-    RootOfUnity,
     is_prime,
     odd_primitive_root,
     order_numerator,
@@ -15,13 +13,22 @@ from etacover.exact import (
     prime_factors,
     smallest_primitive_root,
 )
-from etacover.subgroups import SL2Matrix, eta_multiplier
+from etacover.subgroups import (
+    SL2Matrix,
+    Subgroup,
+    epsilon_factor,
+    eta_multiplier,
+    quotient_character,
+    random_member,
+)
 from oracles import (
+    character_modulus,
     from_half_turns,
     leading_exponent_at,
     least_primitive_root,
     multiplicative_order,
     periodic_bernoulli2,
+    turns,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=48)
@@ -65,7 +72,7 @@ def test_order_numerator_is_the_leading_exponent():
             for b in range(-3, 4):
                 for t in (SL2Matrix.translation(b), -SL2Matrix.translation(b)):
                     root, index = eta_multiplier(g, level, t)
-                    assert (root, index) == (from_half_turns(2 * b * lead), g)
+                    assert (turns(root, 24 * level), index) == (from_half_turns(2 * b * lead), g)
 
 
 @given(rationals)
@@ -164,68 +171,36 @@ def test_prime_context_rejects():
 
 
 # -- roots of unity --------------------------------------------------------
+# a root is an int t over a modulus M the caller knows; the tests read it
+# as turns(t, M), a Fraction in [0, 1)
 
 
 def test_root_normalization():
-    assert RootOfUnity(8, 6) == RootOfUnity(4, 3)
-    assert RootOfUnity(6, 0) == RootOfUnity.one()
-    assert RootOfUnity(10, 5) == RootOfUnity.minus_one()
-    assert RootOfUnity(12, -1) == RootOfUnity(12, 11)
+    assert turns(6, 8) == turns(3, 4) == Fraction(3, 4)
+    assert turns(0, 6) == 0
+    assert turns(5, 10) == Fraction(1, 2)
+    assert turns(-1, 12) == turns(11, 12)
 
 
 def test_root_constructors():
-    assert RootOfUnity.from_sign(1).is_one()
-    assert RootOfUnity.from_sign(-1) == RootOfUnity(2, 1)
-    assert from_half_turns(Fraction(1, 3)) == RootOfUnity(6, 1)
-    assert from_half_turns(2) == RootOfUnity.one()
-    assert from_half_turns(Fraction(-1, 6)) == RootOfUnity(12, 11)
-
-
-small_roots = st.builds(
-    RootOfUnity,
-    st.integers(min_value=1, max_value=48),
-    st.integers(min_value=-48, max_value=48),
-)
-
-
-@given(small_roots, small_roots, small_roots)
-def test_root_group_law(x, y, z):
-    assert (x * y) * z == x * (y * z)
-    assert x * y == y * x
-    assert x * RootOfUnity.one() == x
-    assert (x * x**-1).is_one()
-
-
-@given(small_roots, st.integers(min_value=-6, max_value=6))
-def test_root_powers(x, n):
-    acc = RootOfUnity.one()
-    for _ in range(abs(n)):
-        acc = acc * (x if n >= 0 else RootOfUnity(x.order, -x.exponent))
-    assert x**n == acc
+    assert from_half_turns(Fraction(1, 3)) == Fraction(1, 6)
+    assert from_half_turns(2) == 0
+    assert from_half_turns(Fraction(-1, 6)) == Fraction(11, 12)
 
 
 @given(rationals, rationals)
 def test_half_turns_additive(a, b):
-    lhs = from_half_turns(a) * from_half_turns(b)
+    lhs = (from_half_turns(a) + from_half_turns(b)) % 1
     assert lhs == from_half_turns(a + b)
 
 
-@given(small_roots)
-def test_root_value_on_unit_circle(x):
-    v = x.value()
-    assert abs(abs(v) - 1) < 1e-12
-    assert abs(v - cmath.exp(2j * cmath.pi * x.exponent / x.order)) < 1e-12
-
-
-def test_root_str_canonical():
-    assert str(RootOfUnity.one()) == "1"
-    assert str(RootOfUnity.minus_one()) == "-1"
-    assert str(RootOfUnity(6, 1)) == "e^(2*pi*i*1/6)"
-    assert str(RootOfUnity(60, 2)) == "e^(2*pi*i*1/30)"
-    assert str(RootOfUnity(12, -1)) == "e^(2*pi*i*11/12)"
-
-
-@given(small_roots)
-def test_root_exponent_range(x):
-    assert 0 <= x.exponent < x.order
-    assert gcd(x.exponent, x.order) == 1 or x.exponent == 0
+def test_root_exponent_range():
+    # every root the package returns is an int already reduced mod its modulus
+    for p in (5, 7, 11, 13, 37, 73):
+        ctx, rng = prime_context(p), random.Random(p)
+        for _ in range(100):
+            m = random_member(Subgroup.GAMMA0, ctx, rng)
+            assert epsilon_factor(m.a, m.b, m.c, m.d) in range(12)
+            for g in (1, 2, ctx.g):
+                assert eta_multiplier(g, p, m)[0] in range(24 * p)
+            assert quotient_character(ctx, m) in range(character_modulus(ctx))

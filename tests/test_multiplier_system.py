@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from etacover.exact import RootOfUnity, prime_context
+from etacover.exact import prime_context
 from etacover.subgroups import (
     SL2Matrix,
     Subgroup,
@@ -24,7 +24,7 @@ from etacover.subgroups import (
     multiplier_turns,
     random_member,
 )
-from oracles import cocycle_holds, eta_quotient_multiplier, product_identity_holds
+from oracles import cocycle_holds, eta_quotient_multiplier, product_identity_holds, turns
 
 GOLDEN = Path(__file__).parent / "data" / "matrix_golden.json"
 
@@ -56,10 +56,10 @@ def random_gamma0(p: int, count: int, seed: int) -> list:
 def mutant(shift):
     """eta_multiplier with shift(g, N, m) added to t off the translations."""
     def multiplier(g, level, m):
-        root, new = eta_multiplier(g, level, m)
+        t, new = eta_multiplier(g, level, m)
         if m.c == 0:
-            return root, new
-        return root * RootOfUnity(24 * level, shift(g, level, m)), new
+            return t, new
+        return t + shift(g, level, m), new
     return multiplier
 
 
@@ -104,7 +104,7 @@ def test_whole_product_turns_give_the_eta_quotient_multiplier():
         for m in mats:
             a = m.a if m.c else 1
             shifts = sum(a * r // p for r in exponents)
-            root = RootOfUnity(24 * p, multiplier_turns(exponents, p, m) + 12 * p * shifts)
+            root = turns(multiplier_turns(exponents, p, m) + 12 * p * shifts, 24 * p)
             assert root == eta_quotient_multiplier(m, p), (p, m.entries())
 
 

@@ -86,6 +86,19 @@ def test_powers_of_g_belong_to_the_group_layer():
     assert found == []
 
 
+def test_roots_of_unity_are_int_turns():
+    # a root is an int t over a modulus its caller knows: no RootOfUnity
+    # class is defined, imported or named anywhere in the package
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "RootOfUnity" in (getattr(node, "name", None), getattr(node, "id", None),
+                             getattr(node, "attr", None))
+    ]
+    assert SOURCES and found == []
+
+
 def test_group_layer_imports_no_fractions():
     # multipliers are integer exponents mod 24N, never Fractions of a turn
     tree = ast.parse((Path(etacover.__file__).parent / "subgroups.py").read_text())

@@ -8,7 +8,7 @@ import pytest
 
 import etacover.subgroups
 from etacover.eta import EtaProduct
-from etacover.exact import RootOfUnity, is_prime, prime_context
+from etacover.exact import is_prime, prime_context
 from etacover.numeric import balanced_samples
 from etacover.subgroups import (
     Cusp,
@@ -32,12 +32,14 @@ from etacover.subgroups import (
     sign_character,
 )
 from oracles import (
+    character_modulus,
     coset_sweep,
     enumerate_quotient_structure,
     half_turn_eta_multiplier,
     rademacher_eta_squared_multiplier,
     scan_cusp_set,
     transform_product,
+    turns,
 )
 
 S = SL2Matrix(0, -1, 1, 0)
@@ -204,17 +206,18 @@ def test_quadratic_character_trivial_on_gamma1():
 
 
 def test_epsilon_frozen_values():
-    assert epsilon_factor(1, 0, 1, 1) == RootOfUnity(12, 11)
-    assert epsilon_factor(0, -1, 1, 0) == RootOfUnity(4, 3)
-    assert epsilon_factor(1, 1, 0, 1) == RootOfUnity(12, 1)
+    # twelfths of a turn
+    assert epsilon_factor(1, 0, 1, 1) == 11
+    assert epsilon_factor(0, -1, 1, 0) == 9
+    assert epsilon_factor(1, 1, 0, 1) == 1
 
 
 def test_epsilon_sixth_power_is_sign_character():
     rng = random.Random(23)
     for _ in range(200):
         m = random_sl2(rng)
-        want = RootOfUnity.from_sign(sign_character(m))
-        assert epsilon_factor(m.a, m.b, m.c, m.d) ** 6 == want
+        want = 0 if sign_character(m) == 1 else 6  # twelfths: -1 is half a turn
+        assert 6 * epsilon_factor(m.a, m.b, m.c, m.d) % 12 == want
 
 
 def sl2_matrices(bound: int):
@@ -236,17 +239,17 @@ def test_epsilon_factor_matches_rademacher():
     # exact: epsilon_factor is the eta^2 multiplier, every branch of it
     seen = {-1: 0, 0: 0, 1: 0}
     for a, b, c, d in sl2_matrices(30):
-        assert epsilon_factor(a, b, c, d) == rademacher_eta_squared_multiplier(a, b, c, d)
+        assert turns(epsilon_factor(a, b, c, d), 12) == rademacher_eta_squared_multiplier(a, b, c, d)
         seen[(c > 0) - (c < 0)] += 1
     assert seen == {-1: 4381, 0: 122, 1: 4381}
 
 
 def test_eta_multiplier_translation():
     phase, new_g = eta_multiplier(1, 5, T)
-    assert phase == RootOfUnity(60, 1)  # e^(pi*i*5*B(1/5)) = e^(pi*i/30)
+    assert phase == 2  # e^(pi*i*5*B(1/5)) = e^(pi*i/30) = e^(2*pi*i*2/120)
     assert new_g == 1
     phase_back, _ = eta_multiplier(1, 5, SL2Matrix.translation(-1))
-    assert phase_back == RootOfUnity(60, -1)
+    assert phase_back == 118  # -2 mod 24N
     # -T^b and T^b act identically on the upper half plane
     assert eta_multiplier(1, 5, -T) == eta_multiplier(1, 5, T)
 
@@ -293,7 +296,8 @@ def test_eta_multiplier_matches_half_turn_oracle():
     count = 0
     for level, m, indices in _multiplier_cases():
         for g in indices:
-            assert eta_multiplier(g, level, m) == half_turn_eta_multiplier(g, level, m), (
+            t, new_index = eta_multiplier(g, level, m)
+            assert (turns(t, 24 * level), new_index) == half_turn_eta_multiplier(g, level, m), (
                 level, m.entries(), g)
             count += 1
     assert count > 20000
@@ -302,7 +306,7 @@ def test_eta_multiplier_matches_half_turn_oracle():
 def test_transform_product_matches_half_turn_oracle():
     # the whole product's multiplier_turns, and the factor-by-factor
     # transform_product of the oracles, against the product of the
-    # half-turn oracle's roots; the moved product is built alike
+    # half-turn oracle's turns; the moved product is built alike
     rng = random.Random(61)
     for level, m, _ in _multiplier_cases():
         half = range(1, level // 2 + 1)
@@ -310,14 +314,14 @@ def test_transform_product_matches_half_turn_oracle():
         exponents = {g: e for g in chosen if (e := rng.randint(-3, 3))} or {1: 1}
         prod = EtaProduct(level, exponents, rng.choice((1, -1)), "P")
         root, moved = transform_product(prod, m)
-        want, factors = RootOfUnity.one(), []
+        want, factors = Fraction(0), []
         for g, e in exponents.items():
             mult, new_index = half_turn_eta_multiplier(g, level, m)
-            want *= mult ** e
+            want += e * mult
             factors.append((new_index, e))
-        want_moved = EtaProduct.from_factors(level, factors, "P", prod.sign)
+        want, want_moved = want % 1, EtaProduct.from_factors(level, factors, "P", prod.sign)
         assert root == want, (level, m.entries(), exponents)
-        assert RootOfUnity(24 * level, multiplier_turns(exponents, level, m)) == want
+        assert turns(multiplier_turns(exponents, level, m), 24 * level) == want
         assert (moved.exponents, moved.sign) == (want_moved.exponents, want_moved.sign)
 
 
@@ -411,7 +415,8 @@ def test_quotient_character_is_multiplicative():
         for _ in range(30):
             a = random_member(Subgroup.GAMMA2, ctx, rng)
             b = random_member(Subgroup.GAMMA2, ctx, rng)
-            assert quotient_character(ctx, a * b) == quotient_character(ctx, a) * quotient_character(ctx, b)
+            both = quotient_character(ctx, a) + quotient_character(ctx, b)
+            assert quotient_character(ctx, a * b) == both % character_modulus(ctx)
 
 
 def test_quotient_character_kernel_is_gamma2_prime():
@@ -420,7 +425,7 @@ def test_quotient_character_kernel_is_gamma2_prime():
         ctx = prime_context(p)
         for _ in range(40):
             m = random_member(Subgroup.GAMMA2, ctx, rng)
-            assert quotient_character(ctx, m).is_one() == is_member(
+            assert (quotient_character(ctx, m) == 0) == is_member(
                 m, Subgroup.GAMMA2_PRIME, ctx
             )
 
