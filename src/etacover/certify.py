@@ -39,16 +39,16 @@ from .eta import (
 )
 from .numeric import balanced_samples, check_E_transforms
 from .subgroups import (
-    Cusp,
     SL2Matrix,
     Subgroup,
+    cusp_name,
     cusp_set,
     multiplier_turns,
     power,
-    quadratic_character,
     quotient_structure,
     random_member,
     sign_character,
+    twisted_sign,
 )
 
 DEFAULT_SEED = 20260823
@@ -167,9 +167,8 @@ def verify_transforms(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> C
         if group is Subgroup.GAMMA1:
             laws = [(m1, sign_character(m1), unit.exponents, unit.sign)]
         else:
-            chi = quadratic_character(m1, ctx) if ctx.ell % 2 == 0 else 1
             laws = [(m0, sign_character(m0), *merge_factors(ctx.p, orbit_factors(m0.a, ctx))),
-                    (m1, sign_character(m1) * chi, unit.exponents, unit.sign)]
+                    (m1, twisted_sign(m1, ctx), unit.exponents, unit.sign)]
         for m, factor, want, want_sign in laws:
             turns, exponents, sign = _law(unit, m)
             if exponents != want or turns != (0 if factor * sign == want_sign else 12 * ctx.p):
@@ -212,7 +211,7 @@ def cusp_orders(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> tuple[C
     of E_g at the cusp, taken in integers as order_numerator / 12p; it
     must be an odd integer everywhere, equal to 1 whenever p does not
     divide c, and the orders of a unit sum to zero.  There order_numerator
-    is s0 = sum e, taken once; rows stay ints, a Cusp names a failing row.
+    is s0 = sum e, taken once; rows stay ints, cusp_name names a failing row.
     """
     prod = unit.squared()
     try:
@@ -227,12 +226,12 @@ def cusp_orders(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> tuple[C
         order, rest = divmod(width * numerator, 12 * ctx.p)
         if rest:
             bad = Fraction(width * numerator, 12 * ctx.p)
-            reason = f"non-integer order {bad} at cusp {Cusp(a, c)} (width/delta bug)"
+            reason = f"non-integer order {bad} at cusp {cusp_name(a, c)} (width/delta bug)"
             return CheckResult("cusp-orders", "fail", reason=reason), ()
         if order % 2 == 0:
-            problems.append(f"even order {order} at {Cusp(a, c)}")
+            problems.append(f"even order {order} at {cusp_name(a, c)}")
         if not on_fiber and order != 1:
-            problems.append(f"order {order} != 1 at {Cusp(a, c)} with p not dividing c")
+            problems.append(f"order {order} != 1 at {cusp_name(a, c)} with p not dividing c")
         rows.append(CuspRow(a, c, width, order))
     if sum(r.order for r in rows) != 0:
         problems.append("orders do not sum to zero")
@@ -377,13 +376,10 @@ def report_to_json(report: CertReport) -> str:
     return f'{head}\n  "cusps": [\n{rows}\n  ]{tail}'
 
 
-def report_from_dict(data: dict) -> CertReport:
+def report_from_json(text: str) -> CertReport:
+    data = json.loads(text)
     return CertReport(**{
         **data,
         "checks": tuple(CheckResult(**c) for c in data["checks"]),
         "cusps": tuple(CuspRow(**r) for r in data["cusps"]),
     })
-
-
-def report_from_json(text: str) -> CertReport:
-    return report_from_dict(json.loads(text))

@@ -32,9 +32,9 @@ from .eta import (
 from .exact import is_prime, prime_context
 from .qseries import PrecisionError
 from .subgroups import (
-    Cusp,
     SL2Matrix,
     Subgroup,
+    cusp_name,
     cusp_set,
     epsilon_factor,
     quadratic_character,
@@ -98,7 +98,7 @@ def cmd_cusps(args) -> int:
     group = Subgroup(args.group)
     table = sorted(cusp_set(group, ctx), key=lambda row: (row[1], row[0]))
     for a, c, width in table:
-        print(f"{str(Cusp(a, c)):>8}  width {width}")
+        print(f"{cusp_name(a, c):>8}  width {width}")
     total = sum(w for _, _, w in table)
     print(f"{len(table)} cusps of {group.value}({ctx.p}), width sum {total}")
     return 0

@@ -15,11 +15,12 @@ Expansions never multiply the factors out one at a time.  By the Jacobi
 triple product the unit part of E_g is a sparse theta series theta_g times
 P(q^N), P the partition series (Yang 2004, "Transformation formulas for
 generalized Dedekind eta functions"), so prod E_g^e expands as
-q^L * prod theta_g^e * P(q^N)^(sum e).  eta is the pentagonal series and P
-its inverse; every theta, eta(s*tau) at level 3s included, comes from one
-integer sweep.  merge_factors reduces indices and merges exponents into an
-(exponents, sign) pair of ints, which EtaProduct.from_factors, the one
-constructor, wraps; the units F_h read their indices off the orbit table.
+q^L * prod theta_g^e * P(q^N)^(sum e), E_g alone (generalized_eta) included.
+eta is the pentagonal series and P its inverse; every theta, eta(s*tau) at
+level 3s included, comes from one integer sweep.  merge_factors reduces
+indices and merges exponents into an (exponents, sign) pair of ints, which
+EtaProduct.from_factors, the one constructor, wraps; the units F_h read
+their indices off the orbit table.
 """
 
 from __future__ import annotations
@@ -73,22 +74,14 @@ def generalized_eta(g: int, level: int, prec: int) -> QSeries:
     lattice denominator is fixed at 24*level so that every exponent in
     sight (leading terms, multiplier phases) fits without rescaling.
 
-    By the Jacobi triple product the unit part
-    prod_m (1 - q^(N(m-1)+g)) (1 - q^(Nm-g)) equals theta_g(q) * P(q^N),
-    with theta_g = sum_{n in Z} (-1)^n q^(N*n(n-1)/2 + g*n) and P the
-    partition series; the expansion is that one sparse-by-short product.
+    It is the one-factor expand_product: by the Jacobi triple product the
+    unit part prod_m (1 - q^(N(m-1)+g)) (1 - q^(Nm-g)) is theta_g(q) * P(q^N).
     """
     if not 1 <= g <= level - 1:
         raise ValueError(f"index {g} outside [1, {level - 1}]")
     if prec < 1:
         raise ValueError("prec must be a positive number of q-steps")
-    parts = _partitions((prec - 1) // level)
-    unit = {}
-    for e, c in _theta(level, g, prec).items():
-        for j in range((prec - 1 - e) // level + 1):
-            unit[e + level * j] = unit.get(e + level * j, 0) + c * parts[j]
-    series = QSeries(1, unit, prec).rescale(24 * level)
-    return series.shift(Fraction(order_numerator({g: 1}, level, 1, 0), 12 * level))
+    return expand_product(EtaProduct.from_factors(level, [(g, 1)], f"E_{g}"), prec)
 
 
 def classical_eta(scale: int, prec: int) -> QSeries:

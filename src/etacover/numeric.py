@@ -30,8 +30,8 @@ from .subgroups import (
     Subgroup,
     eta_multiplier,
     is_member,
-    quadratic_character,
     sign_character,
+    twisted_sign,
 )
 
 # target e^-45 ~ 3e-20 for the first dropped factor
@@ -232,13 +232,11 @@ def check_F_transform(ctx: PrimeContext, h: int, gamma: SL2Matrix, samples=DEFAU
         )
     if not is_member(gamma, Subgroup.GAMMA0, ctx):
         raise ValueError(f"{gamma.entries()} is not in Gamma0({ctx.p})")
-    psi = sign_character(gamma)
     here, moved = orbit_product(h, ctx), orbit_product(gamma.a * h, ctx)
     form = _form(here.exponents, ctx.p)
-    laws = [(form, psi * here.sign * moved.sign, _form(moved.exponents, ctx.p))]
+    laws = [(form, sign_character(gamma) * here.sign * moved.sign, _form(moved.exponents, ctx.p))]
     if is_member(gamma, Subgroup.GAMMA2, ctx):
-        fixed_factor = psi * (quadratic_character(gamma, ctx) if ctx.ell % 2 == 0 else 1)
-        laws.append((form, fixed_factor, form))
+        laws.append((form, twisted_sign(gamma, ctx), form))
     return _residual(laws, ctx.p, gamma, samples)
 
 

@@ -11,14 +11,15 @@ of level p:
 Membership never needs more than the residue a mod p and its dlog, read
 off the prime's one orbit table (g^n mod 2p, n < p-1, and its inverse,
 through dlog and power); eta's units F_h and the cusp cosets read it too.
-Cusp sections, lifts of residues and random members complete their first
-column (a, c) one way only: d is the inverse of a mod c nearest 0.
+Sections of cusps, lifts of residues and random members complete their
+first column (a, c) one way only: d is the inverse of a mod c nearest 0.
 
 Gamma0, Gamma1 and Gamma2 are Gamma_H(p), H the upper-left residues, and
 Gamma2Prime is the sign-twisted kernel inside Gamma2, so cusp tables come
 in closed form (Diamond-Shurman, A First Course in Modular Forms, ch. 3),
 as (a, c, width) ints, certified by their widths summing to the index in
-PSL(2,Z).  A Cusp object serves sections and the equivalence/width scans.
+PSL(2,Z).  A cusp a/c is its pair (a, c), c >= 0, gcd(a, c) = 1 and (1, 0)
+for infinity; section(a, c) sends infinity to it, cusp_name prints it.
 
 Characters and multipliers are ints t, the root e^(2*pi*i*t/M) for the
 modulus M their docstrings name (12, 24N, 2k or 4k); roots add.
@@ -151,6 +152,13 @@ def quadratic_character(m: SL2Matrix, ctx: PrimeContext) -> int:
     return 1 if n % 2 == 0 else -1
 
 
+def twisted_sign(m: SL2Matrix, ctx: PrimeContext) -> int:
+    """psi*chi on Gamma2 (psi when p == 3 mod 4): Gamma2Prime is its kernel,
+    and it is F_1's character there."""
+    s = sign_character(m)
+    return s * quadratic_character(m, ctx) if ctx.ell % 2 == 0 else s
+
+
 def epsilon_factor(a: int, b: int, c: int, d: int) -> int:
     """Multiplier of eta^2 under (a,b;c,d), in twelfths of a turn mod 12.
 
@@ -213,11 +221,7 @@ def is_member(m: SL2Matrix, group: Subgroup, ctx: PrimeContext) -> bool:
         return False
     if group is Subgroup.GAMMA2:
         return True
-    # Gamma2Prime: kernel of psi*chi when chi exists, of psi otherwise
-    s = sign_character(m)
-    if ctx.ell % 2 == 0:
-        s *= quadratic_character(m, ctx)
-    return s == 1
+    return twisted_sign(m, ctx) == 1  # Gamma2Prime
 
 
 def lift_with_upper_left(a: int, p: int) -> SL2Matrix:
@@ -225,7 +229,7 @@ def lift_with_upper_left(a: int, p: int) -> SL2Matrix:
     r = a % p
     if r == 0:
         raise ValueError(f"{a} is divisible by {p}")
-    return _with_first_column(r, p)
+    return section(r, p)
 
 
 def gamma2_generator(ctx: PrimeContext) -> SL2Matrix:
@@ -270,8 +274,9 @@ def random_member(group: Subgroup, ctx: PrimeContext, rng) -> SL2Matrix:
         return m
 
 
-def _with_first_column(a: int, c: int) -> SL2Matrix:
-    """(a, b; c, d) in SL(2,Z) with d = a^-1 mod c nearest 0; (a, 0; 0, a) for c = 0.
+def section(a: int, c: int) -> SL2Matrix:
+    """(a, b; c, d) in SL(2,Z) with d = a^-1 mod c nearest 0; (a, 0; 0, a) for c = 0:
+    it sends infinity to the cusp a/c.
 
     Raises ValueError when (a, c) is not a coprime pair."""
     if c == 0:
@@ -349,25 +354,9 @@ def quotient_structure(ctx: PrimeContext) -> QuotientStructure:
 # -- cusps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cusp:
-    """Cusp a/c of the upper half plane, c >= 0, gcd(a,c) = 1; 1/0 is infinity."""
-
-    a: int
-    c: int
-
-    def __post_init__(self):
-        if self.c < 0 or gcd(self.a, self.c) != 1:
-            raise ValueError(f"({self.a},{self.c}) is not a normalized cusp")
-        if self.c == 0 and self.a != 1:
-            raise ValueError("infinity is normalized as 1/0")
-
-    def section(self) -> SL2Matrix:
-        """A matrix sending infinity to this cusp (first column a, c)."""
-        return _with_first_column(self.a, self.c)
-
-    def __str__(self) -> str:
-        return "inf" if self.c == 0 else f"{self.a}/{self.c}"
+def cusp_name(a: int, c: int) -> str:
+    """The cusp a/c as printed: inf for (1, 0), else a/c."""
+    return "inf" if c == 0 else f"{a}/{c}"
 
 
 def psl_index(group: Subgroup, ctx: PrimeContext) -> int:
@@ -382,8 +371,8 @@ def psl_index(group: Subgroup, ctx: PrimeContext) -> int:
     return 2 * ctx.k * (p + 1)
 
 
-def cusps_equivalent(x: Cusp, y: Cusp, group: Subgroup, ctx: PrimeContext) -> bool:
-    """Whether some member of the group maps x to y.
+def cusps_equivalent(x: tuple, y: tuple, group: Subgroup, ctx: PrimeContext) -> bool:
+    """Whether some member of the group maps the cusp x = (a, c) to y.
 
     Matrices sending x to y are exactly sec_y * (+-T^n) * sec_x^(-1).
     Conjugates of T^p land in the level-p principal group, where only the
@@ -393,7 +382,7 @@ def cusps_equivalent(x: Cusp, y: Cusp, group: Subgroup, ctx: PrimeContext) -> bo
     only those n are built.
     """
     p = ctx.p
-    sec, inv = y.section(), x.section().inverse()
+    sec, inv = section(*y), section(*x).inverse()
     base = sec * inv
     da, db, dc, dd = sec.a * inv.c, sec.a * inv.d, sec.c * inv.c, sec.c * inv.d
     if dc % p:
@@ -408,20 +397,20 @@ def cusps_equivalent(x: Cusp, y: Cusp, group: Subgroup, ctx: PrimeContext) -> bo
     return False
 
 
-def cusp_width(x: Cusp, group: Subgroup, ctx: PrimeContext) -> int:
-    """Least w >= 1 with +-sec * T^w * sec^(-1) in the group.
+def cusp_width(x: tuple, group: Subgroup, ctx: PrimeContext) -> int:
+    """Least w >= 1 with +-sec * T^w * sec^(-1) in the group, sec = section(*x).
 
     Widths divide 2p: the p-th conjugated power already lies in the
     principal group, where at most a sign-character flip survives.
     """
-    sec = x.section()
+    sec = section(*x)
     step = sec * SL2Matrix.translation(1) * sec.inverse()
     m = step
     for w in range(1, 2 * ctx.p + 1):
         if is_member(m, group, ctx) or is_member(-m, group, ctx):
             return w
         m = m * step
-    raise ArithmeticError(f"no width <= {2 * ctx.p} at cusp {x}")
+    raise ArithmeticError(f"no width <= {2 * ctx.p} at cusp {cusp_name(*x)}")
 
 
 def cusp_set(group: Subgroup, ctx: PrimeContext) -> list[tuple[int, int, int]]:

@@ -27,7 +27,6 @@ from math import ceil, gcd, lcm, pi
 
 from etacover.eta import EtaProduct
 from etacover.subgroups import (
-    Cusp,
     QuotientStructure,
     SL2Matrix,
     Subgroup,
@@ -175,22 +174,22 @@ def smallest_triplet(p: int):
 
 
 def _cusp_candidates(p: int):
-    """Candidates covering every class: infinity, a/p, 1/c, then CRT lifts."""
-    yield Cusp(1, 0)
+    """Candidates (a, c) covering every class: infinity, a/p, 1/c, then CRT lifts."""
+    yield 1, 0
     for a in range(1, p):
-        yield Cusp(a, p)
+        yield a, p
     for c in range(1, p + 1):
-        yield Cusp(1, c)
+        yield 1, c
     for c in range(1, p):
         cinv = pow(c, -1, p)
         for abar in range(p):
             # a == abar mod p and a == 1 mod c, so (a, c) is coprime
             t = (abar - 1) * cinv % p
-            yield Cusp(1 + c * t, c)
+            yield 1 + c * t, c
 
 
 def scan_cusp_set(group, ctx):
-    """Cusp table by scanning candidates against the representatives so far.
+    """The cusp table by scanning candidates against the representatives so far.
 
     Each candidate not equivalent to an earlier representative becomes one,
     with its width found by search.  The scan stops once the widths reach

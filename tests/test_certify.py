@@ -41,7 +41,15 @@ from etacover.eta import (
 )
 from etacover.exact import is_prime, prime_context
 from etacover.qseries import QSeries
-from etacover.subgroups import Cusp, SL2Matrix, Subgroup, dlog, random_member, sign_character
+from etacover.subgroups import (
+    SL2Matrix,
+    Subgroup,
+    dlog,
+    random_member,
+    section,
+    sign_character,
+    twisted_sign,
+)
 from oracles import (
     character_modulus,
     leading_exponent_at,
@@ -251,6 +259,23 @@ def test_negated_psi_fails_the_exact_law(monkeypatch):
         assert "law fails exactly" in res.reason, p
 
 
+def test_negated_twisted_sign_fails_the_gamma2_law_and_the_quotient(monkeypatch):
+    # psi*chi is spelled once, in twisted_sign: the unit's law on Gamma2 and
+    # Gamma2Prime membership both read it, while quotient_character does not
+    def negated(m, ctx):
+        return -twisted_sign(m, ctx)
+
+    monkeypatch.setattr(etacover.certify, "twisted_sign", negated)
+    monkeypatch.setattr(etacover.subgroups, "twisted_sign", negated)
+    for p in filter(is_prime, range(5, 200)):
+        ctx = prime_context(p)
+        unit, group = _certified_unit(ctx)
+        if group is Subgroup.GAMMA2:  # the G law on Gamma1 reads psi alone
+            res = verify_transforms(ctx, unit, group)
+            assert res.status == "fail" and "law fails exactly" in res.reason, p
+        assert verify_quotient(ctx).status == "fail", p
+
+
 def test_certify_evaluates_no_eta_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("eval_product called")
@@ -407,7 +432,7 @@ def test_integer_cusp_orders_match_reference():
         assert check.status == "pass" and rows, p
         lead = {}
         for row in rows:
-            sec = Cusp(row.a, row.c).section()
+            sec = section(row.a, row.c)
             d, ref = gcd(row.c, p), 0
             for g, e in prod.exponents.items():
                 key = (g, d, sec.a * g % d)
@@ -422,15 +447,19 @@ def test_integer_cusp_orders_match_reference():
 
 def test_cusp_orders_build_no_section(monkeypatch):
     # the cusp table stays (a, c, width) ints from cusp_set to the report:
-    # a passing run builds no Cusp, let alone a section matrix
-    def refuse(self):
-        raise AssertionError("a Cusp was built or its section taken")
+    # cusp_orders builds no matrix, a section least of all, and a passing
+    # run names no row.  quotient_structure takes sections on purpose,
+    # through lift_with_upper_left, so the refusals are scoped
+    def refuse(*args):
+        raise AssertionError("a section was taken or a cusp named")
 
-    monkeypatch.setattr(Cusp, "section", refuse)
-    monkeypatch.setattr(Cusp, "__post_init__", refuse)
-    for p in (5, 7, 11, 13, 101, 1009):
-        ctx = prime_context(p)
-        assert cusp_orders(ctx, *_certified_unit(ctx))[0].status == "pass", p
+    with monkeypatch.context() as patch:
+        patch.setattr(etacover.subgroups, "section", refuse)
+        patch.setattr(SL2Matrix, "__post_init__", refuse)
+        for p in (5, 7, 11, 13, 101, 1009):
+            ctx = prime_context(p)
+            assert cusp_orders(ctx, *_certified_unit(ctx))[0].status == "pass", p
+    monkeypatch.setattr(etacover.certify, "cusp_name", refuse)
     for p in (5, 11, 13, 101, 1009, 10007):
         assert certify(p).overall, p
 
@@ -482,7 +511,7 @@ NUMERATOR_MUTANTS = {
 
 @pytest.mark.parametrize("name", NUMERATOR_MUTANTS)
 def test_cusp_orders_fail_on_a_wrong_order(monkeypatch, name):
-    # each failure names its row as Cusp.__str__ does: inf, r/p, 1/r
+    # each failure names its row as cusp_name does: inf, r/p, 1/r
     p, at, change, reason = NUMERATOR_MUTANTS[name]
     mutate_order_numerator(monkeypatch, at, change)
     check = cusp_orders_check(p)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: frozen outputs, exit codes, JSON artifacts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -161,6 +162,26 @@ def test_cusps_gamma1_frozen(capsys):
     assert lines[1] == "     1/1  width 11"
     assert lines[-1] == "10 cusps of Gamma1(11), width sum 60"
     assert len(lines) == 11
+
+
+# cusps --p 37, recorded while cusps were Cusp objects: (lines, sha256 of
+# stdout); inf, r/p and 1/r rows, widths doubled on Gamma2Prime
+CUSPS_37 = {
+    "Gamma0": (3, "677ce013dc9e58816d1a69de06de79a02883bdc19d65ad2209347ca9b8c764c9"),
+    "Gamma1": (37, "2ac04763149a12ec4494a995c5a8dbafb1fe3c885c69b9d7241b6f835c8c78be"),
+    "Gamma2": (7, "ce70459f1474b4c6abf636f0ff1752b1b4b9ef744d6076547893194c65cd2418"),
+    "Gamma2Prime": (7, "26c4647b92cd96f5ab7d4eb77a15c3cc27955dc34a47a9ffa985afa4ea76f52d"),
+}
+
+
+@pytest.mark.parametrize("group", CUSPS_37)
+def test_cusps_37_bytes(capsys, group):
+    code, out, _ = run(capsys, "cusps", "--p", "37", "--group", group)
+    assert code == 0
+    assert (out.count("\n"), hashlib.sha256(out.encode()).hexdigest()) == CUSPS_37[group]
+    if group == "Gamma2Prime":
+        assert out.splitlines()[:2] == ["     inf  width 2", "     1/1  width 74"]
+        assert out.splitlines()[4] == "    2/37  width 2"
 
 
 def test_cusps_default_group_is_gamma2(capsys):

@@ -18,7 +18,7 @@ from etacover.eta import (
     triplet_product,
 )
 from etacover.exact import is_prime, prime_context
-from etacover.subgroups import Cusp, SL2Matrix
+from etacover.subgroups import SL2Matrix, section
 from etacover.qseries import QSeries
 from oracles import (
     brute_classical_eta,
@@ -155,18 +155,27 @@ def test_classical_eta_matches_product_oracle(scale):
 
 
 def test_eta_expansions_do_not_multiply_series(monkeypatch):
-    # the closed forms must not fall back on one multiply per factor
-    def no_mul(self, other):
-        raise AssertionError("QSeries.__mul__ called")
+    # the closed forms must not fall back on one multiply per factor: E_g is
+    # the one-factor expand_product, theta_g times P(q^N) in one multiply,
+    # and eta(s*tau) is the pentagonal series, written down with none
+    multiply, calls = QSeries.__mul__, []
 
-    monkeypatch.setattr(QSeries, "__mul__", no_mul)
+    def counted(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
     for g in (1, 11, 23):
         denom, want = brute_eta_expansion(g, 47, 300)
+        calls.clear()
         s = generalized_eta(g, 47, 300)
+        assert len(calls) == 1, g
         assert s.denom == denom and dict(s.coeffs) == want, g
     for scale in (1, 7):
         denom, want = brute_classical_eta(scale, 500)
+        calls.clear()
         s = classical_eta(scale, 500)
+        assert calls == [], scale
         assert s.denom == denom and dict(s.coeffs) == want, scale
 
 
@@ -428,7 +437,7 @@ def test_leading_exponent_at_identity_is_global():
 
 
 def test_leading_exponent_at_zero_cusp():
-    sec = Cusp(0, 1).section()
+    sec = section(0, 1)
     # c coprime to the level: delta = P2(a*g)/(2*level) = (1/6)/(2*level)
     assert leading_exponent_at(1, 5, sec) == Fraction(1, 60)
     assert leading_exponent_at(2, 5, sec) == Fraction(1, 60)

@@ -6,7 +6,7 @@ tests/data/matrix_golden.json holds two grids:
   drawn from a fresh `random.Random(DEFAULT_SEED + p)`, the seeding certify
   uses; the JSON golden of certify drops `max_residual`, so this is what
   notices a changed draw;
-- "sections": `Cusp.section().entries()` for every cusp a/c with
+- "sections": `section(a, c).entries()` for every cusp a/c with
   |a| <= 60 and 0 <= c < 60.
 
 Re-record only for an intended change of the matrices:
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from etacover.certify import DEFAULT_SEED
 from etacover.exact import prime_context
-from etacover.subgroups import Cusp, Subgroup, random_member
+from etacover.subgroups import Subgroup, random_member, section
 
 GOLDEN = Path(__file__).parent / "data" / "matrix_golden.json"
 PRIMES = (5, 13, 23, 101, 1009)
@@ -42,7 +42,7 @@ def draws() -> dict:
 
 def sections() -> dict:
     return {
-        f"{a}/{c}": list(Cusp(a, c).section().entries())
+        f"{a}/{c}": list(section(a, c).entries())
         for c in range(60)
         for a in range(-60, 61)
         if gcd(a, c) == 1 and (c > 0 or a == 1)

@@ -99,6 +99,36 @@ def test_roots_of_unity_are_int_turns():
     assert SOURCES and found == []
 
 
+def test_cusps_are_int_pairs():
+    # a cusp is its (a, c) pair, printed by subgroups.cusp_name: no Cusp
+    # class is defined, imported or named anywhere in the package
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "Cusp" in (getattr(node, "name", None), getattr(node, "id", None),
+                      getattr(node, "attr", None))
+    ]
+    assert SOURCES and found == []
+
+
+def test_one_spelling_of_the_gamma2_sign():
+    # psi*chi (psi when p == 3 mod 4) is spelled in subgroups.twisted_sign;
+    # only it and the CLI's character command ask for chi itself
+    callers = [
+        f"{path.stem}.{fn.name}"
+        for path in SOURCES
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef) and any(
+            isinstance(node, ast.Call)
+            and "quadratic_character" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))
+            for node in ast.walk(fn)
+        )
+    ]
+    assert sorted(callers) == ["cli.cmd_character", "subgroups.twisted_sign"]
+
+
 def test_group_layer_imports_no_fractions():
     # multipliers are integer exponents mod 24N, never Fractions of a turn
     tree = ast.parse((Path(etacover.__file__).parent / "subgroups.py").read_text())

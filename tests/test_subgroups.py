@@ -11,9 +11,9 @@ from etacover.eta import EtaProduct
 from etacover.exact import is_prime, prime_context
 from etacover.numeric import balanced_samples
 from etacover.subgroups import (
-    Cusp,
     SL2Matrix,
     Subgroup,
+    cusp_name,
     cusp_set,
     cusp_width,
     cusps_equivalent,
@@ -29,6 +29,7 @@ from etacover.subgroups import (
     quotient_character,
     quotient_structure,
     random_member,
+    section,
     sign_character,
 )
 from oracles import (
@@ -478,30 +479,30 @@ def test_quotient_structure_lifts_no_residue_classes(monkeypatch):
 
 
 def test_cusp_basics():
-    inf = Cusp(1, 0)
-    assert (inf.a, inf.c) == (1, 0)
-    assert str(inf) == "inf"
-    assert str(Cusp(2, 11)) == "2/11"
-    for a, c in ((4, 10), (2, -5), (3, 0), (0, 0)):
+    # a cusp is its (a, c) pair: named as the tables print it, sent to by
+    # its section; a pair that is not coprime, or (a, 0) with a != 1, has none
+    assert cusp_name(1, 0) == "inf"
+    assert cusp_name(2, 11) == "2/11"
+    for a, c in ((4, 10), (3, 0), (0, 0)):
         with pytest.raises(ValueError):
-            Cusp(a, c)
-    sec = Cusp(2, 5).section()
+            section(a, c)
+    sec = section(2, 5)
     assert (sec.a, sec.c) == (2, 5)
 
 
 def test_cusp_equivalence_on_gamma0():
     ctx = prime_context(5)
     # all nonzero rationals with denominator prime to 5 collapse to 0
-    assert cusps_equivalent(Cusp(0, 1), Cusp(1, 2), Subgroup.GAMMA0, ctx)
-    assert cusps_equivalent(Cusp(1, 5), Cusp(1, 0), Subgroup.GAMMA0, ctx)
-    assert not cusps_equivalent(Cusp(0, 1), Cusp(1, 0), Subgroup.GAMMA0, ctx)
+    assert cusps_equivalent((0, 1), (1, 2), Subgroup.GAMMA0, ctx)
+    assert cusps_equivalent((1, 5), (1, 0), Subgroup.GAMMA0, ctx)
+    assert not cusps_equivalent((0, 1), (1, 0), Subgroup.GAMMA0, ctx)
 
 
 def test_cusp_widths_on_gamma0():
     for p in (5, 11, 13):
         ctx = prime_context(p)
-        assert cusp_width(Cusp(1, 0), Subgroup.GAMMA0, ctx) == 1
-        assert cusp_width(Cusp(0, 1), Subgroup.GAMMA0, ctx) == p
+        assert cusp_width((1, 0), Subgroup.GAMMA0, ctx) == 1
+        assert cusp_width((0, 1), Subgroup.GAMMA0, ctx) == p
 
 
 def test_psl_index_values():
@@ -523,7 +524,7 @@ def test_cusp_set_gamma0():
     assert (1, 0, 1) in table
     # the zero class is represented by 1/1 = T(0)
     assert (1, 1, 5) in table
-    assert cusps_equivalent(Cusp(1, 1), Cusp(0, 1), Subgroup.GAMMA0, ctx)
+    assert cusps_equivalent((1, 1), (0, 1), Subgroup.GAMMA0, ctx)
 
 
 def test_cusp_set_width_sums():
@@ -535,7 +536,7 @@ def test_cusp_set_width_sums():
             table = cusp_set(group, ctx)
             assert sum(w for _, _, w in table) == psl_index(group, ctx), (p, group)
             for (a, c, _), (b, d, _) in zip(table, table[1:]):
-                assert not cusps_equivalent(Cusp(a, c), Cusp(b, d), group, ctx)
+                assert not cusps_equivalent((a, c), (b, d), group, ctx)
 
 
 def test_cusp_set_gamma2_count():
@@ -554,18 +555,18 @@ def test_gamma1_cusp_count():
 
 
 def test_cusp_set_matches_scan():
-    # the closed form against the scan, as ordered lists of (a, c, width);
-    # every row of the scan is a validated Cusp
+    # the closed form against the scan, as ordered lists of (a, c, width)
     for p in filter(is_prime, range(5, 60)):
         ctx = prime_context(p)
         for group in Subgroup:
-            want = [(x.a, x.c, w) for x, w in scan_cusp_set(group, ctx)]
+            want = [(a, c, w) for (a, c), w in scan_cusp_set(group, ctx)]
             assert cusp_set(group, ctx) == want, (p, group)
 
 
 def test_cusp_set_matches_coset_sweep():
     # the dlog classes against the covered-set sweep, rows in order; for
-    # Gamma1, +-H = {+-1} and there are (p-1)/2 classes
+    # Gamma1, +-H = {+-1} and there are (p-1)/2 classes.  Every row is a
+    # normalized cusp: c >= 0, gcd(a, c) = 1, and infinity is (1, 0)
     for p in filter(is_prime, range(5, 2000)):
         ctx = prime_context(p)
         for group in Subgroup:
@@ -573,6 +574,8 @@ def test_cusp_set_matches_coset_sweep():
             want = [(1, 0)] + [(r, p) for r in reps[1:]] + [(1, r) for r in reps]
             got = [(a, c) for a, c, _ in cusp_set(group, ctx)]
             assert got == want, (p, group)
+            for a, c in got:
+                assert c >= 0 and gcd(a, c) == 1 and (c or a == 1), (p, group, a, c)
 
 
 def test_cusp_set_large_prime():
