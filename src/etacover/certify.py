@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -56,8 +55,7 @@ TOL = 1e-8        # E_g residual tolerance
 N_RANDOM = 20     # random matrices per transformation-law check
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "skipped"
     reason: str | None = None
@@ -71,8 +69,7 @@ class CuspRow(NamedTuple):
     order: int
 
 
-@dataclass(frozen=True)
-class CertReport:
+class CertReport(NamedTuple):
     p: int
     g: int
     k: int
@@ -219,13 +216,14 @@ def cusp_orders(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> tuple[C
     except ArithmeticError as exc:
         return CheckResult("cusp-orders", "fail", reason=str(exc)), ()
     rows, problems = [], []
-    s0 = sum(prod.exponents.values())
+    p, exponents = ctx.p, prod.exponents  # field reads kept out of the O(p) loop
+    s0 = sum(exponents.values())
     for a, c, width in table:
-        on_fiber = c % ctx.p == 0
-        numerator = order_numerator(prod.exponents, ctx.p, a, c) if on_fiber else s0
-        order, rest = divmod(width * numerator, 12 * ctx.p)
+        on_fiber = c % p == 0
+        numerator = order_numerator(exponents, p, a, c) if on_fiber else s0
+        order, rest = divmod(width * numerator, 12 * p)
         if rest:
-            bad = Fraction(width * numerator, 12 * ctx.p)
+            bad = Fraction(width * numerator, 12 * p)
             reason = f"non-integer order {bad} at cusp {cusp_name(a, c)} (width/delta bug)"
             return CheckResult("cusp-orders", "fail", reason=reason), ()
         if order % 2 == 0:
@@ -349,13 +347,11 @@ def certify(p: int) -> CertReport:
 def report_to_dict(report: CertReport) -> dict:
     """Key order is CertReport's field order; absent reason/witness are dropped.
 
-    Built field by field, sharing the witness dicts with the report:
-    asdict would deep-copy every cusp row of a large prime.
+    _asdict copies no value, so the witness dicts are shared with the report.
     """
-    out = {f.name: getattr(report, f.name) for f in fields(CertReport)}
+    out = report._asdict()
     out["checks"] = tuple(
-        {f.name: v for f in fields(CheckResult) if (v := getattr(c, f.name)) is not None}
-        for c in report.checks
+        {key: v for key, v in c._asdict().items() if v is not None} for c in report.checks
     )
     out["cusps"] = tuple(row._asdict() for row in report.cusps)
     return out
@@ -368,7 +364,7 @@ def report_to_json(report: CertReport) -> str:
     """json.dumps(report_to_dict(report), indent=2), the cusp rows (_ROW) written directly:
     strings are written on one line with their quotes escaped, so only the
     report's own "cusps": [] can follow a newline and two spaces."""
-    text = json.dumps(report_to_dict(replace(report, cusps=())), indent=2)
+    text = json.dumps(report_to_dict(report._replace(cusps=())), indent=2)
     if not report.cusps:
         return text
     rows = ",\n".join(_ROW % row for row in report.cusps)

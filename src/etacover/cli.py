@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
 from functools import cache
 from math import gcd
 from pathlib import Path
@@ -136,6 +135,7 @@ def cmd_certify(args) -> int:
         try:
             r = certify(q)
         except Exception as exc:  # one failing prime must not lose the run
+            import traceback  # imported here: only a failing prime needs it
             traceback.print_exc()
             r = error_report(q, exc)
         text = report_to_json(r) if args.json or args.out is not None else ""  # one text per prime

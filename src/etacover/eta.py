@@ -25,8 +25,8 @@ their indices off the orbit table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import PrimeContext, order_numerator
 from .qseries import QSeries
@@ -110,23 +110,31 @@ def merge_factors(level: int, factors, sign: int = 1) -> tuple[dict, int]:
     return exponents, sign
 
 
-@dataclass(frozen=True)
-class EtaProduct:
-    """Formal product sign * prod E_g^e(g) at one level, indices reduced."""
-
+class _Fields(NamedTuple):
     level: int
     exponents: dict  # reduced index -> nonzero integer exponent
     sign: int
     label: str
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be 1 or -1, not {self.sign}")
-        for g, e in self.exponents.items():
-            if not 1 <= g <= self.level // 2:
-                raise ValueError(f"index {g} is not reduced for level {self.level}")
+
+class EtaProduct(_Fields):
+    """Formal sign * prod E_g^e(g) at one level, indices reduced: an immutable named tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, level: int, exponents: dict, sign: int, label: str) -> "EtaProduct":
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be 1 or -1, not {sign}")
+        for g, e in exponents.items():
+            if not 1 <= g <= level // 2:
+                raise ValueError(f"index {g} is not reduced for level {level}")
             if e == 0:
                 raise ValueError(f"index {g} has exponent 0")
+        return super().__new__(cls, level, exponents, sign, label)
+
+    @classmethod
+    def _make(cls, iterable) -> "EtaProduct":  # through __new__: _replace checks the product too
+        return cls(*iterable)
 
     @classmethod
     def from_factors(cls, level: int, factors, label: str, sign: int = 1) -> "EtaProduct":

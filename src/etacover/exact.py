@@ -5,8 +5,8 @@ Everything in here is plain integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
 def order_numerator(exponents: dict, level: int, a: int, c: int) -> int:
@@ -76,8 +76,7 @@ def odd_primitive_root(p: int) -> int:
     return r if r % 2 == 1 else r + p
 
 
-@dataclass(frozen=True)
-class PrimeContext:
+class PrimeContext(NamedTuple):
     """Fixed data for one prime p >= 5.
 
     g is the deterministic odd generator of (Z/p)^*,

@@ -27,26 +27,34 @@ modulus M their docstrings name (12, 24N, 2k or 4k); roots add.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .exact import PrimeContext, order_numerator
 
 
-@dataclass(frozen=True)
-class SL2Matrix:
-    """Integer matrix (a, b; c, d) with determinant 1."""
-
+class _Entries(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(f"determinant of {self.entries()} is not 1")
+
+class SL2Matrix(_Entries):
+    """Integer matrix (a, b; c, d) with determinant 1, an immutable named tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "SL2Matrix":
+        if a * d - b * c != 1:
+            raise ValueError(f"determinant of {(a, b, c, d)} is not 1")
+        return super().__new__(cls, a, b, c, d)
+
+    @classmethod
+    def _make(cls, iterable) -> "SL2Matrix":  # through __new__: _replace checks the determinant too
+        return cls(*iterable)
 
     @classmethod
     def identity(cls) -> "SL2Matrix":
@@ -122,7 +130,8 @@ def dlog(ctx: PrimeContext, a: int) -> int:
 
 def power(ctx: PrimeContext, n: int) -> int:
     """g^n mod 2p, odd, for any integer n: g has order p-1 mod 2p as well."""
-    return _orbit_table(ctx.p, ctx.g)[0][n % (ctx.p - 1)]
+    p = ctx.p  # read once: the z-relation calls this about p/2 times
+    return _orbit_table(p, ctx.g)[0][n % (p - 1)]
 
 
 # -- characters ------------------------------------------------------------
@@ -146,10 +155,11 @@ def quadratic_character(m: SL2Matrix, ctx: PrimeContext) -> int:
     """
     if ctx.ell % 2:
         raise ValueError(f"quadratic character needs p == 1 mod 4, p={ctx.p}")
-    if not is_member(m, Subgroup.GAMMA2, ctx):
-        raise ValueError(f"{m.entries()} is not in Gamma2({ctx.p})")
-    n = dlog(ctx, m.a) // ctx.k
-    return 1 if n % 2 == 0 else -1
+    if m.c % ctx.p == 0:
+        n, rest = divmod(dlog(ctx, m.a), ctx.k)  # one dlog: membership and value
+        if rest == 0:
+            return 1 if n % 2 == 0 else -1
+    raise ValueError(f"{m.entries()} is not in Gamma2({ctx.p})")
 
 
 def twisted_sign(m: SL2Matrix, ctx: PrimeContext) -> int:
@@ -308,8 +318,7 @@ def quotient_character(ctx: PrimeContext, m: SL2Matrix) -> int:
     return (2 * dlog(ctx, m.a) + (0 if sign_character(m) == 1 else half)) % (2 * half)
 
 
-@dataclass(frozen=True)
-class QuotientStructure:
+class QuotientStructure(NamedTuple):
     """Facts about Gamma0(p) / Gamma2Prime(p)."""
 
     index_gamma0_gamma2: int

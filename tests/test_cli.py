@@ -346,8 +346,11 @@ def test_certify_range_survives_a_raising_prime(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr("etacover.cli.certify", flaky)
     outdir = tmp_path / "r"
-    code, out, _ = run(capsys, "certify", "--range", "5..11", "--out", str(outdir))
+    code, out, err = run(capsys, "certify", "--range", "5..11", "--out", str(outdir))
     assert code == 1
+    # the failing prime's traceback goes to stderr, once, ending in its error
+    assert err.count("Traceback (most recent call last)") == 1
+    assert err.endswith("RuntimeError: boom\n")
     assert sorted(f.name for f in outdir.iterdir()) == ["11.json", "5.json", "7.json"]
     failed = json.loads((outdir / "7.json").read_text())
     assert failed["overall"] is False and failed["cusps"] == []

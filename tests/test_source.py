@@ -2,7 +2,10 @@
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import etacover
@@ -127,6 +130,36 @@ def test_one_spelling_of_the_gamma2_sign():
         )
     ]
     assert sorted(callers) == ["cli.cmd_character", "subgroups.twisted_sign"]
+
+
+def _modules_after(statement):
+    # the modules a fresh interpreter holds after running statement
+    probe = f"{statement}\nimport sys\nprint(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(etacover.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    return set(done.stdout.split())
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_traceback():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and traceback
+    # textwrap: start-up costs no command uses (a failing prime imports
+    # traceback when it happens)
+    added = _modules_after("import etacover.cli") - _modules_after("pass")
+    assert "etacover.cli" in added
+    assert added & {"dataclasses", "inspect", "traceback"} == set()
+
+
+def test_no_dataclasses_in_the_package():
+    # records are typing.NamedTuple; importing dataclasses costs start-up time
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+    ]
+    assert SOURCES and found == []
 
 
 def test_group_layer_imports_no_fractions():

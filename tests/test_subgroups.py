@@ -169,6 +169,34 @@ def test_quadratic_character_requires_membership():
     ctx = prime_context(13)
     with pytest.raises(ValueError):
         quadratic_character(S, ctx)
+    # membership is decided by the one dlog that gives the value: c % p
+    # first, then dlog(a) mod k (k = 25 at p = 101), both with one error
+    ctx = prime_context(101)
+    for m in (S, lift_with_upper_left(ctx.g, 101)):
+        with pytest.raises(ValueError) as info:
+            quadratic_character(m, ctx)
+        assert str(info.value) == f"{m.entries()} is not in Gamma2(101)"
+
+
+@pytest.mark.parametrize("p", [13, 101, 10009])
+def test_gamma2_prime_membership_takes_dlog_twice(monkeypatch, p):
+    # is_member takes dlog once for the Gamma2 test and quadratic_character
+    # once more, for its own membership check and its value together
+    ctx = prime_context(p)
+    rng = random.Random(p)
+    draws = [random_member(Subgroup.GAMMA2, ctx, rng) for _ in range(200)]
+    calls = []
+    original = etacover.subgroups.dlog
+
+    def counting(c, a):
+        calls.append(a)
+        return original(c, a)
+
+    monkeypatch.setattr(etacover.subgroups, "dlog", counting)
+    for m in draws:
+        calls.clear()
+        is_member(m, Subgroup.GAMMA2_PRIME, ctx)
+        assert len(calls) == 2, m
 
 
 def test_quadratic_character_multiplicative():
@@ -385,13 +413,13 @@ def test_random_member_hits_stated_group():
 
 def test_random_member_builds_one_matrix_per_draw(monkeypatch):
     built = []
-    check = SL2Matrix.__post_init__
+    check = SL2Matrix.__new__
 
-    def counting(self):
-        built.append(self)
-        check(self)
+    def counting(cls, *entries):
+        built.append(check(cls, *entries))
+        return built[-1]
 
-    monkeypatch.setattr(SL2Matrix, "__post_init__", counting)
+    monkeypatch.setattr(SL2Matrix, "__new__", counting)
     for p in (5, 13, 101, 1009):
         ctx = prime_context(p)
         for group in Subgroup:
