@@ -1,8 +1,9 @@
 """Command-line front end: expansions, characters, cusp tables, certification.
 
-Exit codes: 0 success, 1 computational failure (including a certification
-verdict of fail), 2 invalid input.  Identical invocations print identical
-bytes; all randomness is seeded per prime.
+COMMANDS is the one table of commands and their options, which _parse reads
+and --help prints.  Exit codes: 0 success, 1 computational failure (including
+a certification verdict of fail), 2 invalid input, named on one `error:` line.
+Identical invocations print identical bytes; all randomness is seeded per prime.
 
 When stdout's reader goes away (`certify --range 5..400 | head -1`), the
 run stops quietly with exit code 1: stdout is pointed at the null device,
@@ -11,12 +12,11 @@ so nothing is left to flush into the closed pipe.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from functools import cache
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 from .certify import certify, error_report, report_to_json, verify_z_relation
 from .eta import (
@@ -180,59 +180,81 @@ def cmd_z_relation(args) -> int:
     return 1
 
 
-@cache  # built on first use, not at import, and reused by every main()
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="etacover",
-        description="Exact eta-product expansions and covering certification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
+# command: (handler, help, {option: (kind, default, help)}); a kind is int, str,
+# bool (a flag, set by naming it) or the tuple of allowed values
+COMMANDS = {
+    "expand": (cmd_expand, "print an exact q-expansion", {
+        "p": (int, None, "prime level"),
+        "function": (("E", "F", "G", "z", "eta"), REQUIRED, "the series"),
+        "index": (int, 1, "index g or h (scale for eta; ignored for G and z)"),
+        "prec": (int, 10, "q-steps past leading")}),
+    "character": (cmd_character, "evaluate a character or multiplier", {
+        "p": (int, None, "prime (required for chi)"),
+        "matrix": (str, REQUIRED, "entries a,b,c,d"),
+        "which": (("psi", "chi", "epsilon"), REQUIRED, "the character")}),
+    "cusps": (cmd_cusps, "list cusps and widths of a subgroup", {
+        "p": (int, REQUIRED, "prime level"),
+        "group": (tuple(g.value for g in Subgroup), "Gamma2", "the subgroup")}),
+    "certify": (cmd_certify, "run the per-prime certifier", {
+        "p": (int, None, "a single prime"),
+        "range": (str, None, "inclusive prime range A..B"),
+        "out": (str, None, "directory for one JSON report per prime"),
+        "json": (bool, False, "print reports as JSON"),
+        "prec": (int, 10, "accepted for compatibility; no effect")}),
+    "z-relation": (cmd_z_relation, "check z against the product of F units", {
+        "p": (int, REQUIRED, "prime level")}),
+}
 
-    p_expand = sub.add_parser("expand", help="print an exact q-expansion")
-    p_expand.add_argument("--p", type=int, help="prime level")
-    p_expand.add_argument(
-        "--function", required=True, choices=["E", "F", "G", "z", "eta"]
-    )
-    p_expand.add_argument(
-        "--index", type=int, default=1,
-        help="index g or h (scale for eta; ignored for G and z)",
-    )
-    p_expand.add_argument("--prec", type=int, default=10, help="q-steps past leading")
-    p_expand.set_defaults(func=cmd_expand)
 
-    p_char = sub.add_parser("character", help="evaluate a character or multiplier")
-    p_char.add_argument("--p", type=int, help="prime (required for chi)")
-    p_char.add_argument("--matrix", required=True, help="entries a,b,c,d")
-    p_char.add_argument("--which", required=True, choices=["psi", "chi", "epsilon"])
-    p_char.set_defaults(func=cmd_character)
+def _shape(kind) -> str:
+    return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__.upper()
 
-    p_cusps = sub.add_parser("cusps", help="list cusps and widths of a subgroup")
-    p_cusps.add_argument("--p", type=int, required=True)
-    p_cusps.add_argument(
-        "--group", default="Gamma2",
-        choices=[g.value for g in Subgroup],
-    )
-    p_cusps.set_defaults(func=cmd_cusps)
 
-    p_cert = sub.add_parser("certify", help="run the per-prime certifier")
-    p_cert.add_argument("--p", type=int, help="a single prime")
-    p_cert.add_argument("--range", help="inclusive prime range A..B")
-    p_cert.add_argument("--out", help="directory for one JSON report per prime")
-    p_cert.add_argument("--json", action="store_true", help="print reports as JSON")
-    p_cert.add_argument("--prec", type=int, default=10, help="accepted for compatibility; no effect")
-    p_cert.set_defaults(func=cmd_certify)
+def _usage(args) -> int:
+    """Print the usage of args.command, or of every command when it is None."""
+    for command in [args.command] if args.command else COMMANDS:
+        _, about, options = COMMANDS[command]
+        print(f"usage: etacover {command} [--option VALUE ...]\n  {about}")
+        for name, (kind, default, text) in options.items():
+            flag = f"--{name}" if kind is bool else f"--{name} {_shape(kind)}"
+            print(f"    {flag}\n        {text}" + " (required)" * (default is REQUIRED))
+    return 0
 
-    p_z = sub.add_parser("z-relation", help="check z against the product of F units")
-    p_z.add_argument("--p", type=int, required=True)
-    p_z.set_defaults(func=cmd_z_relation)
 
-    return parser
+def _parse(argv: list[str]):
+    """(handler, args) for one command line, read from COMMANDS: -h or --help
+    anywhere gives _usage, and any other malformed line raises ValueError."""
+    command = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        return _usage, SimpleNamespace(command=command if command in COMMANDS else None)
+    if command not in COMMANDS:
+        raise ValueError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
+    handler, _, options = COMMANDS[command]
+    args, tokens = {name: default for name, (_, default, _) in options.items()}, iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token[2:].partition("=")
+        kind = options[name][0] if token.startswith("--") and name in options else None
+        if kind is None or kind is bool and eq:
+            raise ValueError(f"{command} has no option {token!r}")
+        if kind is not bool and not eq:  # the next token, even one that starts with '-'
+            value = next(tokens, None)
+        try:  # the last value given wins
+            args[name] = True if kind is bool else int(value) if kind is int else value
+        except (TypeError, ValueError):
+            args[name] = None
+        if args[name] is None or isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"--{name} expects {_shape(kind)}, got {value!r}")
+    missing = [f"--{name}" for name, value in args.items() if value is REQUIRED]
+    if missing:
+        raise ValueError(f"{command} requires {', '.join(missing)}")
+    return handler, SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        code = handler(args)
         sys.stdout.flush()  # a reader that went away shows here, not at exit
         return code
     except BrokenPipeError:

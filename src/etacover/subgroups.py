@@ -46,6 +46,7 @@ class SL2Matrix(_Entries):
     """Integer matrix (a, b; c, d) with determinant 1, an immutable named tuple."""
 
     __slots__ = ()
+    __rmul__ = __add__ = lambda self, other: NotImplemented  # not tuple's repeat and concat
 
     def __new__(cls, a: int, b: int, c: int, d: int) -> "SL2Matrix":
         if a * d - b * c != 1:
@@ -78,6 +79,8 @@ class SL2Matrix(_Entries):
         return (self.a, self.b, self.c, self.d)
 
     def __mul__(self, other: "SL2Matrix") -> "SL2Matrix":
+        if not isinstance(other, SL2Matrix):
+            return NotImplemented
         return SL2Matrix(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,

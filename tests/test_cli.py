@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import etacover
+import etacover.cli as cli
 from etacover.certify import certify, report_to_dict, report_to_json
 from etacover.exact import is_prime
-from etacover.cli import _build_parser, main
+from etacover.cli import main
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -79,39 +80,107 @@ def test_expand_rejections(capsys):
     assert code == 2 and "--p is required" in err
 
 
-def test_bad_function_choice_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["expand", "--p", "5", "--function", "Q"])
-    assert exc.value.code == 2
+def test_bad_function_choice_exits_2(capsys):
+    code, out, err = run(capsys, "expand", "--p", "5", "--function", "Q")
+    assert (code, out) == (2, "") and err.startswith("error: --function expects")
 
 
-def test_one_parser_serves_every_call(capsys):
-    # main() reuses one cached parser; a mixed run through it, in either
-    # order, prints what a freshly built parser prints for each command
+def test_mixed_commands_give_the_same_results_in_either_order(capsys):
+    # main() keeps no parser state between calls: a mixed run repeated,
+    # forwards or reversed, prints what its first run printed
     commands = [
         ["cusps", "--p", "11", "--group", "Gamma1"],
         ["certify", "--p", "13", "--json"],
         ["expand", "--function", "eta"],
-        ["expand", "--p", "5", "--function", "Q"],  # argparse rejects: exit 2
+        ["expand", "--p", "5", "--function", "Q"],  # not a choice: exit 2
         ["certify", "--p", "9"],  # not prime: exit 2
+        ["cusps", "--help"],
     ]
+    first = [run(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in first] == [0, 0, 0, 2, 2, 0]
+    assert [run(capsys, *argv) for argv in commands] == first
+    assert [run(capsys, *argv) for argv in reversed(commands)] == first[::-1]
 
-    def outcome(argv):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
 
-    fresh = []
-    for argv in commands:
-        _build_parser.cache_clear()
-        fresh.append(outcome(argv))
-    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 2]
-    assert _build_parser() is _build_parser()
-    assert [outcome(argv) for argv in commands] == fresh
-    assert [outcome(argv) for argv in reversed(commands)] == fresh[::-1]
+# every malformed command line exits 2 with one error line and no output
+MALFORMED = {
+    "no command": [],
+    "unknown command": ["cusp", "--p", "11"],
+    "unknown option": ["cusps", "--p", "11", "--grup", "Gamma1"],
+    "abbreviated option": ["expand", "--p", "5", "--func", "F"],
+    "positional": ["cusps", "11"],
+    "missing value": ["cusps", "--p"],
+    "not an integer": ["cusps", "--p", "x"],
+    "bad choice": ["cusps", "--p", "11", "--group", "Gamma9"],
+    "missing required": ["expand", "--p", "5", "--index", "2"],
+    "flag with a value": ["certify", "--p", "5", "--json=1"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_command_lines_exit_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# the options each command takes, as the README documents them
+OPTIONS = {
+    "expand": ["p", "function", "index", "prec"],
+    "character": ["p", "matrix", "which"],
+    "cusps": ["p", "group"],
+    "certify": ["p", "range", "out", "json", "prec"],
+    "z-relation": ["p"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+@pytest.mark.parametrize("command", [None, *OPTIONS])
+def test_help_names_every_option(capsys, command, flag):
+    # with no command, --help prints the usage of every command
+    code, out, err = run(capsys, *([command] if command else []), flag)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    shown = [name for name in OPTIONS if command in (None, name)]
+    assert [line.split()[2] for line in lines if line.startswith("usage: ")] == shown
+    assert [line.split()[0] for line in lines if line.startswith("    --")] == [
+        f"--{option}" for name in shown for option in OPTIONS[name]]
+
+
+def test_the_command_table_holds_the_documented_options():
+    assert {name: list(options) for name, (_, _, options) in cli.COMMANDS.items()} == OPTIONS
+
+
+def test_values_may_start_with_a_dash(capsys):
+    _, args = cli._parse(["expand", "--p", "5", "--function", "E", "--index", "-1"])
+    assert args.index == -1
+    _, args = cli._parse(["character", "--matrix=-1,0,0,-1", "--which", "psi"])
+    assert args.matrix == "-1,0,0,-1"
+    assert run(capsys, "character", "--matrix=-1,0,0,-1", "--which", "epsilon") == (0, "-1\n", "")
+    assert run(capsys, "expand", "--p", "5", "--function", "E", "--index", "-1", "--prec=3") == (
+        0, "-1*q^(1/60) + 1*q^(61/60) + O(q^(181/60))\n", "")
+
+
+def test_equals_form_and_the_last_repeat_win(capsys):
+    spaced = run(capsys, "cusps", "--p", "13", "--group", "Gamma1")
+    assert run(capsys, "cusps", "--p=13", "--group=Gamma1") == spaced
+    assert run(capsys, "cusps", "--group", "Gamma0", "--p", "7", "--group=Gamma1", "--p", "13") == spaced
+
+
+def test_python_m_etacover_reads_sys_argv():
+    # main(None) parses sys.argv[1:], as the etacover script and python -m do
+    env = {**os.environ, "PYTHONPATH": str(Path(etacover.__file__).parent.parent)}
+
+    def etacover_run(*argv):
+        return subprocess.run([sys.executable, "-m", "etacover", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = etacover_run("--help")
+    assert done.returncode == 0 and "usage: etacover cusps" in done.stdout
+    done = etacover_run()
+    assert (done.returncode, done.stdout) == (2, "") and done.stderr.startswith("error: ")
+    done = etacover_run("cusps", "--p", "11", "--group", "Gamma1")
+    assert (done.returncode, done.stdout, done.stderr) == (0, CUSPS_11_GAMMA1, "")
 
 
 # -- character -------------------------------------------------------------
@@ -154,6 +223,21 @@ def test_character_rejects_non_unimodular(capsys):
 # -- cusps -----------------------------------------------------------------
 
 
+CUSPS_11_GAMMA1 = """\
+     inf  width 1
+     1/1  width 11
+     1/2  width 11
+     1/3  width 11
+     1/4  width 11
+     1/5  width 11
+    2/11  width 1
+    3/11  width 1
+    4/11  width 1
+    5/11  width 1
+10 cusps of Gamma1(11), width sum 60
+"""
+
+
 def test_cusps_gamma1_frozen(capsys):
     code, out, _ = run(capsys, "cusps", "--p", "11", "--group", "Gamma1")
     assert code == 0
@@ -162,6 +246,7 @@ def test_cusps_gamma1_frozen(capsys):
     assert lines[1] == "     1/1  width 11"
     assert lines[-1] == "10 cusps of Gamma1(11), width sum 60"
     assert len(lines) == 11
+    assert out == CUSPS_11_GAMMA1
 
 
 # cusps --p 37, recorded while cusps were Cusp objects: (lines, sha256 of
@@ -190,10 +275,9 @@ def test_cusps_default_group_is_gamma2(capsys):
     assert "cusps of Gamma2(13)" in out
 
 
-def test_cusps_bad_group_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["cusps", "--p", "11", "--group", "Gamma9"])
-    assert exc.value.code == 2
+def test_cusps_bad_group_exits_2(capsys):
+    code, out, err = run(capsys, "cusps", "--p", "11", "--group", "Gamma9")
+    assert (code, out) == (2, "") and err.startswith("error: --group expects")
 
 
 # -- certify ---------------------------------------------------------------

@@ -81,6 +81,18 @@ def test_sl2_matrix_checks_its_determinant_on_every_path():
     assert type(moved) is SL2Matrix and moved == SL2Matrix.translation(5)
 
 
+@pytest.mark.parametrize("combine", [
+    lambda m: 2 * m, lambda m: m * 2, lambda m: m + m, lambda m: m + (1,),
+], ids=["2 * m", "m * 2", "m + m", "m + (1,)"])
+def test_sl2_matrix_refuses_tuple_arithmetic(combine):
+    # a repeated or concatenated matrix is no matrix: tuple's repeat and
+    # concat are replaced, and a product needs two matrices
+    m = SL2Matrix(2, 1, 1, 1)
+    with pytest.raises(TypeError):
+        combine(m)
+    assert m * m == SL2Matrix(5, 3, 3, 2)
+
+
 @pytest.mark.parametrize("fields, message", [
     ({"sign": 2}, "sign must be 1 or -1, not 2"),
     ({"sign": 0}, "sign must be 1 or -1, not 0"),

@@ -150,6 +150,18 @@ def test_start_up_imports_no_dataclasses_inspect_or_traceback():
     assert added & {"dataclasses", "inspect", "traceback"} == set()
 
 
+def test_start_up_and_a_command_import_no_argparse_gettext_or_locale():
+    # command lines are read from cli.COMMANDS: an argparse tree cost 50
+    # times a parse to build in every process, most of it in gettext
+    # catalogue searches for its help strings, the first of which imports locale
+    bare = _modules_after("pass")
+    for statement in ("import etacover.cli",
+                      "import etacover.cli\netacover.cli.main(['cusps', '--p', '13'])"):
+        added = _modules_after(statement) - bare
+        assert "etacover.cli" in added
+        assert added & {"argparse", "gettext", "locale"} == set(), statement
+
+
 def test_no_dataclasses_in_the_package():
     # records are typing.NamedTuple; importing dataclasses costs start-up time
     found = [

@@ -384,6 +384,28 @@ def test_membership_frozen_cases():
     assert not is_member(m, Subgroup.GAMMA2, ctx17)
 
 
+def _elliptic_elements(p: int):
+    # (a, b; p, tr - a) with a^2 - tr*a + 1 == 0 mod p: elements of Gamma0(p)
+    # of order 4 (tr = 0) and of order 3 or 6 (tr = -1, 1)
+    for tr in (0, 1, -1):
+        for a in range(p):
+            if (a * (tr - a) - 1) % p == 0:
+                yield SL2Matrix(a, (a * (tr - a) - 1) // p, p, tr - a)
+
+
+def test_elliptic_elements_of_gamma2_lie_in_plus_minus_gamma2_prime():
+    # no elliptic point of X_2(p) ramifies in X_2'(p): the covering is
+    # unramified outside the cusps
+    seen = 0
+    for p in (q for q in range(5, 2000) if is_prime(q)):
+        ctx = prime_context(p)
+        for m in _elliptic_elements(p):
+            if is_member(m, Subgroup.GAMMA2, ctx):
+                seen += 1
+                assert any(is_member(x, Subgroup.GAMMA2_PRIME, ctx) for x in (m, -m)), (p, m)
+    assert seen == 886
+
+
 def test_lift_with_upper_left():
     for p in (5, 13, 29):
         for a in range(1, p):
