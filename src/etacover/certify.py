@@ -1,12 +1,11 @@
 """Per-prime certification of the cyclic covering data.
 
-For each prime p the certifier checks, with formal eta products and exact
-multipliers, and complex evaluation of E_g alone (per drawn matrix and per
-cusp row the work is on ints: exponent dicts, signs, turns mod 24p):
+For each prime p the certifier checks, on ints (exponent dicts, signs,
+turns mod 24p), with complex evaluation of E_g alone:
 
   shifting            index shifts of the units F_h (formal products)
-  transformation-law  the unit's character laws under random matrices
-                      (exact multipliers; E_g residuals as numeric evidence)
+  transformation-law  the unit's character laws on all of its group, proved
+                      on eight matrix classes (E_g residuals as evidence)
   invariance          congruence criterion and odd order at infinity
   quotient-structure  Gamma0/Gamma2Prime is cyclic of the covering degree
   cusp-orders         odd order at every cusp, order 1 off the p | c fiber
@@ -42,10 +41,12 @@ from .subgroups import (
     Subgroup,
     cusp_name,
     cusp_set,
+    lift_with_upper_left,
     multiplier_turns,
     power,
     quotient_structure,
     random_member,
+    section,
     sign_character,
     twisted_sign,
 )
@@ -145,38 +146,47 @@ def _law(prod: EtaProduct, m: SL2Matrix) -> tuple[int, dict, int]:
     return multiplier_turns(prod.exponents, prod.level, m) % (24 * prod.level), exponents, sign
 
 
-def verify_transforms(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> CheckResult:
-    """Transformation laws of the unit under random small matrices.
+def class_representatives(ctx: PrimeContext, group: Subgroup) -> list:
+    """T^j and section(a, c) T^j, j in {0, 1}, (a, c) in {(1, p), (2, p), (1, 2p)}, 2 read
+    as p + 1 on Gamma1: a member of each class, gamma mod 2 and whether c = 0."""
+    two = ctx.p + 1 if group is Subgroup.GAMMA1 else 2
+    bases = [section(a, c) for a, c in ((1, 0), (1, ctx.p), (two, ctx.p), (1, 2 * ctx.p))]
+    return [m * SL2Matrix.translation(j) for m in bases for j in (0, 1)]
 
-    Decided exactly, on ints: F_1 goes to psi F_a on Gamma0 and to psi*chi
-    F_1 on Gamma2 (psi F_1 when p == 3 mod 4), G to psi G on Gamma1.  A law
-    holds when _law's exponents are the target's (F_a off the orbit table)
-    and t is 0 or 12p as the signs require.  The E_g multiplier they rest on
-    is also evaluated, at g in {1, 2, g mod p} on the Gamma0 matrices.
+
+def verify_transforms(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> CheckResult:
+    """The unit's laws on all of its group, decided exactly on eight matrix classes.
+
+    Lemma: if sum e = 6 and p | S2 = sum e g^2, then F_1(gamma tau) = c(gamma) F_a(tau) on
+    Gamma0(p), F_a off the orbit table, has c*psi a function of gamma mod 2 and of c = 0.
+    For c != 0 the turns are 12p*eps12 (psi at (a, bp; c/p, d) == gamma mod 2) plus
+    12b(a*S2 - p*S1) (a, b mod 2) mod 24p, and a*g merges to F_a with sign +1; for c = 0,
+    2b*order_numerator, the order at 1/0 in 1/2 + Z.  G is alike, G_a = G on Gamma1.  So
+    _law at class_representatives and their negatives proves the law on Gamma0 (Gamma1),
+    and psi*chi F_1 on Gamma2 follows from F_h = chi(h) F_1, the law at the lifts of the
+    2*ell h in H = <g^k>, psi*chi from twisted_sign.  As evidence, the E_g law is
+    evaluated at g in {1, 2, g mod p} on N_RANDOM seeded Gamma0 draws.
     """
-    rng = random.Random(DEFAULT_SEED + ctx.p)
-    worst, failed = 0.0, []
-    indices = sorted({1, 2, ctx.g % ctx.p})
-    for _ in range(N_RANDOM):
-        m0 = random_member(Subgroup.GAMMA0, ctx, rng)
-        worst = max(worst, check_E_transforms(indices, ctx.p, m0, balanced_samples(m0)))
-        m1 = random_member(group, ctx, rng)
-        if group is Subgroup.GAMMA1:
-            laws = [(m1, sign_character(m1), unit.exponents, unit.sign)]
-        else:
-            laws = [(m0, sign_character(m0), *merge_factors(ctx.p, orbit_factors(m0.a, ctx))),
-                    (m1, twisted_sign(m1, ctx), unit.exponents, unit.sign)]
-        for m, factor, want, want_sign in laws:
-            turns, exponents, sign = _law(unit, m)
-            if exponents != want or turns != (0 if factor * sign == want_sign else 12 * ctx.p):
-                failed.append(m.entries())
-    problems = [f"{unit.label} law fails exactly at {m}" for m in failed[:1]]
+    p, rng, indices = ctx.p, random.Random(DEFAULT_SEED + ctx.p), sorted({1, 2, ctx.g % ctx.p})
+    draws = [random_member(Subgroup.GAMMA0, ctx, rng) for _ in range(N_RANDOM)]
+    worst = max(check_E_transforms(indices, p, m, balanced_samples(m)) for m in draws)
+    reps, gamma1 = class_representatives(ctx, group), group is Subgroup.GAMMA1
+    laws = [(m, sign_character(m), *((unit.exponents, unit.sign) if gamma1 else
+                                     merge_factors(p, orbit_factors(m.a, ctx))))
+            for r in reps for m in (r, -r)]
+    lifts = [lift_with_upper_left(power(ctx, n * ctx.k), p) for n in range(2 * ctx.ell)]
+    laws += [(m, twisted_sign(m, ctx), unit.exponents, unit.sign) for m in lifts]
+    problems = [f"{unit.label} law fails exactly at {m.entries()}" for m, factor, want, s in laws
+                if _law(unit, m) not in ((0, want, factor * s), (12 * p, want, -factor * s))][:1]
+    side = (sum(unit.exponents.values()), sum(e * g * g for g, e in unit.exponents.items()) % p,
+            len({(m.c == 0, *(x % 2 for x in m)) for m in reps}))
+    if side != (6, 0, 8):
+        problems.append(f"lemma needs sum e, S2 mod p and classes 6, 0, 8, not {side}")
     problems += [f"max residual {worst:.3e} >= {TOL}"] if worst >= TOL else []
-    return CheckResult(
-        "transformation-law", "fail" if problems else "pass",
-        reason="; ".join(problems) or None,
-        witness={"max_residual": worst, "matrices": N_RANDOM, "tol": TOL},
-    )
+    witness = {"method": "classes", "classes": side[2], "max_residual": worst,
+               "matrices": N_RANDOM, "tol": TOL}
+    return CheckResult("transformation-law", "fail" if problems else "pass",
+                       reason="; ".join(problems) or None, witness=witness)
 
 
 def verify_invariance(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> CheckResult:

@@ -7,6 +7,8 @@ package's membership test (through cusps_equivalent and cusp_width) but
 not its closed-form cusp rule.  enumerate_quotient_structure reuses the
 quotient character and the membership test, but evaluates them on every
 residue class instead of the closed form's handful of matrices.
+elliptic_counts and genus reuse the membership test, psl_index and the
+closed-form cusp table, and count the elliptic points from fixed points.
 half_turn_eta_multiplier reuses epsilon_factor, the eta^2 multiplier
 that rademacher_eta_squared_multiplier checks, but composes the phase
 in Fractions of a half turn.  transform_product reuses the one-index
@@ -30,6 +32,7 @@ from etacover.subgroups import (
     QuotientStructure,
     SL2Matrix,
     Subgroup,
+    cusp_set,
     cusp_width,
     cusps_equivalent,
     epsilon_factor,
@@ -456,3 +459,75 @@ def power_eval_generalized_eta(g: int, level: int, tau: complex) -> complex:
     head = cmath.exp(2j * pi * tau * float(lead))
     value = head * math.prod(1 - q ** (level * (n - 1) + g) for n in m)
     return value * math.prod(1 - q ** (level * n - g) for n in m)
+
+
+def unit_law_by_class(prod: EtaProduct, factors, ctx) -> dict:
+    """The values of f = c*psi in turns, by class, on all 6(p-1) classes of
+    (Z/p)^* x SL2(Z/2) and on +-T^b for -4 <= b <= 4.
+
+    prod(gamma tau) = c(gamma) prod_a(tau) through transform_product, prod_a
+    the literal factors (g, e) of prod with each g times a mod p (times 1
+    under a translation), and psi = e^(pi*i*eps), the eta^12 multiplier,
+    for epsilon_factor's eps in twelfths.  The class of gamma is gamma
+    mod 2 when c != 0 and ("T", b mod 2) when c = 0.  Each class of the
+    product group is reached by a first column (a, c) with a == r mod p, c
+    in {p, 2p}, completed by d = a^-1 mod c and then moved by T.
+    """
+    p, by_class = ctx.p, {}
+
+    def record(key, m, r):
+        target = EtaProduct.from_factors(p, [(r * g, e) for g, e in factors], f"target_{r}")
+        root, moved = transform_product(prod, m)
+        assert moved.exponents == target.exponents, (m, r)
+        half_turns = (moved.sign != target.sign) + epsilon_factor(*m)
+        by_class.setdefault(key, set()).add((root + Fraction(half_turns, 2)) % 1)
+
+    for b in range(-4, 5):
+        for s in (1, -1):
+            record(("T", b % 2), SL2Matrix(s, s * b, 0, s), 1)
+    for r in range(1, p):
+        for a, c in ((r, p), (r + p, p), (r if r % 2 else r + p, 2 * p)):
+            d = pow(a, -1, c)
+            base = SL2Matrix(a, (a * d - 1) // c, c, d)
+            for m in (base, SL2Matrix(a, base.b + a, c, d + c)):
+                record(tuple(x % 2 for x in m), m, r)
+    return by_class
+
+
+def elliptic_elements(p: int) -> list:
+    """(tr, m) for m = (a, b; p, tr - a), 0 <= a < p, a^2 - tr*a + 1 == 0 mod p:
+    elements of Gamma0(p) of order 4 (tr = 0) and of order 3 or 6 (tr = -1, 1).
+
+    Each elliptic point of X_0(p) of order 2 is fixed by one of them with
+    tr = 0, and each of order 3 by one with tr = 1 and one with tr = -1
+    (m and -m^-1, whose upper-left entry is a - 1).
+    """
+    return [
+        (tr, SL2Matrix(a, (a * (tr - a) - 1) // p, p, tr - a))
+        for tr in (0, 1, -1)
+        for a in range(p)
+        if (a * (tr - a) - 1) % p == 0
+    ]
+
+
+def elliptic_counts(group, ctx, elements) -> tuple:
+    """(eps2, eps3) of the group, counted from the fixed points of elements.
+
+    The group is normal in Gamma0(p) up to +-1 (its image is cut out by the
+    upper-left residue and a character), so over an elliptic point of
+    X_0(p) either every one of its mu/(p+1) points is elliptic, when the
+    fixing element lies in +-group, or none is.
+    """
+    points = psl_index(group, ctx) // (ctx.p + 1)
+    inside = [tr for tr, m in elements if any(is_member(x, group, ctx) for x in (m, -m))]
+    order3, rest = divmod(len(inside) - inside.count(0), 2)
+    assert rest == 0, (group, ctx.p)
+    return points * inside.count(0), points * order3
+
+
+def genus(group, ctx, elements) -> Fraction:
+    """g = 1 + mu/12 - eps2/4 - eps3/3 - eps_inf/2 (Diamond-Shurman, Thm 3.1.1),
+    mu = psl_index and eps_inf = len(cusp_set)."""
+    eps2, eps3 = elliptic_counts(group, ctx, elements)
+    mu, cusps = psl_index(group, ctx), len(cusp_set(group, ctx))
+    return 1 + Fraction(mu, 12) - Fraction(eps2, 4) - Fraction(eps3, 3) - Fraction(cusps, 2)

@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import types
+from itertools import product
 from math import gcd
 
 import pytest
@@ -19,6 +20,7 @@ from etacover.certify import (
     _law,
     branch_name,
     certify,
+    class_representatives,
     cusp_orders,
     error_report,
     report_from_json,
@@ -34,6 +36,7 @@ from etacover.eta import (
     EtaProduct,
     eta_quotient_series,
     expand_product,
+    find_triplet,
     merge_factors,
     orbit_product,
     order_numerator,
@@ -44,6 +47,10 @@ from etacover.subgroups import (
     SL2Matrix,
     Subgroup,
     dlog,
+    epsilon_factor,
+    is_member,
+    lift_with_upper_left,
+    power,
     random_member,
     section,
     sign_character,
@@ -56,6 +63,7 @@ from oracles import (
     literal_z_factors,
     transform_product,
     turns,
+    unit_law_by_class,
 )
 
 
@@ -285,14 +293,47 @@ def test_certify_evaluates_no_eta_product(monkeypatch):
 
 
 def law_matrices(ctx, group):
-    """verify_transforms' seeded draws, both of each pair, then +-T^b."""
+    """verify_transforms' Gamma0 draws, its one RNG stream, then as many draws
+    from the unit's group off a separate rng, the class representatives and
+    the lifts of H = <g^k> with their negatives, and +-T^b."""
     rng = random.Random(DEFAULT_SEED + ctx.p)
-    for _ in range(N_RANDOM):
-        yield random_member(Subgroup.GAMMA0, ctx, rng)
-        yield random_member(group, ctx, rng)
+    yield from (random_member(Subgroup.GAMMA0, ctx, rng) for _ in range(N_RANDOM))
+    rng = random.Random(f"{group.value} {DEFAULT_SEED + ctx.p}")
+    yield from (random_member(group, ctx, rng) for _ in range(N_RANDOM))
+    for n in range(2 * ctx.ell):
+        yield lift_with_upper_left(power(ctx, n * ctx.k), ctx.p)
+    for m in class_representatives(ctx, group):
+        yield m
+        yield -m
     for b in range(-3, 4):
         yield SL2Matrix.translation(b)
         yield -SL2Matrix.translation(b)
+
+
+def test_law_matrices_replay_the_gamma0_stream(monkeypatch):
+    # the E_g residual is evaluated on law_matrices' first N_RANDOM matrices,
+    # in their order, and no other matrix is drawn
+    seen, draws = [], []
+    batched, drawing = etacover.certify.check_E_transforms, etacover.certify.random_member
+
+    def counting(indices, level, gamma, samples):
+        seen.append(gamma)
+        return batched(indices, level, gamma, samples)
+
+    def recording(group, ctx, rng):
+        draws.append(group)
+        return drawing(group, ctx, rng)
+
+    monkeypatch.setattr("etacover.certify.check_E_transforms", counting)
+    monkeypatch.setattr("etacover.certify.random_member", recording)
+    for p in (5, 11, 13, 101, 1009):
+        ctx = prime_context(p)
+        unit, group = _certified_unit(ctx)
+        seen.clear()
+        draws.clear()
+        assert verify_transforms(ctx, unit, group).status == "pass", p
+        assert seen == list(law_matrices(ctx, group))[:N_RANDOM], p
+        assert draws == [Subgroup.GAMMA0] * N_RANDOM, p
 
 
 @pytest.mark.parametrize("primes", [range(5, 500), (10007,)], ids=["below-500", "10007"])
@@ -342,6 +383,72 @@ def test_law_mutations_fail_below_200(monkeypatch, name):
             assert "law fails exactly" in res.reason, (name, p)
             return
     pytest.fail(f"{name} passes every prime below 200")
+
+
+SL2_Z2 = [m for m in product((0, 1), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 2]
+CLASSES = {(False, *m) for m in SL2_Z2} | {(True, 1, 0, 0, 1), (True, 1, 1, 0, 1)}
+
+
+def test_representatives_cover_the_eight_classes():
+    # the six classes of SL2(Z/2) with c != 0, and T^0, T^1: in Gamma0, and in
+    # Gamma1 for the G law
+    assert len(CLASSES) == 8
+    for p in filter(is_prime, range(5, 2000)):
+        ctx = prime_context(p)
+        for group, home in ((Subgroup.GAMMA1, Subgroup.GAMMA1), (Subgroup.GAMMA2, Subgroup.GAMMA0)):
+            reps = class_representatives(ctx, group)
+            assert sorted((m.c == 0, *(x % 2 for x in m)) for m in reps) == sorted(CLASSES), p
+            assert all(is_member(m, home, ctx) for m in reps), (p, group)
+
+
+def test_unit_law_is_constant_on_each_fibre_over_sl2_z2():
+    # the lemma of verify_transforms: with F_1(gamma tau) = c(gamma) F_a(tau),
+    # c*psi depends only on gamma mod 2 (and on whether c = 0) on all 6(p-1)
+    # classes of (Z/p)^* x SL2(Z/2), G alike with G_a; the one value is the
+    # law's, 0
+    for p in filter(is_prime, range(5, 201)):
+        ctx = prime_context(p)
+        unit, group = _certified_unit(ctx)
+        factors = ([(h, 2) for h in find_triplet(p)] if group is Subgroup.GAMMA1
+                   else literal_orbit_factors(1, ctx))
+        assert EtaProduct.from_factors(p, factors, unit.label) == unit, p
+        by_class = unit_law_by_class(unit, factors, ctx)
+        assert len(by_class) == 8 and all(len(f) == 1 for f in by_class.values()), (p, by_class)
+        assert set().union(*by_class.values()) == {0}, p
+
+
+def _dropping(j):
+    def representatives(ctx, group):
+        reps = class_representatives(ctx, group)
+        return reps[:j] + reps[j + 1:]
+    return representatives
+
+
+CLASS_MUTANTS = {  # a negated psi: test_negated_psi_fails_the_exact_law
+    "epsilon12 + 3": ("etacover.subgroups.epsilon_factor", lambda *m: epsilon_factor(*m) + 3),
+    **{f"drop representative {j}": ("etacover.certify.class_representatives", _dropping(j))
+       for j in range(8)},
+}
+
+
+@pytest.mark.parametrize("name", CLASS_MUTANTS)
+def test_class_mutations_fail_below_200(monkeypatch, name):
+    monkeypatch.setattr(*CLASS_MUTANTS[name])
+    for p in filter(is_prime, range(5, 200)):
+        ctx = prime_context(p)
+        if verify_transforms(ctx, *_certified_unit(ctx)).status == "fail":
+            return
+    pytest.fail(f"{name} passes every prime below 200")
+
+
+def test_a_unit_outside_the_lemma_fails():
+    # E_1^6 has sum e = 6 and S2 = 6, prime to p: the classes do not decide
+    # its law, and the check says so at every prime
+    for p in filter(is_prime, range(5, 200)):
+        ctx, unit = prime_context(p), EtaProduct(p, {1: 6}, 1, "E_1^6")
+        for group in (Subgroup.GAMMA1, Subgroup.GAMMA2):
+            res = verify_transforms(ctx, unit, group)
+            assert res.status == "fail" and "lemma needs" in res.reason, (p, group)
 
 
 def test_draws_build_no_eta_product(monkeypatch):

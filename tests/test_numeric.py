@@ -151,13 +151,13 @@ def test_backends_agree_on_random_points(re, im):
 
 
 def certify_draws(ctx) -> list:
-    """verify_transforms' (Gamma0, unit group) matrix pairs, in its RNG order."""
+    """verify_transforms' Gamma0 draws, its one RNG stream, each paired with a
+    draw from the unit's group off a separate rng."""
     group = Subgroup.GAMMA1 if ctx.ell == 1 else Subgroup.GAMMA2
     rng = random.Random(DEFAULT_SEED + ctx.p)
-    return [
-        (random_member(Subgroup.GAMMA0, ctx, rng), random_member(group, ctx, rng))
-        for _ in range(N_RANDOM)
-    ]
+    gamma0 = [random_member(Subgroup.GAMMA0, ctx, rng) for _ in range(N_RANDOM)]
+    rng = random.Random(f"{group.value} {DEFAULT_SEED + ctx.p}")
+    return [(m, random_member(group, ctx, rng)) for m in gamma0]
 
 
 @pytest.mark.parametrize("p", [5, 13, 101, 1009, 10007])

@@ -70,6 +70,19 @@ def test_exact_law_and_z_relation_build_no_objects():
     assert len(checked) == 2 and found == []
 
 
+def test_certify_draws_one_stream_from_gamma0():
+    # the unit's laws are decided on fixed class representatives; the only
+    # draws left are the Gamma0 matrices of the E_g residual, from one rng
+    # per prime, so a second stream from the unit's group cannot come back
+    tree = ast.parse((Path(etacover.__file__).parent / "certify.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    draws = [node for node in calls if "random_member" in
+             (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    streams = [node for node in calls if getattr(node.func, "attr", None) == "Random"]
+    assert draws and all(ast.unparse(node.args[0]) == "Subgroup.GAMMA0" for node in draws)
+    assert len(streams) == 1
+
+
 def test_powers_of_g_belong_to_the_group_layer():
     # eta and certify read g^n from subgroups' orbit table, and the
     # reduced index of an eta product is a plain (r, sign) pair

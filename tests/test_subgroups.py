@@ -35,7 +35,9 @@ from etacover.subgroups import (
 from oracles import (
     character_modulus,
     coset_sweep,
+    elliptic_elements,
     enumerate_quotient_structure,
+    genus,
     half_turn_eta_multiplier,
     rademacher_eta_squared_multiplier,
     scan_cusp_set,
@@ -384,26 +386,36 @@ def test_membership_frozen_cases():
     assert not is_member(m, Subgroup.GAMMA2, ctx17)
 
 
-def _elliptic_elements(p: int):
-    # (a, b; p, tr - a) with a^2 - tr*a + 1 == 0 mod p: elements of Gamma0(p)
-    # of order 4 (tr = 0) and of order 3 or 6 (tr = -1, 1)
-    for tr in (0, 1, -1):
-        for a in range(p):
-            if (a * (tr - a) - 1) % p == 0:
-                yield SL2Matrix(a, (a * (tr - a) - 1) // p, p, tr - a)
-
-
 def test_elliptic_elements_of_gamma2_lie_in_plus_minus_gamma2_prime():
     # no elliptic point of X_2(p) ramifies in X_2'(p): the covering is
     # unramified outside the cusps
     seen = 0
     for p in (q for q in range(5, 2000) if is_prime(q)):
         ctx = prime_context(p)
-        for m in _elliptic_elements(p):
+        for _, m in elliptic_elements(p):
             if is_member(m, Subgroup.GAMMA2, ctx):
                 seen += 1
                 assert any(is_member(x, Subgroup.GAMMA2_PRIME, ctx) for x in (m, -m)), (p, m)
     assert seen == 886
+
+
+def test_genus_of_the_four_curves():
+    # the genus formula from the elliptic counts, psl_index and cusp_set: an
+    # integer >= 0 for each group, the classical closed forms for X_0(p) and
+    # X_1(p), and Riemann-Hurwitz for X_2'(p) -> X_2(p), of degree 2 and
+    # ramified at every cusp (the widths double) and nowhere else
+    x0_offset = {1: 13, 5: 5, 7: 7, 11: -1}
+    for p in filter(is_prime, range(5, 2000)):
+        ctx, elements = prime_context(p), elliptic_elements(p)
+        g = {group: genus(group, ctx, elements) for group in Subgroup}
+        assert all(x.denominator == 1 and x >= 0 for x in g.values()), (p, g)
+        assert g[Subgroup.GAMMA0] == (p - x0_offset[p % 12]) // 12, p
+        assert g[Subgroup.GAMMA1] == (p - 5) * (p - 7) // 24, p
+        below, above = cusp_set(Subgroup.GAMMA2, ctx), cusp_set(Subgroup.GAMMA2_PRIME, ctx)
+        assert [row[:2] for row in above] == [row[:2] for row in below], p
+        ramification = sum(w2 // w - 1 for (*_, w), (*_, w2) in zip(below, above))
+        assert ramification == len(below), p
+        assert 2 * g[Subgroup.GAMMA2_PRIME] - 2 == 2 * (2 * g[Subgroup.GAMMA2] - 2) + ramification, p
 
 
 def test_lift_with_upper_left():
