@@ -168,7 +168,7 @@ def verify_transforms(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> C
     evaluated at g in {1, 2, g mod p} on N_RANDOM seeded Gamma0 draws.
     """
     p, rng, indices = ctx.p, random.Random(DEFAULT_SEED + ctx.p), sorted({1, 2, ctx.g % ctx.p})
-    draws = [random_member(Subgroup.GAMMA0, ctx, rng) for _ in range(N_RANDOM)]
+    draws = [random_member(ctx, rng) for _ in range(N_RANDOM)]
     worst = max(check_E_transforms(indices, p, m, balanced_samples(m)) for m in draws)
     reps, gamma1 = class_representatives(ctx, group), group is Subgroup.GAMMA1
     laws = [(m, sign_character(m), *((unit.exponents, unit.sign) if gamma1 else
@@ -176,7 +176,7 @@ def verify_transforms(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> C
             for r in reps for m in (r, -r)]
     lifts = [lift_with_upper_left(power(ctx, n * ctx.k), p) for n in range(2 * ctx.ell)]
     laws += [(m, twisted_sign(m, ctx), unit.exponents, unit.sign) for m in lifts]
-    problems = [f"{unit.label} law fails exactly at {m.entries()}" for m, factor, want, s in laws
+    problems = [f"{unit.label} law fails exactly at {tuple(m)}" for m, factor, want, s in laws
                 if _law(unit, m) not in ((0, want, factor * s), (12 * p, want, -factor * s))][:1]
     side = (sum(unit.exponents.values()), sum(e * g * g for g, e in unit.exponents.items()) % p,
             len({(m.c == 0, *(x % 2 for x in m)) for m in reps}))

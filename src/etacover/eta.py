@@ -137,9 +137,9 @@ class EtaProduct(_Fields):
         return cls(*iterable)
 
     @classmethod
-    def from_factors(cls, level: int, factors, label: str, sign: int = 1) -> "EtaProduct":
-        """sign * prod E_g^e over the (g, e) in factors, merged by merge_factors."""
-        return cls(level, *merge_factors(level, factors, sign), label)
+    def from_factors(cls, level: int, factors, label: str) -> "EtaProduct":
+        """prod E_g^e over the (g, e) in factors, merged by merge_factors."""
+        return cls(level, *merge_factors(level, factors), label)
 
     def squared(self) -> "EtaProduct":
         factors = [(g, 2 * e) for g, e in self.exponents.items()]

@@ -231,7 +231,7 @@ def check_F_transform(ctx: PrimeContext, h: int, gamma: SL2Matrix, samples=DEFAU
             f"p={ctx.p} has gcd(p-1,12)=2: no F-branch, use check_G_transform"
         )
     if not is_member(gamma, Subgroup.GAMMA0, ctx):
-        raise ValueError(f"{gamma.entries()} is not in Gamma0({ctx.p})")
+        raise ValueError(f"{tuple(gamma)} is not in Gamma0({ctx.p})")
     here, moved = orbit_product(h, ctx), orbit_product(gamma.a * h, ctx)
     form = _form(here.exponents, ctx.p)
     laws = [(form, sign_character(gamma) * here.sign * moved.sign, _form(moved.exponents, ctx.p))]
@@ -244,7 +244,7 @@ def check_G_transform(p: int, triplet: tuple[int, int, int], gamma: SL2Matrix,
                       samples=DEFAULT_SAMPLES) -> float:
     """Max relative residual of G(gamma tau) = psi(gamma) G(tau), gamma in Gamma1(p)."""
     if gamma.c % p or gamma.a % p != 1:
-        raise ValueError(f"{gamma.entries()} is not in Gamma1({p})")
+        raise ValueError(f"{tuple(gamma)} is not in Gamma1({p})")
     return check_invariance(
         triplet_product(triplet, p), gamma, sign_character(gamma), samples
     )

@@ -10,9 +10,9 @@ of level p:
 
 Membership never needs more than the residue a mod p and its dlog, read
 off the prime's one orbit table (g^n mod 2p, n < p-1, and its inverse,
-through dlog and power); eta's units F_h and the cusp cosets read it too.
-Sections of cusps, lifts of residues and random members complete their
-first column (a, c) one way only: d is the inverse of a mod c nearest 0.
+through dlog and power); eta's units F_h, the cusp cosets and every g^n
+here read it.  Sections of cusps, lifts of residues and random Gamma0
+members complete their first column (a, c) one way: d = a^-1 mod c nearest 0.
 
 Gamma0, Gamma1 and Gamma2 are Gamma_H(p), H the upper-left residues, and
 Gamma2Prime is the sign-twisted kernel inside Gamma2, so cusp tables come
@@ -68,15 +68,12 @@ class SL2Matrix(_Entries):
 
     @classmethod
     def parse(cls, text: str) -> "SL2Matrix":
-        """Read 'a,b,c,d' (as printed by entries())."""
+        """Read 'a,b,c,d', the entries comma-separated (the --matrix option)."""
         try:
             a, b, c, d = (int(t) for t in text.split(","))
         except ValueError as exc:
             raise ValueError(f"expected 'a,b,c,d' integers, got {text!r}") from exc
         return cls(a, b, c, d)
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
 
     def __mul__(self, other: "SL2Matrix") -> "SL2Matrix":
         if not isinstance(other, SL2Matrix):
@@ -162,7 +159,7 @@ def quadratic_character(m: SL2Matrix, ctx: PrimeContext) -> int:
         n, rest = divmod(dlog(ctx, m.a), ctx.k)  # one dlog: membership and value
         if rest == 0:
             return 1 if n % 2 == 0 else -1
-    raise ValueError(f"{m.entries()} is not in Gamma2({ctx.p})")
+    raise ValueError(f"{tuple(m)} is not in Gamma2({ctx.p})")
 
 
 def twisted_sign(m: SL2Matrix, ctx: PrimeContext) -> int:
@@ -201,7 +198,7 @@ def multiplier_turns(exponents: dict, level: int, m: SL2Matrix) -> int:
     if any(g % level == 0 for g in exponents):
         raise ValueError(f"an index of {exponents} vanishes mod {level}")
     if m.c % level:
-        raise ValueError(f"{m.entries()} is not in Gamma0({level})")
+        raise ValueError(f"{tuple(m)} is not in Gamma0({level})")
     if m.c == 0:
         b = m.b if m.a == 1 else -m.b  # a = d = -1: use -m, same action
         return 2 * b * order_numerator(exponents, level, 1, 0)
@@ -245,46 +242,28 @@ def lift_with_upper_left(a: int, p: int) -> SL2Matrix:
     return section(r, p)
 
 
-def gamma2_generator(ctx: PrimeContext) -> SL2Matrix:
-    """A concrete matrix generating Gamma2 over Gamma1: upper-left g^k."""
-    return lift_with_upper_left(pow(ctx.g, ctx.k, ctx.p), ctx.p)
-
-
-def random_member(group: Subgroup, ctx: PrimeContext, rng) -> SL2Matrix:
-    """Random small-entry member; lower-left is p times an integer in [-2, 2].
+def random_member(ctx: PrimeContext, rng) -> SL2Matrix:
+    """Random small-entry member of Gamma0(p); lower-left is p times an integer in [-2, 2].
 
     Off the translations it is +-T^i * W * T^j, W the completion of a first
     column (a, c), written down entry by entry as one matrix.
     """
     p = ctx.p
-    while True:
-        c0 = rng.randint(-2, 2)
-        if c0 == 0:
-            a, b, c, d = 1, rng.randint(-4, 4), 0, 1
-        else:
-            if group is Subgroup.GAMMA0:
-                res = rng.randrange(1, p)
-            elif group is Subgroup.GAMMA1:
-                res = 1
-            else:
-                res = pow(ctx.g, ctx.k * rng.randrange(2 * ctx.ell), p)
-            c = p * c0
-            a = res + p * rng.randint(0, 2)
-            while gcd(a, c) != 1:
-                a += p
-            # d nearest 0, then jitter with translations on both sides
-            b, d = _second_column(a, c)
-            j = rng.randint(-2, 2)
-            b, d = b + a * j, d + c * j
-            i = rng.randint(-2, 2)
-            a, b = a + i * c, b + i * d
-        s = -1 if group is not Subgroup.GAMMA1 and rng.random() < 0.5 else 1
-        m = SL2Matrix(s * a, s * b, s * c, s * d)
-        if group is Subgroup.GAMMA2_PRIME and not is_member(m, group, ctx):
-            continue  # rejection step: half of Gamma2 lands in the kernel
-        if not is_member(m, group, ctx):
-            raise ArithmeticError(f"built {m.entries()} outside {group.value}")
-        return m
+    c0 = rng.randint(-2, 2)
+    if c0 == 0:
+        a, b, c, d = 1, rng.randint(-4, 4), 0, 1
+    else:
+        c = p * c0
+        a = rng.randrange(1, p) + p * rng.randint(0, 2)
+        while gcd(a, c) != 1:
+            a += p
+        b, d = _second_column(a, c)
+        j = rng.randint(-2, 2)
+        b, d = b + a * j, d + c * j
+        i = rng.randint(-2, 2)
+        a, b = a + i * c, b + i * d
+    s = -1 if rng.random() < 0.5 else 1
+    return SL2Matrix(s * a, s * b, s * c, s * d)
 
 
 def section(a: int, c: int) -> SL2Matrix:
@@ -316,9 +295,14 @@ def quotient_character(ctx: PrimeContext, m: SL2Matrix) -> int:
     image has order 2k = p-1 / ell, the degree of the certified covering.
     """
     if m.c % ctx.p:
-        raise ValueError(f"{m.entries()} is not in Gamma0({ctx.p})")
-    half = ctx.k if ctx.ell % 2 else 2 * ctx.k
-    return (2 * dlog(ctx, m.a) + (0 if sign_character(m) == 1 else half)) % (2 * half)
+        raise ValueError(f"{tuple(m)} is not in Gamma0({ctx.p})")
+    big = _character_modulus(ctx)
+    return (2 * dlog(ctx, m.a) + (0 if sign_character(m) == 1 else big // 2)) % big
+
+
+def _character_modulus(ctx: PrimeContext) -> int:
+    """quotient_character's M, twice the order of zeta."""
+    return 2 * ctx.k if ctx.ell % 2 else 4 * ctx.k
 
 
 class QuotientStructure(NamedTuple):
@@ -347,11 +331,11 @@ def quotient_structure(ctx: PrimeContext) -> QuotientStructure:
     L*T, L the lift of g^k, which represent (0, +-1) and (k, +-1).
     """
     p = ctx.p
-    residues = [pow(ctx.g, n, p) for n in range(0, p - 1, ctx.k)]
+    residues = [power(ctx, n) % p for n in range(0, p - 1, ctx.k)]
     t = SL2Matrix.translation(1)
     generators = (lift_with_upper_left(ctx.g, p), t)
-    top = gamma2_generator(ctx)
-    big = 2 * (ctx.k if ctx.ell % 2 else 2 * ctx.k)  # quotient_character's M
+    top = lift_with_upper_left(power(ctx, ctx.k), p)
+    big = _character_modulus(ctx)
     return QuotientStructure(
         index_gamma0_gamma2=(p - 1) // len(residues),
         curve_index_gamma2_gamma1=len({min(a, p - a) for a in residues}),

@@ -12,8 +12,10 @@ closed-form cusp table, and count the elliptic points from fixed points.
 half_turn_eta_multiplier reuses epsilon_factor, the eta^2 multiplier
 that rademacher_eta_squared_multiplier checks, but composes the phase
 in Fractions of a half turn.  transform_product reuses the one-index
-eta_multiplier and EtaProduct.from_factors, and composes a product's law
-factor by factor, where certify sums the whole product at once.
+eta_multiplier and merge_factors, and composes a product's law factor
+by factor, where certify sums the whole product at once.
+random_group_member reuses section and, for Gamma2Prime's rejection
+step, the membership test.
 
 A root of unity e^(2*pi*i*x) is the Fraction x mod 1 here, its turns in
 [0, 1): roots compose by adding turns, and the package's int roots t
@@ -27,7 +29,7 @@ from functools import lru_cache
 from itertools import product
 from math import ceil, gcd, lcm, pi
 
-from etacover.eta import EtaProduct
+from etacover.eta import EtaProduct, merge_factors
 from etacover.subgroups import (
     QuotientStructure,
     SL2Matrix,
@@ -41,6 +43,7 @@ from etacover.subgroups import (
     lift_with_upper_left,
     psl_index,
     quotient_character,
+    section,
 )
 
 
@@ -419,14 +422,15 @@ def transform_product(prod: EtaProduct, gamma: SL2Matrix) -> tuple:
     """(x, moved) with prod(gamma tau) = e^(2*pi*i*x) * moved(tau), gamma in Gamma0, x in turns.
 
     Each E_g^e contributes e times its own eta_multiplier turns and
-    moves to its new index; the moved factors are merged by from_factors.
+    moves to its new index; the moved factors are merged by merge_factors.
     """
     root, moved = Fraction(0), []
     for g, e in prod.exponents.items():
         t, new_index = eta_multiplier(g, prod.level, gamma)
         root += turns(e * t, 24 * prod.level)
         moved.append((new_index, e))
-    return root % 1, EtaProduct.from_factors(prod.level, moved, prod.label, prod.sign)
+    merged = merge_factors(prod.level, moved, prod.sign)
+    return root % 1, EtaProduct(prod.level, *merged, prod.label)
 
 
 def half_turn_eta_multiplier(g: int, level: int, m: SL2Matrix):
@@ -531,3 +535,36 @@ def genus(group, ctx, elements) -> Fraction:
     eps2, eps3 = elliptic_counts(group, ctx, elements)
     mu, cusps = psl_index(group, ctx), len(cusp_set(group, ctx))
     return 1 + Fraction(mu, 12) - Fraction(eps2, 4) - Fraction(eps3, 3) - Fraction(cusps, 2)
+
+
+def random_group_member(group, ctx, rng) -> SL2Matrix:
+    """Random small-entry member of the group; lower-left is p times an integer in [-2, 2].
+
+    Drawn call for call as random_member draws from Gamma0, with the residue
+    g^(k*n) mod p (Gamma2, Gamma2Prime) or 1 (Gamma1, unsigned) in place of a
+    uniform one.  Gamma2Prime rejects the draws outside it, about half of Gamma2's.
+    """
+    p = ctx.p
+    while True:
+        c0 = rng.randint(-2, 2)
+        if c0 == 0:
+            a, b, c, d = 1, rng.randint(-4, 4), 0, 1
+        else:
+            if group is Subgroup.GAMMA0:
+                res = rng.randrange(1, p)
+            elif group is Subgroup.GAMMA1:
+                res = 1
+            else:
+                res = pow(ctx.g, ctx.k * rng.randrange(2 * ctx.ell), p)
+            c, a = p * c0, res + p * rng.randint(0, 2)
+            while gcd(a, c) != 1:
+                a += p
+            _, b, _, d = section(a, c)
+            j = rng.randint(-2, 2)
+            b, d = b + a * j, d + c * j
+            i = rng.randint(-2, 2)
+            a, b = a + i * c, b + i * d
+        s = -1 if group is not Subgroup.GAMMA1 and rng.random() < 0.5 else 1
+        m = SL2Matrix(s * a, s * b, s * c, s * d)
+        if group is not Subgroup.GAMMA2_PRIME or is_member(m, group, ctx):
+            return m

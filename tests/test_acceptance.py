@@ -37,7 +37,7 @@ from etacover.numeric import (
 )
 from etacover.subgroups import Subgroup, quotient_structure, random_member
 
-from oracles import brute_eta_expansion
+from oracles import brute_eta_expansion, random_group_member
 
 PRIMES_5_100 = [p for p in range(5, 101) if is_prime(p)]
 TRANSFORM_PRIMES = (5, 7, 13, 17, 19, 29, 37)
@@ -77,12 +77,12 @@ def test_criterion_2_transformation_laws(capsys):
         rng = random.Random(SEED + p)
         indices = sorted({1, 2, ctx.g % p})
         for _ in range(20):
-            m0 = random_member(Subgroup.GAMMA0, ctx, rng)
+            m0 = random_member(ctx, rng)
             for g in indices:
                 worst = max(worst, check_E_transform(g, p, m0, DEFAULT_SAMPLES))
             worst = max(worst, check_F_transform(ctx, 1, m0, DEFAULT_SAMPLES))
             # membership in Gamma2 triggers the psi*chi fixed-index form
-            m2 = random_member(Subgroup.GAMMA2, ctx, rng)
+            m2 = random_group_member(Subgroup.GAMMA2, ctx, rng)
             worst = max(worst, check_F_transform(ctx, 1, m2, DEFAULT_SAMPLES))
     _verdict(capsys, 2,
              f"E/F transformation laws, max residual {worst:.2e} < 1e-8 "
@@ -159,7 +159,7 @@ def test_criterion_6_G_branch(capsys):
             problems.append((p, "modularity"))
         rng = random.Random(SEED + p)
         for _ in range(10):
-            m = random_member(Subgroup.GAMMA1, ctx, rng)
+            m = random_group_member(Subgroup.GAMMA1, ctx, rng)
             worst = max(worst, check_G_transform(p, trip, m, balanced_samples(m)))
         check, rows = cusp_orders(ctx, *_certified_unit(ctx))
         if check.status != "pass" or any(r.order % 2 == 0 for r in rows):

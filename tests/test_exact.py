@@ -15,7 +15,6 @@ from etacover.exact import (
 )
 from etacover.subgroups import (
     SL2Matrix,
-    Subgroup,
     epsilon_factor,
     eta_multiplier,
     quotient_character,
@@ -199,7 +198,7 @@ def test_root_exponent_range():
     for p in (5, 7, 11, 13, 37, 73):
         ctx, rng = prime_context(p), random.Random(p)
         for _ in range(100):
-            m = random_member(Subgroup.GAMMA0, ctx, rng)
+            m = random_member(ctx, rng)
             assert epsilon_factor(m.a, m.b, m.c, m.d) in range(12)
             for g in (1, 2, ctx.g):
                 assert eta_multiplier(g, p, m)[0] in range(24 * p)

@@ -73,26 +73,37 @@ def test_exact_law_and_z_relation_build_no_objects():
 def test_certify_draws_one_stream_from_gamma0():
     # the unit's laws are decided on fixed class representatives; the only
     # draws left are the Gamma0 matrices of the E_g residual, from one rng
-    # per prime, so a second stream from the unit's group cannot come back
+    # per prime.  random_member draws from Gamma0 alone, its one loop the
+    # gcd step, so a second stream from the unit's group cannot come back
     tree = ast.parse((Path(etacover.__file__).parent / "certify.py").read_text())
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
     draws = [node for node in calls if "random_member" in
              (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     streams = [node for node in calls if getattr(node.func, "attr", None) == "Random"]
-    assert draws and all(ast.unparse(node.args[0]) == "Subgroup.GAMMA0" for node in draws)
-    assert len(streams) == 1
+    assert draws and len(streams) == 1
+    tree = ast.parse((Path(etacover.__file__).parent / "subgroups.py").read_text())
+    fn = next(fn for fn in tree.body if getattr(fn, "name", None) == "random_member")
+    loops = [node for node in ast.walk(fn) if isinstance(node, (ast.For, ast.While))]
+    assert [a.arg for a in fn.args.args] == ["ctx", "rng"]
+    assert [ast.unparse(node.test) for node in loops] == ["gcd(a, c) != 1"]
 
 
 def test_powers_of_g_belong_to_the_group_layer():
-    # eta and certify read g^n from subgroups' orbit table, and the
-    # reduced index of an eta product is a plain (r, sign) pair
-    found = [
-        f"{name}:{node.lineno}"
-        for name in ("eta.py", "certify.py")
-        for node in ast.walk(ast.parse((Path(etacover.__file__).parent / name).read_text()))
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow"
-        and node.args and getattr(node.args[0], "attr", None) == "g"
-    ]
+    # eta, certify and subgroups read g^n off the orbit table: no pow(ctx.g, ...)
+    # outside subgroups._orbit_table, which builds it, and the reduced index of
+    # an eta product is a plain (r, sign) pair
+    found = []
+    for name in ("eta.py", "certify.py", "subgroups.py"):
+        tree = ast.parse((Path(etacover.__file__).parent / name).read_text())
+        table = {id(node) for fn in tree.body if getattr(fn, "name", None) == "_orbit_table"
+                 for node in ast.walk(fn)}
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in table and isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "pow"
+            and node.args and getattr(node.args[0], "attr", None) == "g"
+        ]
     found += [
         f"{path.name}:{node.lineno}"
         for path in SOURCES

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import etacover.subgroups
-from etacover.eta import EtaProduct
+from etacover.eta import EtaProduct, merge_factors
 from etacover.exact import is_prime, prime_context
 from etacover.numeric import balanced_samples
 from etacover.subgroups import (
@@ -20,10 +20,10 @@ from etacover.subgroups import (
     dlog,
     epsilon_factor,
     eta_multiplier,
-    gamma2_generator,
     is_member,
     lift_with_upper_left,
     multiplier_turns,
+    power,
     psl_index,
     quadratic_character,
     quotient_character,
@@ -40,6 +40,7 @@ from oracles import (
     genus,
     half_turn_eta_multiplier,
     rademacher_eta_squared_multiplier,
+    random_group_member,
     scan_cusp_set,
     transform_product,
     turns,
@@ -72,7 +73,7 @@ def test_matrix_validation():
 
 def test_matrix_parse_roundtrip():
     m = SL2Matrix.parse("2,1,5,3")
-    assert m.entries() == (2, 1, 5, 3)
+    assert tuple(m) == (2, 1, 5, 3)
     with pytest.raises(ValueError):
         SL2Matrix.parse("2,1,5")
     with pytest.raises(ValueError):
@@ -83,9 +84,9 @@ def test_matrix_group_ops():
     rng = random.Random(7)
     for _ in range(50):
         m = random_sl2(rng)
-        assert (m * m.inverse()).entries() == (1, 0, 0, 1)
-        assert (-m).entries() == tuple(-x for x in m.entries())
-    assert (S * S).entries() == (-1, 0, 0, -1)
+        assert tuple(m * m.inverse()) == (1, 0, 0, 1)
+        assert tuple(-m) == tuple(-x for x in m)
+    assert tuple(S * S) == (-1, 0, 0, -1)
 
 
 def test_matrix_apply_moebius():
@@ -117,9 +118,9 @@ def test_matrix_apply_large_entries_matches_exact():
     ctx = prime_context(6101)
     rng = random.Random(1)
     for _ in range(50):
-        m = random_member(Subgroup.GAMMA0, ctx, rng)
+        m = random_member(ctx, rng)
         for z in balanced_samples(m):
-            assert abs(m.apply(z) - exact_apply(m, z)) < 1e-14, m.entries()
+            assert abs(m.apply(z) - exact_apply(m, z)) < 1e-14, tuple(m)
 
 
 # -- characters ------------------------------------------------------------
@@ -177,7 +178,7 @@ def test_quadratic_character_requires_membership():
     for m in (S, lift_with_upper_left(ctx.g, 101)):
         with pytest.raises(ValueError) as info:
             quadratic_character(m, ctx)
-        assert str(info.value) == f"{m.entries()} is not in Gamma2(101)"
+        assert str(info.value) == f"{tuple(m)} is not in Gamma2(101)"
 
 
 @pytest.mark.parametrize("p", [13, 101, 10009])
@@ -186,7 +187,7 @@ def test_gamma2_prime_membership_takes_dlog_twice(monkeypatch, p):
     # once more, for its own membership check and its value together
     ctx = prime_context(p)
     rng = random.Random(p)
-    draws = [random_member(Subgroup.GAMMA2, ctx, rng) for _ in range(200)]
+    draws = [random_group_member(Subgroup.GAMMA2, ctx, rng) for _ in range(200)]
     calls = []
     original = etacover.subgroups.dlog
 
@@ -206,8 +207,8 @@ def test_quadratic_character_multiplicative():
     for p in (13, 17, 29):
         ctx = prime_context(p)
         for _ in range(40):
-            a = random_member(Subgroup.GAMMA2, ctx, rng)
-            b = random_member(Subgroup.GAMMA2, ctx, rng)
+            a = random_group_member(Subgroup.GAMMA2, ctx, rng)
+            b = random_group_member(Subgroup.GAMMA2, ctx, rng)
             lhs = quadratic_character(a * b, ctx)
             assert lhs == quadratic_character(a, ctx) * quadratic_character(b, ctx)
 
@@ -219,7 +220,7 @@ def test_quadratic_character_is_legendre_for_5_mod_8():
     for p in (5, 13, 29, 37):
         ctx = prime_context(p)
         for _ in range(30):
-            m = random_member(Subgroup.GAMMA2, ctx, rng)
+            m = random_group_member(Subgroup.GAMMA2, ctx, rng)
             legendre = pow(m.d % p, (p - 1) // 2, p)
             legendre = 1 if legendre == 1 else -1
             assert quadratic_character(m, ctx) == legendre
@@ -229,7 +230,7 @@ def test_quadratic_character_trivial_on_gamma1():
     rng = random.Random(9)
     ctx = prime_context(13)
     for _ in range(30):
-        m = random_member(Subgroup.GAMMA1, ctx, rng)
+        m = random_group_member(Subgroup.GAMMA1, ctx, rng)
         assert quadratic_character(m, ctx) == 1
 
 
@@ -289,7 +290,7 @@ def test_eta_multiplier_index_motion():
     ctx = prime_context(5)
     rng = random.Random(31)
     for _ in range(20):
-        m = random_member(Subgroup.GAMMA0, ctx, rng)
+        m = random_member(ctx, rng)
         if m.c == 0:
             continue
         _, new_g = eta_multiplier(2, 5, m)
@@ -329,7 +330,7 @@ def test_eta_multiplier_matches_half_turn_oracle():
         for g in indices:
             t, new_index = eta_multiplier(g, level, m)
             assert (turns(t, 24 * level), new_index) == half_turn_eta_multiplier(g, level, m), (
-                level, m.entries(), g)
+                level, tuple(m), g)
             count += 1
     assert count > 20000
 
@@ -350,8 +351,9 @@ def test_transform_product_matches_half_turn_oracle():
             mult, new_index = half_turn_eta_multiplier(g, level, m)
             want += e * mult
             factors.append((new_index, e))
-        want, want_moved = want % 1, EtaProduct.from_factors(level, factors, "P", prod.sign)
-        assert root == want, (level, m.entries(), exponents)
+        want_moved = EtaProduct(level, *merge_factors(level, factors, prod.sign), "P")
+        want %= 1
+        assert root == want, (level, tuple(m), exponents)
         assert turns(multiplier_turns(exponents, level, m), 24 * level) == want
         assert (moved.exponents, moved.sign) == (want_moved.exponents, want_moved.sign)
 
@@ -364,10 +366,10 @@ def test_membership_chain():
     for p in (5, 7, 11, 13, 29):
         ctx = prime_context(p)
         for _ in range(25):
-            m = random_member(Subgroup.GAMMA2_PRIME, ctx, rng)
+            m = random_group_member(Subgroup.GAMMA2_PRIME, ctx, rng)
             assert is_member(m, Subgroup.GAMMA2, ctx)
             assert is_member(m, Subgroup.GAMMA0, ctx)
-            m1 = random_member(Subgroup.GAMMA1, ctx, rng)
+            m1 = random_group_member(Subgroup.GAMMA1, ctx, rng)
             assert is_member(m1, Subgroup.GAMMA2, ctx)
 
 
@@ -428,21 +430,28 @@ def test_lift_with_upper_left():
 
 
 def test_gamma2_generator():
+    # the lift of g^k, off the orbit table, generates Gamma2 over Gamma1
     for p in (5, 13, 17, 29):
         ctx = prime_context(p)
-        m = gamma2_generator(ctx)
+        m = lift_with_upper_left(power(ctx, ctx.k), p)
+        assert m.a == pow(ctx.g, ctx.k, p)
         assert is_member(m, Subgroup.GAMMA2, ctx)
         assert not is_member(m, Subgroup.GAMMA1, ctx)
 
 
 def test_random_member_hits_stated_group():
-    rng = random.Random(41)
+    # the package draws from Gamma0 alone, the oracle from all four groups,
+    # and on Gamma0 both make the same draws
     for p in (5, 11, 13, 37):
         ctx = prime_context(p)
+        rng, twin = random.Random(41 + p), random.Random(41 + p)
+        for _ in range(15):
+            m = random_member(ctx, rng)
+            assert is_member(m, Subgroup.GAMMA0, ctx)
+            assert m == random_group_member(Subgroup.GAMMA0, ctx, twin)
         for group in Subgroup:
             for _ in range(15):
-                m = random_member(group, ctx, rng)
-                assert is_member(m, group, ctx)
+                assert is_member(random_group_member(group, ctx, rng), group, ctx)
 
 
 def test_random_member_builds_one_matrix_per_draw(monkeypatch):
@@ -455,17 +464,12 @@ def test_random_member_builds_one_matrix_per_draw(monkeypatch):
 
     monkeypatch.setattr(SL2Matrix, "__new__", counting)
     for p in (5, 13, 101, 1009):
-        ctx = prime_context(p)
-        for group in Subgroup:
-            rng = random.Random(p)
-            for _ in range(30):
-                built.clear()
-                m = random_member(group, ctx, rng)
-                assert built[-1] is m
-                # Gamma2Prime rejects half of its Gamma2 candidates, one matrix each
-                if group is not Subgroup.GAMMA2_PRIME:
-                    assert len(built) == 1
-                assert not any(is_member(x, group, ctx) for x in built[:-1])
+        ctx, rng = prime_context(p), random.Random(p)
+        for _ in range(30):
+            built.clear()
+            m = random_member(ctx, rng)
+            # the draw is the one matrix built: no candidate is rejected
+            assert len(built) == 1 and built[0] is m
 
 
 # -- quotient structure ----------------------------------------------------
@@ -476,8 +480,8 @@ def test_quotient_character_is_multiplicative():
     for p in (5, 7, 13, 29):
         ctx = prime_context(p)
         for _ in range(30):
-            a = random_member(Subgroup.GAMMA2, ctx, rng)
-            b = random_member(Subgroup.GAMMA2, ctx, rng)
+            a = random_group_member(Subgroup.GAMMA2, ctx, rng)
+            b = random_group_member(Subgroup.GAMMA2, ctx, rng)
             both = quotient_character(ctx, a) + quotient_character(ctx, b)
             assert quotient_character(ctx, a * b) == both % character_modulus(ctx)
 
@@ -487,7 +491,7 @@ def test_quotient_character_kernel_is_gamma2_prime():
     for p in (5, 7, 11, 13, 29):
         ctx = prime_context(p)
         for _ in range(40):
-            m = random_member(Subgroup.GAMMA2, ctx, rng)
+            m = random_group_member(Subgroup.GAMMA2, ctx, rng)
             assert (quotient_character(ctx, m) == 0) == is_member(
                 m, Subgroup.GAMMA2_PRIME, ctx
             )
