@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple
 
 from .exact import is_prime, order_numerator, prime_context, PrimeContext
@@ -41,9 +42,9 @@ from .subgroups import (
     Subgroup,
     cusp_name,
     cusp_set,
+    h_residues,
     lift_with_upper_left,
     multiplier_turns,
-    power,
     quotient_structure,
     random_member,
     section,
@@ -111,20 +112,20 @@ def verify_shifting(ctx: PrimeContext) -> CheckResult:
     """F_h = F_(-h) = F_(p+h), and F_(g^k h) = -+ F_h per p mod 4.
 
     Each F_h' is merged from its literal factors E_(g^(jk) h'), h' taken
-    as it stands, and compared with the table-built orbit_product(h).
+    as it stands, g^(jk) read off H, and compared with orbit_product(h).
     Decided on the formal eta products: an expansion is a function of
     (level, exponents, sign) alone, so equal products agree at every
     q-power and no series is expanded.
     """
     if ctx.p % 12 == 11:
         return CheckResult("shifting", "skipped", reason="ell=1: F-branch replaced by G-branch")
-    e, gk = 6 // ctx.ell, power(ctx, ctx.k)
+    e, residues = 6 // ctx.ell, h_residues(ctx)
     flip = -1 if ctx.p % 4 == 1 else 1
     tested = []
     for h in (1, 2, ctx.g):
         base = orbit_product(h, ctx)
-        for other, factor in ((-h, 1), (ctx.p + h, 1), (gk * h, flip)):
-            factors = [(power(ctx, j * ctx.k) * other, e) for j in range(ctx.ell)]
+        for other, factor in ((-h, 1), (ctx.p + h, 1), (residues[1] * h, flip)):
+            factors = [(x * other, e) for x in residues[:ctx.ell]]
             if merge_factors(ctx.p, factors) != (base.exponents, factor * base.sign):
                 return CheckResult(
                     "shifting", "fail",
@@ -158,13 +159,13 @@ def verify_transforms(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> C
     """The unit's laws on all of its group, decided exactly on eight matrix classes.
 
     Lemma: if sum e = 6 and p | S2 = sum e g^2, then F_1(gamma tau) = c(gamma) F_a(tau) on
-    Gamma0(p), F_a off the orbit table, has c*psi a function of gamma mod 2 and of c = 0.
+    Gamma0(p), F_a = orbit_product(a), has c*psi a function of gamma mod 2 and of c = 0.
     For c != 0 the turns are 12p*eps12 (psi at (a, bp; c/p, d) == gamma mod 2) plus
     12b(a*S2 - p*S1) (a, b mod 2) mod 24p, and a*g merges to F_a with sign +1; for c = 0,
     2b*order_numerator, the order at 1/0 in 1/2 + Z.  G is alike, G_a = G on Gamma1.  So
     _law at class_representatives and their negatives proves the law on Gamma0 (Gamma1),
     and psi*chi F_1 on Gamma2 follows from F_h = chi(h) F_1, the law at the lifts of the
-    2*ell h in H = <g^k>, psi*chi from twisted_sign.  As evidence, the E_g law is
+    2*ell h in H = <g^k> (h_residues), psi*chi from twisted_sign.  As evidence, the E_g law is
     evaluated at g in {1, 2, g mod p} on N_RANDOM seeded Gamma0 draws.
     """
     p, rng, indices = ctx.p, random.Random(DEFAULT_SEED + ctx.p), sorted({1, 2, ctx.g % ctx.p})
@@ -174,7 +175,7 @@ def verify_transforms(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> C
     laws = [(m, sign_character(m), *((unit.exponents, unit.sign) if gamma1 else
                                      merge_factors(p, orbit_factors(m.a, ctx))))
             for r in reps for m in (r, -r)]
-    lifts = [lift_with_upper_left(power(ctx, n * ctx.k), p) for n in range(2 * ctx.ell)]
+    lifts = [lift_with_upper_left(x, p) for x in h_residues(ctx)]
     laws += [(m, twisted_sign(m, ctx), unit.exponents, unit.sign) for m in lifts]
     problems = [f"{unit.label} law fails exactly at {tuple(m)}" for m, factor, want, s in laws
                 if _law(unit, m) not in ((0, want, factor * s), (12 * p, want, -factor * s))][:1]
@@ -280,25 +281,35 @@ def verify_z_relation(ctx: PrimeContext) -> CheckResult:
     and the E_r with r in [1, (p-1)/2] share out exactly those factors, so
     z = (eta(tau)/eta(p*tau))^(6/ell) is the product of every such E_r to
     the power 6/ell.  Both sides are q^L prod (1 - q^n)^(a_n) in one way
-    only, so the identity holds exactly when the merged product has those
+    only, so the identity holds exactly when the product has those
     exponents and the leading exponent (6/ell)(1-p)/24; its sign is the
     sign of the relation, since z and every E_r lead with coefficient 1.
-    The F_(g^j) have the factors E_(g^n mod 2p)^(6/ell), n = j + ik < (p-1)/2.
+
+    The F_(g^j) have the factors E_x^(6/ell), x = g^n mod 2p, n < (p-1)/2, walked as
+    one running product.  E_x = -E_(x-p) for x > p, so the sign is (-1)^((6/ell) * count),
+    count the x above p; E_x reduces to E_r, r = min(x mod p, p - x mod p), marked in a
+    bytearray: with (p-1)/2 factors for (p-1)/2 indices, all carry 6/ell exactly when
+    all are marked.
     """
     if ctx.p % 8 == 1:
         return CheckResult("z-relation", "skipped", reason="p == 1 mod 8: relation not asserted")
-    e = 6 // ctx.ell
-    exponents, sign = merge_factors(ctx.p, [(power(ctx, n), e) for n in range((ctx.p - 1) // 2)])
-    lead = Fraction(order_numerator(exponents, ctx.p, 1, 0), 12 * ctx.p)
-    want = {r: e for r in range(1, (ctx.p - 1) // 2 + 1)}
-    if exponents != want or 24 * lead != e * (1 - ctx.p):
+    p, g, e, half = ctx.p, ctx.g, 6 // ctx.ell, (ctx.p - 1) // 2
+    marks, x, above, two_p = bytearray(half + 1), 1, 0, 2 * p
+    for _ in range(half):
+        r = x % p
+        above += x > p
+        marks[r if 2 * r < p else p - r] = 1
+        x = x * g % two_p
+    exponents = dict.fromkeys(compress(range(half + 1), marks), e)
+    lead = Fraction(order_numerator(exponents, p, 1, 0), 12 * p)
+    if marks.count(1) != half or 24 * lead != e * (1 - p):
         return CheckResult(
             "z-relation", "fail",
             reason=f"prod F_(g^j) is not +-z as formal eta products (leading exponent {lead})",
         )
     return CheckResult(
         "z-relation", "pass",
-        witness={"sign": sign, "method": "formal", "leading_exponent": str(lead)},
+        witness={"sign": (-1) ** (above * e), "method": "formal", "leading_exponent": str(lead)},
     )
 
 

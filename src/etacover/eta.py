@@ -19,8 +19,8 @@ q^L * prod theta_g^e * P(q^N)^(sum e), E_g alone (generalized_eta) included.
 eta is the pentagonal series and P its inverse; every theta, eta(s*tau) at
 level 3s included, comes from one integer sweep.  merge_factors reduces
 indices and merges exponents into an (exponents, sign) pair of ints, which
-EtaProduct.from_factors, the one constructor, wraps; the units F_h read
-their indices off the orbit table.
+EtaProduct.from_factors, the one constructor, wraps; the units F_h take
+their indices from H = <g^k> (subgroups.h_residues).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .exact import PrimeContext, order_numerator
 from .qseries import QSeries
-from .subgroups import dlog, power
+from .subgroups import h_residues
 
 
 def reduce_index(g: int, level: int) -> tuple[int, int]:
@@ -162,17 +162,17 @@ def is_modular_unit(prod: EtaProduct) -> bool:
 def orbit_product(h: int, ctx: PrimeContext) -> EtaProduct:
     """The weight-0 unit F_h = (prod_{j<ell} E_{g^(jk) h})^(6/ell), h normalized mod p.
 
-    Its factors (orbit_factors) are E_(g^(n+jk) mod 2p), n = dlog(h).  The literal index
-    (g^(jk) mod 2p)*h is that plus an odd multiple of p exactly when h is
-    even, and then the ell factors to the power 6/ell make 6 sign moves.
+    Its factors (orbit_factors) are E_x, x the odd lift mod 2p of h*g^(jk) mod p.  The
+    literal index (g^(jk) mod 2p)*h is that plus an odd multiple of p exactly when h
+    is even, and then the ell factors to the power 6/ell make 6 sign moves.
     """
     return EtaProduct.from_factors(ctx.p, orbit_factors(h, ctx), f"F_{h % ctx.p}")
 
 
 def orbit_factors(h: int, ctx: PrimeContext) -> list:
-    """The factors (g^(n+jk) mod 2p, 6/ell), j < ell, n = dlog(h), of F_h."""
-    n, e = dlog(ctx, h), 6 // ctx.ell
-    return [(power(ctx, n + j * ctx.k), e) for j in range(ctx.ell)]
+    """The factors (x, 6/ell) of F_h, x the odd lift mod 2p of h*g^(jk) mod p, j < ell."""
+    lifts = [h * x % ctx.p for x in h_residues(ctx)[:ctx.ell]]
+    return [(r if r % 2 else r + ctx.p, 6 // ctx.ell) for r in lifts]
 
 
 def find_triplet(p: int) -> tuple[int, int, int]:

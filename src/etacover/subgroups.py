@@ -8,11 +8,10 @@ of level p:
   Gamma2:      a mod p lies in the subgroup generated by g^k (order 2*ell)
   Gamma2Prime: index-2 kernel inside Gamma2 cut out by the sign characters
 
-Membership never needs more than the residue a mod p and its dlog, read
-off the prime's one orbit table (g^n mod 2p, n < p-1, and its inverse,
-through dlog and power); eta's units F_h, the cusp cosets and every g^n
-here read it.  Sections of cusps, lifts of residues and random Gamma0
-members complete their first column (a, c) one way: d = a^-1 mod c nearest 0.
+A prime's only state here is H = <g^k>, at most 12 residues (h_residues),
+and no discrete log is taken: a mod p lies in H exactly when a^ell = +-1,
+and that sign is chi.  Sections of cusps, lifts of residues and random
+Gamma0 members complete their first column (a, c) one way: d = a^-1 mod c nearest 0.
 
 Gamma0, Gamma1 and Gamma2 are Gamma_H(p), H the upper-left residues, and
 Gamma2Prime is the sign-twisted kernel inside Gamma2, so cusp tables come
@@ -28,7 +27,6 @@ modulus M their docstrings name (12, 24N, 2k or 4k); roots add.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -111,27 +109,9 @@ class Subgroup(Enum):
     GAMMA2_PRIME = "Gamma2Prime"
 
 
-@lru_cache(maxsize=1)  # callers work one prime at a time
-def _orbit_table(p: int, g: int) -> tuple[list, dict]:
-    """(g^n mod 2p for n < p-1, the map g^n mod p -> n); g is odd, so is every power."""
-    powers = [1]
-    for _ in range(p - 2):
-        powers.append(powers[-1] * g % (2 * p))
-    return powers, {x % p: n for n, x in enumerate(powers)}
-
-
-def dlog(ctx: PrimeContext, a: int) -> int:
-    """n in [0, p-2] with g^n == a mod p."""
-    r = a % ctx.p
-    if r == 0:
-        raise ValueError(f"{a} is divisible by {ctx.p}")
-    return _orbit_table(ctx.p, ctx.g)[1][r]
-
-
-def power(ctx: PrimeContext, n: int) -> int:
-    """g^n mod 2p, odd, for any integer n: g has order p-1 mod 2p as well."""
-    p = ctx.p  # read once: the z-relation calls this about p/2 times
-    return _orbit_table(p, ctx.g)[0][n % (p - 1)]
+def h_residues(ctx: PrimeContext) -> list:
+    """H = <g^k> as its 2*ell odd residues g^(nk) mod 2p, n = 0, 1, ...; g^(ell*k) = -1."""
+    return [pow(ctx.g, n * ctx.k, 2 * ctx.p) for n in range(2 * ctx.ell)]
 
 
 # -- characters ------------------------------------------------------------
@@ -151,14 +131,15 @@ def sign_character(m: SL2Matrix) -> int:
 def quadratic_character(m: SL2Matrix, ctx: PrimeContext) -> int:
     """The order-2 character of Gamma2 trivial on Gamma1, for p == 1 mod 4.
 
-    With a == g^(n*k) mod p the value is (-1)^n.
+    With a == g^(n*k) mod p the value is (-1)^n = a^ell mod p, and a^ell is
+    +-1 exactly when a lies in H: membership and value in one power.
     """
     if ctx.ell % 2:
         raise ValueError(f"quadratic character needs p == 1 mod 4, p={ctx.p}")
     if m.c % ctx.p == 0:
-        n, rest = divmod(dlog(ctx, m.a), ctx.k)  # one dlog: membership and value
-        if rest == 0:
-            return 1 if n % 2 == 0 else -1
+        v = pow(m.a, ctx.ell, ctx.p)
+        if v in (1, ctx.p - 1):
+            return 1 if v == 1 else -1
     raise ValueError(f"{tuple(m)} is not in Gamma2({ctx.p})")
 
 
@@ -226,8 +207,7 @@ def is_member(m: SL2Matrix, group: Subgroup, ctx: PrimeContext) -> bool:
         return True
     if group is Subgroup.GAMMA1:
         return m.a % p == 1
-    n = dlog(ctx, m.a)
-    if n % ctx.k:
+    if pow(m.a, ctx.ell, p) not in (1, p - 1):  # a^ell = +-1 exactly on H = <g^k>
         return False
     if group is Subgroup.GAMMA2:
         return True
@@ -287,21 +267,20 @@ def _second_column(a: int, c: int) -> tuple[int, int]:
 # -- the character cutting out Gamma2Prime ---------------------------------
 
 
-def quotient_character(ctx: PrimeContext, m: SL2Matrix) -> int:
-    """Character of Gamma0(p) with kernel exactly Gamma2Prime(p), as t mod M.
+def log_character(ctx: PrimeContext, n: int, m: SL2Matrix) -> int:
+    """Character of Gamma0(p) with kernel exactly Gamma2Prime(p), as t mod M, at a
+    member m whose upper-left entry is g^n mod p.
 
-    For a == g^n mod p the value e^(2*pi*i*t/M) is zeta^n * psi(m): zeta has
-    order M/2, k (ell odd) or 2k (ell even), and psi = -1 is M/2 turns.  Its
-    image has order 2k = p-1 / ell, the degree of the certified covering.
+    The value e^(2*pi*i*t/M) is zeta^n * psi(m): zeta has order M/2, k (ell
+    odd) or 2k (ell even), and psi = -1 is M/2 turns.  Its image has order
+    2k = p-1 / ell, the degree of the certified covering.
     """
-    if m.c % ctx.p:
-        raise ValueError(f"{tuple(m)} is not in Gamma0({ctx.p})")
     big = _character_modulus(ctx)
-    return (2 * dlog(ctx, m.a) + (0 if sign_character(m) == 1 else big // 2)) % big
+    return (2 * n + (0 if sign_character(m) == 1 else big // 2)) % big
 
 
 def _character_modulus(ctx: PrimeContext) -> int:
-    """quotient_character's M, twice the order of zeta."""
+    """log_character's M, twice the order of zeta."""
     return 2 * ctx.k if ctx.ell % 2 else 4 * ctx.k
 
 
@@ -322,27 +301,28 @@ def quotient_structure(ctx: PrimeContext) -> QuotientStructure:
     |H/+-1| in Gamma2 on curves, where -1 acts trivially.
 
     The quotient character and Gamma2Prime membership depend on a member
-    only through (dlog a mod 2k, psi), and Gamma0 maps onto that group of
-    order 4k: the lift of g goes to (1, +-1) and T to (0, -1).  So the
+    only through (n mod 2k, psi), a = g^n mod p, and Gamma0 maps onto that
+    group of order 4k: the lift of g goes to (1, +-1) and T to (0, -1).  So the
     image is cyclic, generated by the values on those two, and its order
     is the lcm of theirs.  When that order is 2k, the kernel has 2 classes,
     and so has Gamma2Prime: (0, +1) and one of (k, +-1).  The kernels are
     then equal exactly when character and membership agree on I, T, L and
-    L*T, L the lift of g^k, which represent (0, +-1) and (k, +-1).
+    L*T, L the lift of g^k, which represent (0, +-1) and (k, +-1); each n
+    here is known, so log_character takes no discrete log.
     """
     p = ctx.p
-    residues = [power(ctx, n) % p for n in range(0, p - 1, ctx.k)]
+    residues = [x % p for x in h_residues(ctx)]
     t = SL2Matrix.translation(1)
-    generators = (lift_with_upper_left(ctx.g, p), t)
-    top = lift_with_upper_left(power(ctx, ctx.k), p)
+    top = lift_with_upper_left(residues[1], p)
     big = _character_modulus(ctx)
+    generators = ((1, lift_with_upper_left(ctx.g, p)), (0, t))
     return QuotientStructure(
         index_gamma0_gamma2=(p - 1) // len(residues),
         curve_index_gamma2_gamma1=len({min(a, p - a) for a in residues}),
-        character_order=lcm(*(big // gcd(quotient_character(ctx, m), big) for m in generators)),
+        character_order=lcm(*(big // gcd(log_character(ctx, n, m), big) for n, m in generators)),
         kernel_matches=all(
-            (quotient_character(ctx, m) == 0) == is_member(m, Subgroup.GAMMA2_PRIME, ctx)
-            for m in (SL2Matrix.identity(), t, top, top * t)
+            (log_character(ctx, n, m) == 0) == is_member(m, Subgroup.GAMMA2_PRIME, ctx)
+            for n, m in ((0, SL2Matrix.identity()), (0, t), (ctx.k, top), (ctx.k, top * t))
         ),
     )
 
@@ -421,13 +401,21 @@ def cusp_set(group: Subgroup, ctx: PrimeContext) -> list[tuple[int, int, int]]:
     doubles them.  Widths of distinct classes sum to the PSL index, so
     matching the independently computed index shows no class is missing.
 
-    +-H is generated by g^m, m = 1, (p-1)/2 and k in turn, so the coset
-    of r is dlog(r) mod m; a descending pass leaves the least r of each.
+    A sieve finds the r_i.  -1 lies in +-H, so each coset is closed under
+    r -> p-r: walking r = 1, ..., (p-1)/2, an r not yet marked is the least of
+    its coset and marks min(x, p-x), x = r*h mod p, for h in +-H/+-1, that is
+    1..(p-1)/2, {1} or the first ell elements of H (Gamma2, Gamma2Prime).
     """
-    p = ctx.p
-    m = {Subgroup.GAMMA0: 1, Subgroup.GAMMA1: (p - 1) // 2}.get(group, ctx.k)
-    logs = _orbit_table(p, ctx.g)[1]
-    reps = sorted({logs[r] % m: r for r in range(p - 1, 0, -1)}.values())
+    p, half = ctx.p, (ctx.p - 1) // 2
+    units = {Subgroup.GAMMA0: range(1, half + 1), Subgroup.GAMMA1: (1,)}.get(group)
+    units = units or [x % p for x in h_residues(ctx)[:ctx.ell]]
+    marked, reps = bytearray(half + 1), []
+    for r in range(1, half + 1):
+        if not marked[r]:
+            reps.append(r)
+            for h in units:
+                x = r * h % p
+                marked[x if 2 * x < p else p - x] = 1
     scale = 2 if group is Subgroup.GAMMA2_PRIME else 1
     table = [(1, 0, scale)] + [(r, p, scale) for r in reps[1:]] + [(1, r, scale * p) for r in reps]
     total = sum(w for _, _, w in table)

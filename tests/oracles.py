@@ -5,8 +5,9 @@ dict/Fraction arithmetic and deliberately shares no code with the
 package internals.  There are three exceptions.  scan_cusp_set reuses the
 package's membership test (through cusps_equivalent and cusp_width) but
 not its closed-form cusp rule.  enumerate_quotient_structure reuses the
-quotient character and the membership test, but evaluates them on every
-residue class instead of the closed form's handful of matrices.
+membership test and evaluates it, with the table-based quotient_character
+below, on every residue class instead of the closed form's handful of
+matrices.
 elliptic_counts and genus reuse the membership test, psl_index and the
 closed-form cusp table, and count the elliptic points from fixed points.
 half_turn_eta_multiplier reuses epsilon_factor, the eta^2 multiplier
@@ -15,7 +16,13 @@ in Fractions of a half turn.  transform_product reuses the one-index
 eta_multiplier and merge_factors, and composes a product's law factor
 by factor, where certify sums the whole product at once.
 random_group_member reuses section and, for Gamma2Prime's rejection
-step, the membership test.
+step, the membership test.  The orbit table (g^n mod 2p for every n, and
+its inverse, dlog) is the reference for the package's reads of
+H = <g^k>: table_cusp_set, table_orbit_factors, table_membership,
+table_quadratic_character and quotient_character take discrete logs off
+it (table_membership and quotient_character reuse sign_character), and
+merged_z_relation merges every F_(g^j) factor with merge_factors and
+reads its leading exponent with order_numerator.
 
 A root of unity e^(2*pi*i*x) is the Fraction x mod 1 here, its turns in
 [0, 1): roots compose by adding turns, and the package's int roots t
@@ -30,6 +37,7 @@ from itertools import product
 from math import ceil, gcd, lcm, pi
 
 from etacover.eta import EtaProduct, merge_factors
+from etacover.exact import order_numerator
 from etacover.subgroups import (
     QuotientStructure,
     SL2Matrix,
@@ -42,8 +50,8 @@ from etacover.subgroups import (
     is_member,
     lift_with_upper_left,
     psl_index,
-    quotient_character,
     section,
+    sign_character,
 )
 
 
@@ -250,6 +258,96 @@ def coset_sweep(group, ctx) -> list:
             reps.append(r)
             covered.update(x * r % p for x in plus_minus_h)
     return reps
+
+
+@lru_cache(maxsize=1)  # the comparisons work one prime at a time
+def orbit_table(p: int, g: int) -> tuple[list, dict]:
+    """(g^n mod 2p for n < p-1, the map g^n mod p -> n); g is odd, so is every power."""
+    powers = [1]
+    for _ in range(p - 2):
+        powers.append(powers[-1] * g % (2 * p))
+    return powers, {x % p: n for n, x in enumerate(powers)}
+
+
+def dlog(ctx, a: int) -> int:
+    """n in [0, p-2] with g^n == a mod p."""
+    r = a % ctx.p
+    if r == 0:
+        raise ValueError(f"{a} is divisible by {ctx.p}")
+    return orbit_table(ctx.p, ctx.g)[1][r]
+
+
+def power(ctx, n: int) -> int:
+    """g^n mod 2p, odd, for any integer n."""
+    return orbit_table(ctx.p, ctx.g)[0][n % (ctx.p - 1)]
+
+
+def table_cusp_set(group, ctx) -> list:
+    """The cusp table as (a, c, width) with the cosets of +-H read off the table.
+
+    +-H is generated by g^m, m = 1, (p-1)/2 and k in turn for Gamma0, Gamma1
+    and Gamma2 (Gamma2Prime), so the coset of r is dlog(r) mod m; a
+    descending pass leaves the least r of each.  Rows as cusp_set lists them.
+    """
+    p = ctx.p
+    m = {Subgroup.GAMMA0: 1, Subgroup.GAMMA1: (p - 1) // 2}.get(group, ctx.k)
+    logs = orbit_table(p, ctx.g)[1]
+    reps = sorted({logs[r] % m: r for r in range(p - 1, 0, -1)}.values())
+    scale = 2 if group is Subgroup.GAMMA2_PRIME else 1
+    return [(1, 0, scale)] + [(r, p, scale) for r in reps[1:]] + [(1, r, scale * p) for r in reps]
+
+
+def table_orbit_factors(h: int, ctx) -> list:
+    """The factors (g^(n+jk) mod 2p, 6/ell), j < ell, n = dlog(h), of F_h."""
+    n, e = dlog(ctx, h), 6 // ctx.ell
+    return [(power(ctx, n + j * ctx.k), e) for j in range(ctx.ell)]
+
+
+def merged_z_relation(ctx) -> tuple:
+    """(exponents, sign, leading exponent) of prod_{j<k} F_(g^j), its factors
+    E_(g^n mod 2p)^(6/ell), n < (p-1)/2, merged in one merge_factors call."""
+    e = 6 // ctx.ell
+    exponents, sign = merge_factors(ctx.p, [(power(ctx, n), e) for n in range((ctx.p - 1) // 2)])
+    return exponents, sign, Fraction(order_numerator(exponents, ctx.p, 1, 0), 12 * ctx.p)
+
+
+def table_quadratic_character(m, ctx) -> int:
+    """(-1)^n for a member m of Gamma2, a == g^(n*k) mod p (ell even)."""
+    n, rest = divmod(dlog(ctx, m.a), ctx.k)
+    if m.c % ctx.p or rest or ctx.ell % 2:
+        raise ValueError(f"{tuple(m)} has no quadratic character at p={ctx.p}")
+    return 1 if n % 2 == 0 else -1
+
+
+def table_membership(m, group, ctx) -> bool:
+    """Membership with Gamma2 read as dlog(a) == 0 mod k, and Gamma2Prime as
+    the kernel of psi*chi (psi when ell is odd) inside it."""
+    p = ctx.p
+    if m.c % p:
+        return False
+    if group is Subgroup.GAMMA0:
+        return True
+    if group is Subgroup.GAMMA1:
+        return m.a % p == 1
+    if dlog(ctx, m.a) % ctx.k:
+        return False
+    if group is Subgroup.GAMMA2:
+        return True
+    chi = table_quadratic_character(m, ctx) if ctx.ell % 2 == 0 else 1
+    return sign_character(m) * chi == 1
+
+
+def quotient_character(ctx, m: SL2Matrix) -> int:
+    """Character of Gamma0(p) with kernel exactly Gamma2Prime(p), as t mod M.
+
+    For a == g^n mod p the value e^(2*pi*i*t/M) is zeta^n * psi(m), n the
+    table's dlog: zeta has order M/2, k (ell odd) or 2k (ell even), and
+    psi = -1 is M/2 turns.
+    """
+    if m.c % ctx.p:
+        raise ValueError(f"{tuple(m)} is not in Gamma0({ctx.p})")
+    big = character_modulus(ctx)
+    return (2 * dlog(ctx, m.a) + (0 if sign_character(m) == 1 else big // 2)) % big
 
 
 def periodic_bernoulli2(x) -> Fraction:

@@ -200,8 +200,8 @@ def test_orbit_product_structures():
 
 
 def test_orbit_product_matches_its_literal_factors():
-    # the orbit table reads E_(g^(dlog h + jk) mod 2p); the definition
-    # writes E_((g^(jk) mod 2p) h), and the reduction signs must agree
+    # orbit_factors reads E_x, x the odd lift mod 2p of h*g^(jk) mod p; the
+    # definition writes E_((g^(jk) mod 2p) h), and the reduction signs must agree
     for p in filter(is_prime, range(5, 500)):
         ctx = prime_context(p)
         for h in range(1, p):

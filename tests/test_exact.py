@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from etacover.exact import (
-    PrimeContext,
     is_prime,
     odd_primitive_root,
     order_numerator,
@@ -17,11 +16,12 @@ from etacover.subgroups import (
     SL2Matrix,
     epsilon_factor,
     eta_multiplier,
-    quotient_character,
+    log_character,
     random_member,
 )
 from oracles import (
     character_modulus,
+    dlog,
     from_half_turns,
     leading_exponent_at,
     least_primitive_root,
@@ -202,4 +202,4 @@ def test_root_exponent_range():
             assert epsilon_factor(m.a, m.b, m.c, m.d) in range(12)
             for g in (1, 2, ctx.g):
                 assert eta_multiplier(g, p, m)[0] in range(24 * p)
-            assert quotient_character(ctx, m) in range(character_modulus(ctx))
+            assert log_character(ctx, dlog(ctx, m.a), m) in range(character_modulus(ctx))

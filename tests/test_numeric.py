@@ -36,8 +36,8 @@ from etacover.subgroups import (
     SL2Matrix,
     Subgroup,
     eta_multiplier,
+    h_residues,
     lift_with_upper_left,
-    power,
     random_member,
     sign_character,
 )
@@ -269,7 +269,7 @@ def test_F_transform_rejects_missing_branch_and_nonmembers():
 
 def test_F_transform_small_residuals():
     ctx5 = prime_context(5)
-    assert check_F_transform(ctx5, 1, lift_with_upper_left(power(ctx5, ctx5.k), 5)) < 1e-9
+    assert check_F_transform(ctx5, 1, lift_with_upper_left(h_residues(ctx5)[1], 5)) < 1e-9
     ctx17 = prime_context(17)
     m = lift_with_upper_left(3, 17)  # in Gamma0 but not Gamma2: dlog(3) = 1
     assert check_F_transform(ctx17, 1, m) < 1e-9

@@ -12,6 +12,7 @@ import etacover
 from etacover.qseries import QSeries
 
 SOURCES = sorted(Path(etacover.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # the README's Library section, the one surface etacover re-exports
@@ -89,18 +90,18 @@ def test_certify_draws_one_stream_from_gamma0():
 
 
 def test_powers_of_g_belong_to_the_group_layer():
-    # eta, certify and subgroups read g^n off the orbit table: no pow(ctx.g, ...)
-    # outside subgroups._orbit_table, which builds it, and the reduced index of
-    # an eta product is a plain (r, sign) pair
-    found = []
+    # H = <g^k> is listed by subgroups.h_residues, and the z-relation walks
+    # g^n itself: no pow(ctx.g, ...) elsewhere, and the reduced index of an
+    # eta product is a plain (r, sign) pair
+    found, allowed = [], {"h_residues", "verify_z_relation"}
     for name in ("eta.py", "certify.py", "subgroups.py"):
         tree = ast.parse((Path(etacover.__file__).parent / name).read_text())
-        table = {id(node) for fn in tree.body if getattr(fn, "name", None) == "_orbit_table"
-                 for node in ast.walk(fn)}
+        inside = {id(node) for fn in tree.body if getattr(fn, "name", None) in allowed
+                  for node in ast.walk(fn)}
         found += [
             f"{name}:{node.lineno}"
             for node in ast.walk(tree)
-            if id(node) not in table and isinstance(node, ast.Call)
+            if id(node) not in inside and isinstance(node, ast.Call)
             and getattr(node.func, "id", None) == "pow"
             and node.args and getattr(node.args[0], "attr", None) == "g"
         ]
@@ -111,6 +112,15 @@ def test_powers_of_g_belong_to_the_group_layer():
         if isinstance(node, ast.ClassDef) and node.name == "EtaIndex"
     ]
     assert found == []
+
+
+def test_group_layer_holds_no_cache():
+    # a prime's state in subgroups is H = <g^k>, at most 12 residues, built
+    # where it is read: no lru_cache holds a table of O(p) entries
+    tree = ast.parse((Path(etacover.__file__).parent / "subgroups.py").read_text())
+    names = {getattr(node, key, None) for node in ast.walk(tree)
+             for key in ("id", "attr", "name", "module")}
+    assert names & {"functools", "lru_cache", "cache"} == set()
 
 
 def test_roots_of_unity_are_int_turns():
@@ -272,9 +282,10 @@ def test_benchmark_trace_targets_resolve():
 
 
 def test_no_unused_imports():
-    # every imported name is used in its module; __init__ imports exactly __all__
+    # every imported name is used in its module, the tests included; __init__
+    # imports exactly __all__
     found = []
-    for path in SOURCES:
+    for path in SOURCES + TESTS:
         tree = ast.parse(path.read_text())
         imports = [
             node for node in tree.body
@@ -293,7 +304,7 @@ def test_no_unused_imports():
         found += [
             f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
         ]
-    assert SOURCES and found == []
+    assert SOURCES and TESTS and found == []
 
 
 def test_package_exports_the_library_surface():

@@ -17,16 +17,14 @@ from etacover.subgroups import (
     cusp_set,
     cusp_width,
     cusps_equivalent,
-    dlog,
     epsilon_factor,
     eta_multiplier,
+    h_residues,
     is_member,
     lift_with_upper_left,
     multiplier_turns,
-    power,
     psl_index,
     quadratic_character,
-    quotient_character,
     quotient_structure,
     random_member,
     section,
@@ -35,10 +33,12 @@ from etacover.subgroups import (
 from oracles import (
     character_modulus,
     coset_sweep,
+    dlog,
     elliptic_elements,
     enumerate_quotient_structure,
     genus,
     half_turn_eta_multiplier,
+    quotient_character,
     rademacher_eta_squared_multiplier,
     random_group_member,
     scan_cusp_set,
@@ -172,8 +172,8 @@ def test_quadratic_character_requires_membership():
     ctx = prime_context(13)
     with pytest.raises(ValueError):
         quadratic_character(S, ctx)
-    # membership is decided by the one dlog that gives the value: c % p
-    # first, then dlog(a) mod k (k = 25 at p = 101), both with one error
+    # membership is decided by the one power that gives the value: c % p
+    # first, then a^ell = +-1 (ell = 2 at p = 101), both with one error
     ctx = prime_context(101)
     for m in (S, lift_with_upper_left(ctx.g, 101)):
         with pytest.raises(ValueError) as info:
@@ -182,24 +182,23 @@ def test_quadratic_character_requires_membership():
 
 
 @pytest.mark.parametrize("p", [13, 101, 10009])
-def test_gamma2_prime_membership_takes_dlog_twice(monkeypatch, p):
-    # is_member takes dlog once for the Gamma2 test and quadratic_character
+def test_gamma2_prime_membership_takes_two_powers(monkeypatch, p):
+    # is_member takes a^ell once for the Gamma2 test and quadratic_character
     # once more, for its own membership check and its value together
     ctx = prime_context(p)
     rng = random.Random(p)
     draws = [random_group_member(Subgroup.GAMMA2, ctx, rng) for _ in range(200)]
     calls = []
-    original = etacover.subgroups.dlog
 
-    def counting(c, a):
-        calls.append(a)
-        return original(c, a)
+    def counting(*args):
+        calls.append(args)
+        return pow(*args)
 
-    monkeypatch.setattr(etacover.subgroups, "dlog", counting)
+    monkeypatch.setattr(etacover.subgroups, "pow", counting, raising=False)
     for m in draws:
         calls.clear()
         is_member(m, Subgroup.GAMMA2_PRIME, ctx)
-        assert len(calls) == 2, m
+        assert calls == [(m.a, ctx.ell, p)] * 2, m
 
 
 def test_quadratic_character_multiplicative():
@@ -430,10 +429,10 @@ def test_lift_with_upper_left():
 
 
 def test_gamma2_generator():
-    # the lift of g^k, off the orbit table, generates Gamma2 over Gamma1
+    # the lift of g^k, the second element of H, generates Gamma2 over Gamma1
     for p in (5, 13, 17, 29):
         ctx = prime_context(p)
-        m = lift_with_upper_left(power(ctx, ctx.k), p)
+        m = lift_with_upper_left(h_residues(ctx)[1], p)
         assert m.a == pow(ctx.g, ctx.k, p)
         assert is_member(m, Subgroup.GAMMA2, ctx)
         assert not is_member(m, Subgroup.GAMMA1, ctx)
@@ -630,7 +629,7 @@ def test_cusp_set_matches_scan():
 
 
 def test_cusp_set_matches_coset_sweep():
-    # the dlog classes against the covered-set sweep, rows in order; for
+    # the sieve over +-H against the covered-set sweep, rows in order; for
     # Gamma1, +-H = {+-1} and there are (p-1)/2 classes.  Every row is a
     # normalized cusp: c >= 0, gcd(a, c) = 1, and infinity is (1, 0)
     for p in filter(is_prime, range(5, 2000)):
