@@ -176,17 +176,18 @@ def orbit_factors(h: int, ctx: PrimeContext) -> list:
 
 
 def find_triplet(p: int) -> tuple[int, int, int]:
-    """Lexicographically least 1 <= h1 <= h2 <= h3 <= (p-1)/2 with
-    h1^2 + h2^2 + h3^2 == 0 mod p; exists whenever p == 11 mod 12."""
+    """Lexicographically least 1 <= h1 <= h2 <= h3 <= (p-1)/2 with h1^2 + h2^2 + h3^2 == 0
+    mod p; exists whenever p == 11 mod 12.  As p == 3 mod 4, t = -(h1^2 + h2^2) is a square
+    exactly when y = t^((p+1)/4) has y^2 == t, and h3 is then its one root min(y, p - y)."""
     if p % 12 != 11:
         raise ValueError(f"triplet construction applies to p == 11 mod 12, not {p}")
     half = (p - 1) // 2
     for h1 in range(1, half + 1):
         for h2 in range(h1, half + 1):
-            s = h1 * h1 + h2 * h2
-            for h3 in range(h2, half + 1):
-                if (s + h3 * h3) % p == 0:
-                    return (h1, h2, h3)
+            t = -(h1 * h1 + h2 * h2) % p
+            y = pow(t, (p + 1) // 4, p)
+            if y * y % p == t and (h3 := min(y, p - y)) >= h2:
+                return (h1, h2, h3)
     raise ArithmeticError(f"no sum-of-three-squares triplet mod {p}")
 
 

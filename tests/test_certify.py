@@ -546,6 +546,9 @@ def test_integer_cusp_orders_match_reference():
                 ref += e * lead[key]
             assert order_numerator(prod.exponents, p, row.a, row.c) == ref, (p, row)
             assert 12 * p * row.order == row.width * ref, (p, row)
+        # the witness's sums, taken in the row loop, against the returned rows
+        assert check.witness["width_sum"] == sum(row.width for row in rows), p
+        assert check.witness["cusp_count"] == len(rows), p
 
 
 def test_cusp_orders_build_no_section(monkeypatch):
@@ -582,6 +585,27 @@ def test_certify_derives_the_unit_once(monkeypatch, p, scans):
         monkeypatch.setattr(etacover.certify, name, counting)
     assert certify(p).overall
     assert calls == {"_certified_unit": 1, "find_triplet": scans}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 47, 101, 1009, 10007])
+def test_order_numerator_only_at_the_p_divides_c_rows(monkeypatch, p):
+    # the z-relation reads its lead off the exponents and takes no sum at
+    # all; cusp_orders takes one per row with p | c (infinity and the r/p
+    # rows) and reads sum e everywhere else
+    calls = []
+    original = etacover.certify.order_numerator
+
+    def counting(exponents, N, a, c):
+        calls.append(c)
+        return original(exponents, N, a, c)
+
+    monkeypatch.setattr(etacover.certify, "order_numerator", counting)
+    ctx = prime_context(p)
+    verify_z_relation(ctx)
+    assert calls == [], p
+    check, rows = cusp_orders(ctx, *_certified_unit(ctx))
+    assert check.status == "pass", p
+    assert calls == [row.c for row in rows if row.c % p == 0], p
 
 
 def cusp_orders_check(p):

@@ -363,7 +363,9 @@ def test_find_triplet_frozen():
 
 
 def test_find_triplet_matches_exhaustive_search():
-    for p in (11, 23, 47, 59, 71, 83):
+    # every p == 11 mod 12 below 5000, and one past 10^4: the square root
+    # t^((p+1)/4) against the oracle's scan over all of h3
+    for p in [*(q for q in range(11, 5000, 12) if is_prime(q)), 10007]:
         trip = find_triplet(p)
         assert trip == smallest_triplet(p)
         assert sum(t * t for t in trip) % p == 0
