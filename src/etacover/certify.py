@@ -44,6 +44,7 @@ from .subgroups import (
     h_residues,
     lift_with_upper_left,
     multiplier_turns,
+    psl_index,
     quotient_structure,
     random_member,
     section,
@@ -218,14 +219,14 @@ def cusp_orders(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> tuple[C
     taken in integers as order_numerator / 12p; it must be an odd integer everywhere, equal
     to 1 whenever p does not divide c, and the orders of a unit sum to zero.  Off the p | c
     fiber order_numerator is s0 = sum e, taken once; one walk over the table builds the int
-    rows and sums their orders and widths; cusp_name names a failing row.
+    rows and sums their orders; width_sum is psl_index, the width sum cusp_set checked.
     """
     prod = unit.squared()
     try:
         table = cusp_set(group, ctx)
     except ArithmeticError as exc:
         return CheckResult("cusp-orders", "fail", reason=str(exc)), ()
-    rows, problems, order_sum, width_sum = [], [], 0, 0
+    rows, problems, order_sum = [], [], 0
     p, exponents = ctx.p, prod.exponents  # field reads kept out of the O(p) loop
     s0 = sum(exponents.values())
     for a, c, width in table:
@@ -240,14 +241,14 @@ def cusp_orders(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> tuple[C
             problems.append(f"even order {order} at {cusp_name(a, c)}")
         if not on_fiber and order != 1:
             problems.append(f"order {order} != 1 at {cusp_name(a, c)} with p not dividing c")
-        order_sum, width_sum = order_sum + order, width_sum + width
+        order_sum += order
         rows.append(CuspRow(a, c, width, order))
     if order_sum:
         problems.append("orders do not sum to zero")
     if problems:
         return CheckResult("cusp-orders", "fail", reason="; ".join(problems)), tuple(rows)
     witness = {"unit": prod.label, "cusp_count": len(rows),
-               "width_sum": width_sum, "ramification_index": 2}
+               "width_sum": psl_index(group, ctx), "ramification_index": 2}
     return CheckResult("cusp-orders", "pass", witness=witness), tuple(rows)
 
 
@@ -268,7 +269,7 @@ def verify_quotient(ctx: PrimeContext) -> CheckResult:
         "quotient-structure", "pass" if ok else "fail",
         reason=None if ok else
         f"character order {qs.character_order} (want {ctx.degree}), "
-        f"kernel match {qs.kernel_matches}",
+        f"kernel match {qs.kernel_matches}, index {qs.index_gamma0_gamma2} (want {ctx.k})",
         witness={key: getattr(qs, key) for key in
                  ("character_order", "index_gamma0_gamma2", "curve_index_gamma2_gamma1")},
     )
@@ -314,16 +315,11 @@ def verify_z_relation(ctx: PrimeContext) -> CheckResult:
 # -- assembly --------------------------------------------------------------
 
 
-def _small_prime_report(p: int) -> CertReport:
-    # the covering degenerates to the squaring map on the multiplicative
-    # group; nothing to verify beyond recording the degree
-    g = 1 if p == 2 else 5
-    ell = 0 if p == 2 else 1
-    check = CheckResult("kummer-cover", "pass", witness={"map": "x -> x^2", "degree": 2})
-    return CertReport(
-        p=p, g=g, k=1, ell=ell, Np=1, degree=2, branch="small-p",
-        checks=(check,), cusps=(), overall=True,
-    )
+def _context(p: int) -> PrimeContext:
+    """prime_context(p), or for p = 2, 3 the recorded data of the degree-2 squaring map."""
+    if p in (2, 3):
+        return PrimeContext(p, 1 if p == 2 else 5, 1, 0 if p == 2 else 1)
+    return prime_context(p)
 
 
 def _report(ctx: PrimeContext, checks: tuple, cusps: tuple = ()) -> CertReport:
@@ -337,16 +333,17 @@ def _report(ctx: PrimeContext, checks: tuple, cusps: tuple = ()) -> CertReport:
 def error_report(p: int, exc: Exception) -> CertReport:
     """Fail report for a prime whose certification raised exc."""
     check = CheckResult("error", "fail", reason=f"{type(exc).__name__}: {exc}")
-    return _report(prime_context(p), (check,))
+    return _report(_context(p), (check,))
 
 
 def certify(p: int) -> CertReport:
     """Run all checks for one prime and assemble the report."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p in (2, 3):
-        return _small_prime_report(p)
-    ctx = prime_context(p)
+    ctx = _context(p)
+    if p in (2, 3):  # the covering degenerates to the squaring map: only its degree to record
+        kummer = CheckResult("kummer-cover", "pass", witness={"map": "x -> x^2", "degree": 2})
+        return _report(ctx, (kummer,))
     unit, group = _certified_unit(ctx)
     order_check, rows = cusp_orders(ctx, unit, group)
     checks = (

@@ -36,6 +36,7 @@ from .subgroups import (
     cusp_name,
     cusp_set,
     epsilon_factor,
+    psl_index,
     quadratic_character,
     sign_character,
 )
@@ -98,8 +99,7 @@ def cmd_cusps(args) -> int:
     table = sorted(cusp_set(group, ctx), key=lambda row: (row[1], row[0]))
     for a, c, width in table:
         print(f"{cusp_name(a, c):>8}  width {width}")
-    total = sum(w for _, _, w in table)
-    print(f"{len(table)} cusps of {group.value}({ctx.p}), width sum {total}")
+    print(f"{len(table)} cusps of {group.value}({ctx.p}), width sum {psl_index(group, ctx)}")
     return 0
 
 

@@ -16,11 +16,11 @@ triple product the unit part of E_g is a sparse theta series theta_g times
 P(q^N), P the partition series (Yang 2004, "Transformation formulas for
 generalized Dedekind eta functions"), so prod E_g^e expands as
 q^L * prod theta_g^e * P(q^N)^(sum e), E_g alone (generalized_eta) included.
-eta is the pentagonal series and P its inverse; every theta, eta(s*tau) at
-level 3s included, comes from one integer sweep.  merge_factors reduces
-indices and merges exponents into an (exponents, sign) pair of ints, which
-EtaProduct.from_factors, the one constructor, wraps; the units F_h take
-their indices from H = <g^k> (subgroups.h_residues).
+eta is the pentagonal series and P its inverse, so P(q^N)^(sum e) is the
+pentagonal series in q^N to the power -sum e; one integer sweep gives every
+theta, eta(s*tau) at level 3s included.  merge_factors reduces and merges
+indices into an (exponents, sign) pair of ints, which the one constructor
+EtaProduct.from_factors wraps; F_h takes its indices from subgroups.h_residues.
 """
 
 from __future__ import annotations
@@ -59,12 +59,6 @@ def _theta(level: int, g: int, prec: int) -> dict:
             theta[e] = theta.get(e, 0) + (-1 if n % 2 else 1)
             n += step
     return theta
-
-
-def _partitions(n: int) -> list[int]:
-    """Partition numbers p(0..n): the inverse of the pentagonal series (Euler)."""
-    inverse = QSeries(1, _theta(3, 1, n + 1), n + 1).inverse()
-    return [inverse.coeffs[j] for j in range(n + 1)]
 
 
 def generalized_eta(g: int, level: int, prec: int) -> QSeries:
@@ -198,14 +192,13 @@ def triplet_product(triplet: tuple[int, int, int], p: int) -> EtaProduct:
 
 
 def expand_product(prod: EtaProduct, prec: int) -> QSeries:
-    """Exact expansion to prec q-steps past the leading term, as sign * q^L *
-    prod theta_g^e * P(q^N)^(sum e) with L = order_numerator at 1/0 over 12N."""
+    """Exact expansion to prec q-steps past the leading term, as sign * q^L * prod theta_g^e
+    * P(q^N)^(sum e), L = order_numerator at 1/0 over 12N, P = 1/(pentagonal series)."""
     if not prod.exponents or prec < 1:
         raise ValueError(f"cannot expand {len(prod.exponents)} factors to {prec} q-steps")
     level = prod.level
-    parts = _partitions((prec - 1) // level)
-    series = QSeries(1, {level * j: c for j, c in enumerate(parts)}, prec)
-    series = series ** sum(prod.exponents.values())
+    pentagonal = QSeries(1, _theta(3 * level, level, prec), prec)
+    series = pentagonal ** -sum(prod.exponents.values())
     for g, e in sorted(prod.exponents.items()):
         series = series * QSeries(1, _theta(level, g, prec), prec) ** e
     lead = Fraction(order_numerator(prod.exponents, level, 1, 0), 12 * level)

@@ -317,7 +317,7 @@ def quotient_structure(ctx: PrimeContext) -> QuotientStructure:
     big = _character_modulus(ctx)
     generators = ((1, lift_with_upper_left(ctx.g, p)), (0, t))
     return QuotientStructure(
-        index_gamma0_gamma2=(p - 1) // len(residues),
+        index_gamma0_gamma2=(p - 1) // len(set(residues)),
         curve_index_gamma2_gamma1=len({min(a, p - a) for a in residues}),
         character_order=lcm(*(big // gcd(log_character(ctx, n, m), big) for n, m in generators)),
         kernel_matches=all(
@@ -417,8 +417,9 @@ def cusp_set(group: Subgroup, ctx: PrimeContext) -> list[tuple[int, int, int]]:
                 x = r * h % p
                 marked[x if 2 * x < p else p - x] = 1
     scale = 2 if group is Subgroup.GAMMA2_PRIME else 1
-    table = [(1, 0, scale)] + [(r, p, scale) for r in reps[1:]] + [(1, r, scale * p) for r in reps]
-    total = sum(w for _, _, w in table)
+    wide = scale * p  # one width int shared by every 1/r row
+    table = [(1, 0, scale)] + [(r, p, scale) for r in reps[1:]] + [(1, r, wide) for r in reps]
+    total = len(reps) * (scale + wide)  # the table's widths: scale once per r_i, wide once
     target = psl_index(group, ctx)
     if total != target:
         raise ArithmeticError(

@@ -546,7 +546,7 @@ def test_integer_cusp_orders_match_reference():
                 ref += e * lead[key]
             assert order_numerator(prod.exponents, p, row.a, row.c) == ref, (p, row)
             assert 12 * p * row.order == row.width * ref, (p, row)
-        # the witness's sums, taken in the row loop, against the returned rows
+        # the witness's width sum, proved by cusp_set, and count against the returned rows
         assert check.witness["width_sum"] == sum(row.width for row in rows), p
         assert check.witness["cusp_count"] == len(rows), p
 
@@ -680,6 +680,17 @@ def test_wrong_quotient_character_fails(monkeypatch):
         monkeypatch.setattr(etacover.subgroups, "log_character", mutant)
         for p in primes:
             assert verify_quotient(prime_context(p)).status == "fail", (mutant.__name__, p)
+
+
+def test_quotient_index_counts_distinct_residues():
+    # g^2 in place of a generator: h_residues still lists 2*ell powers, but only
+    # half of them are distinct, so Gamma0/Gamma2 shows index 2k and the check fails
+    ctx = prime_context(13)
+    bad = ctx._replace(g=ctx.g * ctx.g % (2 * ctx.p))
+    assert verify_quotient(ctx).witness["index_gamma0_gamma2"] == ctx.k == 1
+    res = verify_quotient(bad)
+    assert res.status == "fail" and res.witness["index_gamma0_gamma2"] == 2 != bad.k
+    assert res.reason.endswith("index 2 (want 1)")
 
 
 def test_cusp_orders_direct():

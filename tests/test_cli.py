@@ -445,6 +445,28 @@ def test_certify_range_survives_a_raising_prime(capsys, tmp_path, monkeypatch):
     assert out.endswith("certified 2/3 primes\n")
 
 
+def test_certify_range_survives_a_raising_small_prime(capsys, monkeypatch):
+    # 2 and 3 have no prime_context; their error report is built from the
+    # same recorded data as their pass report
+    def flaky(p):
+        if p == 2:
+            raise RuntimeError("boom")
+        return certify(p)
+
+    monkeypatch.setattr("etacover.cli.certify", flaky)
+    code, out, err = run(capsys, "certify", "--range", "2..7", "--json")
+    assert code == 1 and err.endswith("RuntimeError: boom\n")
+    reports = json.loads(out)
+    assert [(r["p"], r["overall"]) for r in reports] == [(2, False), (3, True), (5, True),
+                                                         (7, True)]
+    failed = reports[0]
+    assert (failed["g"], failed["k"], failed["ell"], failed["Np"]) == (1, 1, 0, 1)
+    assert (failed["degree"], failed["branch"], failed["cusps"]) == (2, "small-p", [])
+    assert failed["checks"] == [
+        {"name": "error", "status": "fail", "reason": "RuntimeError: boom"}
+    ]
+
+
 def test_certify_prec_has_no_effect(capsys):
     assert run(capsys, "certify", "--p", "13", "--prec", "80") == run(capsys, "certify", "--p", "13")
 

@@ -5,7 +5,7 @@ import pytest
 
 from etacover.eta import (
     EtaProduct,
-    _partitions,
+    _theta,
     classical_eta,
     eta_quotient_series,
     expand_product,
@@ -109,8 +109,10 @@ def test_generalized_eta_matches_oracle():
 
 
 def test_partitions_match_coin_change():
-    assert _partitions(200) == coin_change_partitions(200)
-    assert _partitions(100)[100] == 190_569_292
+    # P, the partition series of expand_product, is the inverse pentagonal series
+    partitions = QSeries(1, _theta(3, 1, 201), 201) ** -1
+    assert [partitions.coeffs[n] for n in range(201)] == coin_change_partitions(200)
+    assert partitions.coeffs[100] == 190_569_292
 
 
 def test_generalized_eta_rejects():

@@ -307,6 +307,24 @@ def test_no_unused_imports():
     assert SOURCES and TESTS and found == []
 
 
+def test_every_private_helper_has_a_caller():
+    # a module-level _name function is referenced from src/ outside its own
+    # body, so a helper goes with its last caller
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    helpers = {fn.name: {id(node) for node in ast.walk(fn)}
+               for tree in trees for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+               and not fn.name.startswith("__")}
+    called = {
+        name for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and (name := getattr(node, "id", None) or node.attr) in helpers
+        and id(node) not in helpers[name]
+    }
+    assert helpers
+    assert sorted(set(helpers) - called) == []
+
+
 def test_package_exports_the_library_surface():
     assert etacover.__all__ == LIBRARY
     assert all(getattr(etacover, name, None) is not None for name in LIBRARY)
