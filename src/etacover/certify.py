@@ -172,9 +172,11 @@ def verify_transforms(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> C
     draws = [random_member(ctx, rng) for _ in range(N_RANDOM)]
     worst = max(check_E_transforms(indices, p, m, balanced_samples(m)) for m in draws)
     reps, gamma1 = class_representatives(ctx, group), group is Subgroup.GAMMA1
-    laws = [(m, sign_character(m), *((unit.exponents, unit.sign) if gamma1 else
-                                     merge_factors(p, orbit_factors(m.a, ctx))))
-            for r in reps for m in (r, -r)]
+    matrices = [m for r in reps for m in (r, -r)]
+    targets = {a: (unit.exponents, unit.sign) if gamma1 else
+               merge_factors(p, orbit_factors(a, ctx))
+               for a in {m.a for m in matrices}}  # F_a once per upper-left entry, 4 of them
+    laws = [(m, sign_character(m), *targets[m.a]) for m in matrices]
     lifts = [lift_with_upper_left(x, p) for x in h_residues(ctx)]
     laws += [(m, twisted_sign(m, ctx), unit.exponents, unit.sign) for m in lifts]
     problems = [f"{unit.label} law fails exactly at {tuple(m)}" for m, factor, want, s in laws
@@ -269,7 +271,8 @@ def verify_quotient(ctx: PrimeContext) -> CheckResult:
         "quotient-structure", "pass" if ok else "fail",
         reason=None if ok else
         f"character order {qs.character_order} (want {ctx.degree}), "
-        f"kernel match {qs.kernel_matches}, index {qs.index_gamma0_gamma2} (want {ctx.k})",
+        f"kernel match {qs.kernel_matches}, index {qs.index_gamma0_gamma2} (want {ctx.k}), "
+        f"curve index {qs.curve_index_gamma2_gamma1} (want {ctx.ell})",
         witness={key: getattr(qs, key) for key in
                  ("character_order", "index_gamma0_gamma2", "curve_index_gamma2_gamma1")},
     )

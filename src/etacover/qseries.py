@@ -12,6 +12,10 @@ pentagonal series of eta, and their products, powers and (unit-led)
 inverses all stay in q^L * Z[[q^(1/D)]].  A product is one integer
 convolution; an inverse is one integer recurrence, b_n = -c * sum a_m b_(n-m),
 and needs a leading coefficient c of +-1.
+
+A series is never mutated after construction: only __init__ writes its
+coeffs, denom and trunc.  So an unchanged lattice (rescale to denom) or a
+unit scale (scale(1)) hands back the same object instead of a copy.
 """
 
 from __future__ import annotations
@@ -34,13 +38,12 @@ class QSeries:
             raise ValueError(f"lattice denominator must be >= 1, not {denom}")
         t = Fraction(trunc)
         cut = ceil(t * denom)  # lattice numerators n >= cut are at or past trunc
-        kept = {}
-        for n, c in coeffs.items():
-            if c == 0 or n >= cut:
-                continue  # zero, or beyond what we certify; drop
-            kept[n] = int(c)
-            if kept[n] != c:
-                raise ValueError(f"coefficient {c} is not an integer")
+        kept = {n: c for n, c in coeffs.items() if c != 0 and n < cut}
+        if not {int}.issuperset(map(type, kept.values())):
+            for n, c in kept.items():  # bools and int-valued Fractions or floats become ints
+                kept[n] = int(c)
+                if kept[n] != c:
+                    raise ValueError(f"coefficient {c} is not an integer")
         self.denom = denom
         self.coeffs = kept
         self.trunc = t
@@ -69,7 +72,9 @@ class QSeries:
     # -- lattice plumbing --------------------------------------------------
 
     def rescale(self, denom: int) -> "QSeries":
-        """Same series on a finer lattice; denom must be a multiple."""
+        """Same series on a finer lattice; denom must be a multiple (self when equal)."""
+        if denom == self.denom:
+            return self
         if denom % self.denom:
             raise ValueError(f"lattice 1/{denom} does not refine 1/{self.denom}")
         f = denom // self.denom
@@ -79,18 +84,21 @@ class QSeries:
         """Multiply by q^exponent (any rational; the lattice is refined)."""
         e = Fraction(exponent)
         d = lcm(self.denom, e.denominator)
-        s = self.rescale(d)
-        step = int(e * d)
-        return QSeries(d, {n + step: c for n, c in s.coeffs.items()}, s.trunc + e)
+        f, step = d // self.denom, e.numerator * (d // e.denominator)
+        return QSeries(d, {n * f + step: c for n, c in self.coeffs.items()}, self.trunc + e)
 
     # -- arithmetic --------------------------------------------------------
 
     def scale(self, coeff: int) -> "QSeries":
+        if coeff == 1:
+            return self
         return QSeries(self.denom, {n: coeff * c for n, c in self.coeffs.items()}, self.trunc)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         d = lcm(self.denom, other.denom)
         a, b = self.rescale(d), other.rescale(d)
+        if len(a.coeffs) < len(b.coeffs):
+            a, b = b, a  # the longer one outside, the shorter one sorted inside
         # each factor is exact below its trunc, so the product is exact below
         # min(trunc_a + lead_b, trunc_b + lead_a)
         t = min(a.trunc + b._lead_or_trunc(), b.trunc + a._lead_or_trunc())
@@ -176,12 +184,13 @@ class QSeries:
 
     def render(self) -> str:
         """Canonical text form: terms by increasing exponent, then the O-term."""
-        parts = []
+        parts, d = [], self.denom
         for n in sorted(self.coeffs):
             c = self.coeffs[n]
-            e = Fraction(n, self.denom)
+            g = gcd(n, d)  # the exponent n/d in lowest terms, as a Fraction prints it
+            e = n // g if g == d else f"{n // g}/{d // g}"
             mag = -c if c < 0 else c
-            body = str(mag) if e == 0 else f"{mag}*q^({e})"
+            body = str(mag) if n == 0 else f"{mag}*q^({e})"
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)
             else:

@@ -229,18 +229,18 @@ def random_member(ctx: PrimeContext, rng) -> SL2Matrix:
     column (a, c), written down entry by entry as one matrix.
     """
     p = ctx.p
-    c0 = rng.randint(-2, 2)
+    c0 = rng.randrange(-2, 3)
     if c0 == 0:
-        a, b, c, d = 1, rng.randint(-4, 4), 0, 1
+        a, b, c, d = 1, rng.randrange(-4, 5), 0, 1
     else:
         c = p * c0
-        a = rng.randrange(1, p) + p * rng.randint(0, 2)
+        a = rng.randrange(1, p) + p * rng.randrange(3)
         while gcd(a, c) != 1:
             a += p
         b, d = _second_column(a, c)
-        j = rng.randint(-2, 2)
+        j = rng.randrange(-2, 3)
         b, d = b + a * j, d + c * j
-        i = rng.randint(-2, 2)
+        i = rng.randrange(-2, 3)
         a, b = a + i * c, b + i * d
     s = -1 if rng.random() < 0.5 else 1
     return SL2Matrix(s * a, s * b, s * c, s * d)

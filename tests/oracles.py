@@ -167,6 +167,26 @@ def naive_product(a, b):
     return denom, trunc, {n: c for n, c in out.items() if c}
 
 
+def fraction_render(s) -> str:
+    """QSeries.render spelled with one Fraction per term: terms by increasing
+    exponent n/denom, each exponent printed as its reduced Fraction, then the
+    O-term.  Reads only the denom/coeffs/trunc attributes of s."""
+    parts = []
+    for n in sorted(s.coeffs):
+        c = s.coeffs[n]
+        e = Fraction(n, s.denom)
+        mag = -c if c < 0 else c
+        body = str(mag) if e == 0 else f"{mag}*q^({e})"
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + body)
+    tail = f"O(q^({s.trunc}))"
+    if not parts:
+        return tail
+    return " ".join(parts) + " + " + tail
+
+
 def multiplicative_order(a: int, p: int) -> int:
     v, n = a % p, 1
     while v != 1:

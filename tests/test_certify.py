@@ -38,6 +38,7 @@ from etacover.eta import (
     expand_product,
     find_triplet,
     merge_factors,
+    orbit_factors,
     orbit_product,
     order_numerator,
 )
@@ -385,6 +386,23 @@ def test_law_mutations_fail_below_200(monkeypatch, name):
     pytest.fail(f"{name} passes every prime below 200")
 
 
+def test_law_targets_are_merged_once_per_upper_left_entry(monkeypatch):
+    # the 16 class matrices have 4 upper-left entries (+-1, +-2), so F_a is
+    # merged at most 4 times on the F branch and never on the G branch
+    calls = []
+
+    def counted(h, ctx):
+        calls.append(h)
+        return orbit_factors(h, ctx)
+
+    monkeypatch.setattr(etacover.certify, "orbit_factors", counted)
+    for p in (5, 7, 11, 13, 17, 19, 23, 10007):
+        ctx = prime_context(p)
+        calls.clear()
+        assert verify_transforms(ctx, *_certified_unit(ctx)).status == "pass", p
+        assert len(calls) == len(set(calls)) <= (0 if p % 12 == 11 else 4), (p, calls)
+
+
 SL2_Z2 = [m for m in product((0, 1), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 2]
 CLASSES = {(False, *m) for m in SL2_Z2} | {(True, 1, 0, 0, 1), (True, 1, 1, 0, 1)}
 
@@ -684,13 +702,15 @@ def test_wrong_quotient_character_fails(monkeypatch):
 
 def test_quotient_index_counts_distinct_residues():
     # g^2 in place of a generator: h_residues still lists 2*ell powers, but only
-    # half of them are distinct, so Gamma0/Gamma2 shows index 2k and the check fails
+    # half of them are distinct, so Gamma0/Gamma2 shows index 2k and the check
+    # fails; the reason names both indices with what they should be
     ctx = prime_context(13)
     bad = ctx._replace(g=ctx.g * ctx.g % (2 * ctx.p))
     assert verify_quotient(ctx).witness["index_gamma0_gamma2"] == ctx.k == 1
     res = verify_quotient(bad)
     assert res.status == "fail" and res.witness["index_gamma0_gamma2"] == 2 != bad.k
-    assert res.reason.endswith("index 2 (want 1)")
+    assert res.witness["curve_index_gamma2_gamma1"] == 3 != bad.ell
+    assert res.reason.endswith("index 2 (want 1), curve index 3 (want 6)")
 
 
 def test_cusp_orders_direct():

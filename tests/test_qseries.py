@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etacover.qseries import PrecisionError, QSeries
-from oracles import naive_product
+from oracles import fraction_render, naive_product
 
 coeffs_st = st.integers(-9, 9)
 
@@ -27,17 +27,41 @@ def agree(a: QSeries, b: QSeries) -> bool:
 
 
 def test_constructor_drops_zero_and_beyond_trunc():
-    s = QSeries(2, {0: 1, 3: 0, 8: 5}, Fraction(3))
+    # a non-integer at or past the truncation is dropped before it is checked
+    s = QSeries(2, {0: 1, 3: 0, 8: 5, 6: Fraction(1, 2), 9: 0.5}, Fraction(3))
     assert s.coeffs == {0: 1}
 
 
 def test_constructor_takes_integers_only():
-    s = QSeries(1, {0: Fraction(4, 2), 1: -3}, 2)
-    assert s.coeffs == {0: 2, 1: -3}
+    # bools and int-valued Fractions or floats are stored as ints
+    s = QSeries(1, {0: Fraction(4, 2), 1: -3, 2: True, 3: 3.0, 4: False}, 5)
+    assert s.coeffs == {0: 2, 1: -3, 2: 1, 3: 3}
     assert all(type(c) is int for c in s.coeffs.values())
-    for c in (Fraction(1, 2), Fraction(3, 2), 0.5):
-        with pytest.raises(ValueError, match="not an integer"):
+    for c, text in ((Fraction(1, 2), "1/2"), (Fraction(3, 2), "3/2"), (0.5, "0.5")):
+        with pytest.raises(ValueError, match=f"^coefficient {text} is not an integer$"):
             QSeries(1, {0: c}, 2)
+
+
+@given(series())
+def test_same_lattice_and_unit_scale_are_the_series(a):
+    assert a.rescale(a.denom) == a
+    assert a.scale(1) == a
+    assert a.scale(-1).scale(-1) == a
+
+
+@st.composite
+def wide_series(draw):
+    # negative exponents on the lattices of expand_product (24N, N = 13) and below
+    denom = draw(st.sampled_from([1, 24, 312]))
+    keys = draw(st.lists(st.integers(-2 * denom, 4 * denom), max_size=12, unique=True))
+    terms = {k: draw(st.integers(-10**6, 10**6)) for k in keys}
+    trunc = Fraction(max(keys, default=0) + draw(st.integers(1, 2 * denom)), denom)
+    return QSeries(denom, terms, trunc)
+
+
+@given(wide_series())
+def test_render_matches_the_fraction_render(a):
+    assert a.render() == fraction_render(a)
 
 
 def test_constructor_rejects_zero_denominator():

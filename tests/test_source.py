@@ -149,6 +149,49 @@ def test_cusps_are_int_pairs():
     assert SOURCES and found == []
 
 
+def _qseries_method(name, tree=None):
+    tree = tree or ast.parse((Path(etacover.__file__).parent / "qseries.py").read_text())
+    cls = next(node for node in tree.body if getattr(node, "name", None) == "QSeries")
+    return next(fn for fn in cls.body if getattr(fn, "name", None) == name)
+
+
+def test_a_series_is_never_mutated_after_construction():
+    # rescale to the same lattice and scale(1) hand back the series itself,
+    # which is safe only while no statement outside QSeries.__init__ writes
+    # a series' coeffs, denom or trunc, or an entry of its coeffs
+    fields, mutators = {"coeffs", "denom", "trunc"}, {
+        "clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
+
+    def written(target):
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        return isinstance(target, ast.Attribute) and target.attr in fields
+
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        init = (set(map(id, ast.walk(_qseries_method("__init__", tree))))
+                if path.name == "qseries.py" else set())
+        for node in ast.walk(tree):
+            if id(node) in init:
+                continue
+            targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete)) else
+                       [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+            if any(written(t) for t in targets) or (
+                    isinstance(node, ast.Call) and getattr(node.func, "attr", None) in mutators
+                    and written(node.func.value)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert SOURCES and found == []
+
+
+def test_render_builds_no_fraction():
+    # each exponent is printed from gcd(n, denom); only the O-term's trunc
+    # is a Fraction already
+    calls = [node.lineno for node in ast.walk(_qseries_method("render"))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction"]
+    assert calls == []
+
+
 def test_one_spelling_of_the_gamma2_sign():
     # psi*chi (psi when p == 3 mod 4) is spelled in subgroups.twisted_sign;
     # only it and the CLI's character command ask for chi itself
