@@ -14,8 +14,9 @@ turns mod 24p), with complex evaluation of E_g alone:
 
 The unit (F_1, or G when p == 11 mod 12) is derived once per prime and
 passed to the checks that read it.  The verdict plus the cusp rows (int
-CuspRow named tuples) form a CertReport, serialized as JSON with a stable
-key layout, the cusp rows written directly in its bytes.
+CuspRow named tuples) form a CertReport, serialized as the bytes of
+json.dumps(indent=2) with a stable key layout, written by ``_dumps`` with
+the cusp rows put in directly.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import NamedTuple
 
 from .exact import is_prime, order_numerator, prime_context, PrimeContext
@@ -138,13 +141,15 @@ def verify_shifting(ctx: PrimeContext) -> CheckResult:
     )
 
 
-def _law(prod: EtaProduct, m: SL2Matrix) -> tuple[int, dict, int]:
+def _law(prod: EtaProduct, m: SL2Matrix, merged: dict) -> tuple[int, dict, int]:
     """(t mod 24N, exponents, sign), prod(m tau) = e^(2*pi*i*t/(24N)) * sign * prod E_g^e(tau),
-    on ints: the literal indices a*g (g under a translation) merged, m in Gamma0(N)."""
-    a = m.a if m.c else 1
-    moved = [(a * g, e) for g, e in prod.exponents.items()]
-    exponents, sign = merge_factors(prod.level, moved, prod.sign)
-    return multiplier_turns(prod.exponents, prod.level, m) % (24 * prod.level), exponents, sign
+    on ints, m in Gamma0(N): the literal indices a*g (g under a translation) merged once per
+    a mod 2N into merged, since E_(x+N) = -E_x makes the merge a function of a*g mod 2N."""
+    a = (m.a if m.c else 1) % (2 * prod.level)
+    if a not in merged:
+        moved = [(a * g, e) for g, e in prod.exponents.items()]
+        merged[a] = merge_factors(prod.level, moved, prod.sign)
+    return multiplier_turns(prod.exponents, prod.level, m) % (24 * prod.level), *merged[a]
 
 
 def class_representatives(ctx: PrimeContext, group: Subgroup) -> list:
@@ -179,8 +184,10 @@ def verify_transforms(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> C
     laws = [(m, sign_character(m), *targets[m.a]) for m in matrices]
     lifts = [lift_with_upper_left(x, p) for x in h_residues(ctx)]
     laws += [(m, twisted_sign(m, ctx), unit.exponents, unit.sign) for m in lifts]
+    merged = {}  # the moved unit once per a mod 2p, about 10 merges for 16 + 2*ell laws
     problems = [f"{unit.label} law fails exactly at {tuple(m)}" for m, factor, want, s in laws
-                if _law(unit, m) not in ((0, want, factor * s), (12 * p, want, -factor * s))][:1]
+                if _law(unit, m, merged) not in ((0, want, factor * s),
+                                                 (12 * p, want, -factor * s))][:1]
     side = (sum(unit.exponents.values()), sum(e * g * g for g, e in unit.exponents.items()) % p,
             len({(m.c == 0, *(x % 2 for x in m)) for m in reps}))
     if side != (6, 0, 8):
@@ -376,14 +383,33 @@ def report_to_dict(report: CertReport) -> dict:
     return out
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) for str-keyed dicts, lists and tuples: strings, ints and
+    finite floats written directly, other scalars (None, bools, nan, inf) by json.dumps.
+    indent is the newline and spaces of the value's own line."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int or type(value) is float and isfinite(value):
+        return repr(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [inner + encode_basestring_ascii(key) + ": " + _dumps(v, inner)
+                 for key, v in value.items()]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _dumps(v, inner) for v in value]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    return json.dumps(value)
+
+
 _ROW = '    {\n      "a": %d,\n      "c": %d,\n      "width": %d,\n      "order": %d\n    }'
 
 
 def report_to_json(report: CertReport) -> str:
-    """json.dumps(report_to_dict(report), indent=2), the cusp rows (_ROW) written directly:
-    strings are written on one line with their quotes escaped, so only the
-    report's own "cusps": [] can follow a newline and two spaces."""
-    text = json.dumps(report_to_dict(report._replace(cusps=())), indent=2)
+    """json.dumps(report_to_dict(report), indent=2), written by _dumps with the cusp rows
+    (_ROW) put in place: strings are written on one line with their quotes escaped, so
+    only the report's own "cusps": [] can follow a newline and two spaces."""
+    text = _dumps(report_to_dict(report._replace(cusps=())))
     if not report.cusps:
         return text
     rows = ",\n".join(_ROW % row for row in report.cusps)

@@ -6,13 +6,14 @@ so the number of factors is chosen adaptively from Im(tau): transformed
 points gamma*tau sit much lower in the upper half plane than the samples
 and need more terms, not a different algorithm.
 
-An eta product is evaluated from its form (L, factors), L the leading
-exponent exact.order_numerator at 1/0 over 12N: ``_value`` takes q^L
-once and multiplies in each factor's unit part from running powers of q
+An eta product is evaluated from L, exact.order_numerator at 1/0 over 12N:
+q^L once, then each factor's unit part from running powers of q
 (``_times_unit``, the one truncated-product loop).  Every law
-lhs(gamma tau) = factor * rhs(tau) goes through ``_residual``; the
-check functions only build laws.  E_g's factor is eta_multiplier's int t
-mod 24N, taken as e^(2*pi*i*e/o) with e/o = t/(24N) in lowest terms.
+lhs(gamma tau) = factor * rhs(tau) goes through ``_residual`` as a flat
+tuple of leads, unit parts and factor (an E_g side is its index alone);
+the check functions only build laws.  E_g's factor is the int t mod 24N of
+its multiplier, eps12 read once per draw, taken as e^(2*pi*i*e/o) with
+e/o = t/(24N) in lowest terms.  A side past the double range reads inf.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from math import ceil, gcd, pi
+from math import ceil, gcd, inf, pi
 
 from .exact import PrimeContext, order_numerator
 from .eta import EtaProduct, orbit_product, reduce_index, triplet_product
@@ -28,6 +29,7 @@ from .qseries import PrecisionError, QSeries
 from .subgroups import (
     SL2Matrix,
     Subgroup,
+    epsilon_factor,
     eta_multiplier,
     is_member,
     sign_character,
@@ -87,11 +89,11 @@ def _form(exponents: dict, level: int) -> tuple:
 
 
 @lru_cache(maxsize=128)
-def _eta_form(g: int, level: int) -> tuple:
-    """The form of E_g, 1 <= g <= level - 1, cached: laws at one level reuse a few indices."""
+def _lead(g: int, level: int) -> float:
+    """L of E_g, 1 <= g <= level - 1, cached: laws at one level reuse a few indices."""
     if not 1 <= g <= level - 1:
         raise ValueError(f"index {g} outside [1, {level - 1}]")
-    return _form({g: 1}, level)
+    return order_numerator({g: 1}, level, 1, 0) / (12 * level)
 
 
 def _times_unit(value: complex, g: int, level: int, point: tuple) -> complex:
@@ -109,15 +111,12 @@ def _times_unit(value: complex, g: int, level: int, point: tuple) -> complex:
     return value
 
 
-def _value(form: tuple, level: int, point: tuple, shift: float = 0.0) -> complex:
-    """Truncated-product value of an eta product from its form, times e^-shift.
+def _units(value: complex, factors, level: int, point: tuple) -> complex:
+    """value times the unit part of each E_g^e over the (g, e) in factors.
 
-    The shift comes off the exponent of q^L, so a value beyond the double
-    range is still compared at a common scale.  A factor with exponent
-    e != 1 (negative too) enters as its unit part to the power e.
+    A factor with exponent 1 is multiplied in term by term; any other
+    exponent, negative too, raises its unit part to that power.
     """
-    lead, factors = form
-    value = cmath.exp(point[0] * lead - shift)
     for g, e in factors:
         if e == 1:
             value = _times_unit(value, g, level, point)
@@ -128,7 +127,8 @@ def _value(form: tuple, level: int, point: tuple, shift: float = 0.0) -> complex
 
 def eval_generalized_eta(g: int, level: int, tau) -> complex:
     """Truncated-product value of E_g at tau; three complex powers whatever the level."""
-    return _value(_eta_form(g, level), level, _at_point(tau, level))
+    point = _at_point(tau, level)
+    return _times_unit(cmath.exp(point[0] * _lead(g, level)), g, level, point)
 
 
 def eval_classical_eta(scale: int, tau) -> complex:
@@ -144,8 +144,9 @@ def eval_classical_eta(scale: int, tau) -> complex:
 
 def eval_product(prod: EtaProduct, tau) -> complex:
     """Value of an eta product: its leading power once, then each factor's unit part."""
-    form = _form(prod.exponents, prod.level)
-    return prod.sign * _value(form, prod.level, _at_point(tau, prod.level))
+    lead, factors = _form(prod.exponents, prod.level)
+    point = _at_point(tau, prod.level)
+    return prod.sign * _units(cmath.exp(point[0] * lead), factors, prod.level, point)
 
 
 def eval_series(series: QSeries, tau) -> complex:
@@ -165,51 +166,73 @@ def eval_series(series: QSeries, tau) -> complex:
 
 
 def _relative_error(left: complex, right: complex) -> float:
-    return abs(left - right) / max(abs(left), abs(right), 1e-300)
+    """|left - right| over the larger side (at least 1e-300), or inf where that ratio is nan
+    (a side past the double range), so such a law fails instead of folding to 0."""
+    a, b = abs(left), abs(right)
+    scale = a if a > b else b
+    err = abs(left - right) / (scale if scale > 1e-300 else 1e-300)
+    return err if err == err else inf
 
 
 def _residual(laws, level: int, gamma: SL2Matrix, samples) -> float:
     """Max relative error of lhs(gamma tau) against factor * rhs(tau) over the laws.
 
-    A law is (lhs, factor, rhs), two forms at the level.  tau and gamma
-    tau are prepared once per sample, and both sides divided by |q^L| of
-    the left side at gamma tau: at height 1 and large level q^L leaves
-    the double range (E_1 is 0j from level 1433, F_1 overflows at 1453).
+    A law is the flat (L, lhs, factor, L', rhs): each side q^L times its unit
+    part, an index g (E_g, one ``_times_unit``) or a tuple of (g, e) (``_units``).
+    tau and gamma tau are prepared once per sample, and both sides divided
+    by |q^L| of the left side at gamma tau: at height 1 and large level q^L
+    leaves the double range (E_1 is 0j from level 1433, F_1 overflows at 1453).
     """
     worst = 0.0
     for tau in samples:
         z = _as_point(tau)
         here, there = _at_point(z, level), _at_point(gamma.apply(z), level)
-        for lhs, factor, rhs in laws:
-            shift = (there[0] * lhs[0]).real
-            left = _value(lhs, level, there, shift)
-            right = factor * _value(rhs, level, here, shift)
-            worst = max(worst, _relative_error(left, right))
+        s, t = here[0], there[0]
+        for lead, lhs, factor, rlead, rhs in laws:
+            shift = (t * lead).real
+            left, right = cmath.exp(t * lead - shift), cmath.exp(s * rlead - shift)
+            if isinstance(lhs, int):
+                left = _times_unit(left, lhs, level, there)
+                right = _times_unit(right, rhs, level, here)
+            else:
+                left, right = _units(left, lhs, level, there), _units(right, rhs, level, here)
+            err = _relative_error(left, factor * right)
+            if err > worst:
+                worst = err
     return worst
 
 
 def check_invariance(prod: EtaProduct, gamma: SL2Matrix, factor=1,
                      samples=DEFAULT_SAMPLES) -> float:
     """Max relative residual of prod(gamma tau) = factor * prod(tau)."""
-    form = _form(prod.exponents, prod.level)  # the sign is on both sides
-    return _residual([(form, factor, form)], prod.level, gamma, samples)
+    lead, factors = _form(prod.exponents, prod.level)  # the sign is on both sides
+    return _residual([(lead, factors, factor, lead, factors)], prod.level, gamma, samples)
 
 
 def check_E_transforms(indices, level: int, gamma: SL2Matrix, samples=DEFAULT_SAMPLES) -> float:
     """Max relative residual of E_g(gamma tau) = mult * E_(a g)(tau) over g in indices.
 
-    Each index's multiplier and reduced target are taken once, straight
-    into a law of cached E_g forms; gamma tau, q, q^level and the term
-    count are prepared once per sample by ``_residual``.
+    What the indices share is read once per draw: off the translations eps12,
+    so each index's turns are 2N*eps12 + 12b(a g^2 - N g) (multiplier_turns at
+    {g: 1}); a translation keeps g and takes eta_multiplier's turns.  Each law
+    is the flat (L of g, g, mult * sign, L of r, r), E_(a g) = sign * E_r, for
+    ``_residual``.
     """
+    a, b, c, d = gamma
+    if c % level:
+        raise ValueError(f"{tuple(gamma)} is not in Gamma0({level})")
+    if c:
+        shared = 2 * level * epsilon_factor(a, b * level, c // level, d)
     laws = []
     for g in indices:
-        lhs = _eta_form(g, level)
-        t, new_index = eta_multiplier(g, level, gamma)
-        r, sign = reduce_index(new_index, level)
+        if c:
+            t, moved = (shared + 12 * b * (a * g * g - level * g)) % (24 * level), a * g
+        else:
+            t, moved = eta_multiplier(g, level, gamma)
+        r, sign = reduce_index(moved, level)
         n = gcd(t, 24 * level)
         mult = cmath.exp(2j * pi * (t // n) / (24 * level // n))
-        laws.append((lhs, mult * sign, _eta_form(r, level)))
+        laws.append((_lead(g, level), g, mult * sign, _lead(r, level), r))
     return _residual(laws, level, gamma, samples)
 
 
@@ -234,9 +257,9 @@ def check_F_transform(ctx: PrimeContext, h: int, gamma: SL2Matrix, samples=DEFAU
         raise ValueError(f"{tuple(gamma)} is not in Gamma0({ctx.p})")
     here, moved = orbit_product(h, ctx), orbit_product(gamma.a * h, ctx)
     form = _form(here.exponents, ctx.p)
-    laws = [(form, sign_character(gamma) * here.sign * moved.sign, _form(moved.exponents, ctx.p))]
+    laws = [(*form, sign_character(gamma) * here.sign * moved.sign, *_form(moved.exponents, ctx.p))]
     if is_member(gamma, Subgroup.GAMMA2, ctx):
-        laws.append((form, twisted_sign(gamma, ctx), form))
+        laws.append((*form, twisted_sign(gamma, ctx), *form))
     return _residual(laws, ctx.p, gamma, samples)
 
 

@@ -22,7 +22,11 @@ H = <g^k>: table_cusp_set, table_orbit_factors, table_membership,
 table_quadratic_character and quotient_character take discrete logs off
 it (table_membership and quotient_character reuse sign_character), and
 merged_z_relation merges every F_(g^j) factor with merge_factors and
-reads its leading exponent with order_numerator.
+reads its leading exponent with order_numerator.  per_law_E_transforms
+takes the E_g residual law by law, one eta_multiplier per index and one
+evaluation per side, with its own copy of the truncated-product loop; it
+reuses reduce_index and order_numerator.  dumps_report writes a report
+through json.dumps, the cusp rows spliced in.
 
 A root of unity e^(2*pi*i*x) is the Fraction x mod 1 here, its turns in
 [0, 1): roots compose by adding turns, and the package's int roots t
@@ -30,13 +34,15 @@ over a modulus M compare as turns(t, M).
 """
 
 import cmath
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import ceil, gcd, lcm, pi
 
-from etacover.eta import EtaProduct, merge_factors
+from etacover.certify import report_to_dict
+from etacover.eta import EtaProduct, merge_factors, reduce_index
 from etacover.exact import order_numerator
 from etacover.subgroups import (
     QuotientStructure,
@@ -686,3 +692,67 @@ def random_group_member(group, ctx, rng) -> SL2Matrix:
         m = SL2Matrix(s * a, s * b, s * c, s * d)
         if group is not Subgroup.GAMMA2_PRIME or is_member(m, group, ctx):
             return m
+
+
+def _point(tau: complex, level: int) -> tuple:
+    """2*pi*i*tau, q, q^level and the term count at tau, as the package prepares a point."""
+    z = complex(tau)
+    s = 2j * pi * z
+    q = cmath.exp(s)
+    return s, q, q ** level, max(4, ceil(45.0 / (2 * pi * z.imag * level)) + 2)
+
+
+def _side(lead: float, g: int, level: int, point: tuple, shift: float) -> complex:
+    """e^(s*lead - shift) times E_g's unit part, from the running powers q^g, q^(N-g)."""
+    s, q, step, terms = point
+    value = cmath.exp(s * lead - shift)
+    lo, hi = q ** g, q ** (level - g)
+    for _ in range(terms):
+        value *= (1 - lo) * (1 - hi)
+        lo *= step
+        hi *= step
+    return value
+
+
+def per_law_E_transforms(indices, level: int, gamma: SL2Matrix, samples) -> float:
+    """Max relative error of E_g(gamma tau) = mult * E_(a g)(tau) over g in indices, law by law.
+
+    Each index's turns come from its own eta_multiplier call; per sample and
+    law both sides are evaluated, divided by |q^L| of the left side at gamma
+    tau, and folded with max, the same float operations in the same order as
+    the package.
+    """
+    laws = []
+    for g in indices:
+        t, new_index = eta_multiplier(g, level, gamma)
+        r, sign = reduce_index(new_index, level)
+        n = gcd(t, 24 * level)
+        mult = cmath.exp(2j * pi * (t // n) / (24 * level // n))
+        laws.append((g, mult * sign, r))
+    worst = 0.0
+    for tau in samples:
+        here, there = _point(tau, level), _point(gamma.apply(complex(tau)), level)
+        for g, factor, r in laws:
+            lead = order_numerator({g: 1}, level, 1, 0) / (12 * level)
+            shift = (there[0] * lead).real
+            left = _side(lead, g, level, there, shift)
+            rlead = order_numerator({r: 1}, level, 1, 0) / (12 * level)
+            right = factor * _side(rlead, r, level, here, shift)
+            err = abs(left - right) / max(abs(left), abs(right), 1e-300)
+            worst = max(worst, err)
+    return worst
+
+
+_ROW = '    {\n      "a": %d,\n      "c": %d,\n      "width": %d,\n      "order": %d\n    }'
+
+
+def dumps_report(report) -> str:
+    """json.dumps(report_to_dict(report), indent=2), the cusp rows written in as json.dumps
+    would give them: json.dumps writes a string on one line with its quotes escaped, so
+    the report's own "cusps": [] is the one place the rows can go."""
+    text = json.dumps(report_to_dict(report._replace(cusps=())), indent=2)
+    if not report.cusps:
+        return text
+    rows = ",\n".join(_ROW % row for row in report.cusps)
+    head, _, tail = text.partition('\n  "cusps": []')
+    return f'{head}\n  "cusps": [\n{rows}\n  ]{tail}'

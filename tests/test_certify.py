@@ -6,16 +6,19 @@ import random
 import sys
 import types
 from itertools import product
-from math import gcd
+from math import gcd, inf, nan
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import etacover.certify
+import etacover.numeric
 import etacover.subgroups
 from etacover.certify import (
     DEFAULT_SEED,
     N_RANDOM,
     CheckResult,
+    CuspRow,
     _certified_unit,
     _law,
     branch_name,
@@ -58,6 +61,7 @@ from etacover.subgroups import (
 )
 from oracles import (
     character_modulus,
+    dumps_report,
     leading_exponent_at,
     literal_orbit_factors,
     literal_z_factors,
@@ -340,12 +344,14 @@ def test_law_matrices_replay_the_gamma0_stream(monkeypatch):
 @pytest.mark.parametrize("primes", [range(5, 500), (10007,)], ids=["below-500", "10007"])
 def test_int_law_matches_the_factor_by_factor_oracle(primes):
     # the exact law on ints against transform_product, which composes each
-    # factor's eta_multiplier turns and builds the moved EtaProduct
+    # factor's eta_multiplier turns and builds the moved EtaProduct; one memo
+    # of merges per prime, as in verify_transforms
     for p in filter(is_prime, primes):
         ctx = prime_context(p)
         unit, group = _certified_unit(ctx)
+        merged = {}
         for m in law_matrices(ctx, group):
-            t, exponents, sign = _law(unit, m)
+            t, exponents, sign = _law(unit, m, merged)
             root, moved = transform_product(unit, m)
             assert turns(t, 24 * p) == root, (p, tuple(m))
             assert (exponents, sign) == (moved.exponents, moved.sign), (p, tuple(m))
@@ -401,6 +407,59 @@ def test_law_targets_are_merged_once_per_upper_left_entry(monkeypatch):
         calls.clear()
         assert verify_transforms(ctx, *_certified_unit(ctx)).status == "pass", p
         assert len(calls) == len(set(calls)) <= (0 if p % 12 == 11 else 4), (p, calls)
+
+
+def test_shared_work_is_read_once_per_draw_and_per_upper_left_entry(monkeypatch):
+    # eps12 once per non-translation draw for all of its indices, and the
+    # moved unit merged once per a mod 2p, not once per law matrix
+    twelfths, batched = etacover.subgroups.epsilon_factor, etacover.certify.check_E_transforms
+    eps, draws, moved = [], [], []
+
+    def counted_eps(*m):
+        eps.append(m)
+        return twelfths(*m)
+
+    def counted_draw(indices, level, gamma, samples):
+        before = len(eps)
+        worst = batched(indices, level, gamma, samples)
+        draws.append((gamma.c != 0, len(eps) - before))
+        return worst
+
+    def counted_merge(level, factors, *sign):
+        if sign:  # the targets F_a are merged without one
+            moved.append(factors)
+        return merge_factors(level, factors, *sign)
+
+    monkeypatch.setattr(etacover.subgroups, "epsilon_factor", counted_eps)
+    monkeypatch.setattr(etacover.numeric, "epsilon_factor", counted_eps, raising=False)
+    monkeypatch.setattr(etacover.certify, "check_E_transforms", counted_draw)
+    monkeypatch.setattr(etacover.certify, "merge_factors", counted_merge)
+    for p in (5, 7, 11, 13, 17, 19, 23, 101, 10007):
+        ctx = prime_context(p)
+        unit, group = _certified_unit(ctx)
+        laws = [m for r in class_representatives(ctx, group) for m in (r, -r)]
+        laws += [lift_with_upper_left(x, p) for x in h_residues(ctx)]
+        entries = {(m.a if m.c else 1) % (2 * p) for m in laws}
+        draws.clear()
+        moved.clear()
+        assert verify_transforms(ctx, unit, group).status == "pass", p
+        assert len(draws) == N_RANDOM and any(moving for moving, _ in draws), p
+        assert all(n <= moving for moving, n in draws), (p, draws)
+        assert len(moved) <= len(entries) < len(laws), (p, len(moved), entries)
+
+
+def test_an_overflowing_E_g_law_fails(monkeypatch):
+    # an infinite factor puts a side out of the double range, and the
+    # relative error is nan there; it must fail as an infinite residual,
+    # not fold to 0 and pass
+    reduce = etacover.numeric.reduce_index
+    monkeypatch.setattr(etacover.numeric, "reduce_index",
+                        lambda g, level: (reduce(g, level)[0], inf))
+    for p in (13, 23):
+        ctx = prime_context(p)
+        res = verify_transforms(ctx, *_certified_unit(ctx))
+        assert res.status == "fail" and res.witness["max_residual"] == inf, p
+        assert res.reason == "max residual inf >= 1e-08", p
 
 
 SL2_Z2 = [m for m in product((0, 1), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 2]
@@ -775,6 +834,40 @@ def test_report_writer_matches_json_dumps():
     assert not reports[0].cusps and not reports[1].cusps
     for r in reports:
         assert report_to_json(r) == json.dumps(report_to_dict(r), indent=2), r.p
+
+
+ODD_TEXT = ['say "hi"', "back\\slash", "two\nlines", "bell\x07 tab\t nul\x00 del\x7f",
+            "\u00e9\u03c4\u2013\U0001d70f \ud800", '"cusps": [],\n  "cusps": []']
+
+
+def test_report_bytes_match_the_json_dumps_oracle():
+    # the recorded primes, error reasons that json escapes, and the floats
+    # that have JSON spellings of their own
+    reports = [certify(p) for p in filter(is_prime, range(2, 101))]
+    reports += [error_report(13, ValueError(text)) for text in ODD_TEXT]
+    r13 = certify(13)
+    for x in (nan, inf, -inf, -0.0, 1e-300, 5e-324):
+        checks = tuple(c._replace(witness={**c.witness, "max_residual": x})
+                       if c.name == "transformation-law" else c for c in r13.checks)
+        reports.append(r13._replace(checks=checks))
+    for r in reports:
+        assert report_to_json(r) == dumps_report(r), r
+
+
+WITNESS_VALUES = st.one_of(
+    st.integers(), st.floats(), st.text(), st.booleans(), st.none(),
+    st.lists(st.integers()), st.lists(st.integers(), max_size=0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(), WITNESS_VALUES), st.one_of(st.none(), st.text()))
+def test_witness_bytes_match_the_json_dumps_oracle(witness, reason):
+    base = error_report(7, ValueError("base"))
+    check = CheckResult("odd", "pass", reason=reason, witness=witness)
+    for cusps in ((), (CuspRow(1, 7, 1, 1), CuspRow(0, 1, 7, -3))):
+        r = base._replace(checks=(check, *base.checks), cusps=cusps)
+        assert report_to_json(r) == dumps_report(r)
 
 
 def test_reason_omitted_when_absent():

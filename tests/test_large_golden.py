@@ -17,14 +17,20 @@ from pathlib import Path
 import pytest
 
 from etacover.certify import certify, report_to_json
+from oracles import dumps_report
 
 GOLDEN = Path(__file__).parent / "data" / "certify_large.json"
 PRIMES = (509, 547, 1031, 1433, 2003, 10007, 10009, 20011, 50021, 100003)
 
 
 @lru_cache(maxsize=None)
+def report(p: int):
+    return certify(p)
+
+
+@lru_cache(maxsize=None)
 def report_text(p: int) -> str:
-    return report_to_json(certify(p))
+    return report_to_json(report(p))
 
 
 def digest(text: str) -> str:
@@ -35,7 +41,7 @@ def digest(text: str) -> str:
 
 
 def record(p: int) -> dict:
-    return {"sha256": digest(report_text(p)), "cusp_count": len(certify(p).cusps)}
+    return {"sha256": digest(report_text(p)), "cusp_count": len(report(p).cusps)}
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -48,6 +54,11 @@ def test_certify_matches_large_golden(p):
     residuals = [c["witness"]["max_residual"] for c in data["checks"]
                  if "max_residual" in c.get("witness", {})]
     assert residuals and max(residuals) < 1e-10, residuals
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_report_bytes_match_the_json_dumps_oracle(p):
+    assert report_text(p) == dumps_report(report(p))
 
 
 @pytest.mark.parametrize("old, new", [

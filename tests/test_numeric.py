@@ -1,6 +1,7 @@
 """Floating-point backend: sample points, evaluators, transformation checks."""
 
 import random
+from math import inf, nan
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from etacover.eta import (
     orbit_product,
     triplet_product,
 )
-from etacover.exact import prime_context
+from etacover.exact import is_prime, prime_context
 from etacover.numeric import (
     DEFAULT_SAMPLES,
     balanced_samples,
@@ -41,7 +42,7 @@ from etacover.subgroups import (
     random_member,
     sign_character,
 )
-from oracles import power_eval_generalized_eta, random_group_member
+from oracles import per_law_E_transforms, power_eval_generalized_eta, random_group_member
 
 S = SL2Matrix(0, -1, 1, 0)
 T = SL2Matrix.translation(1)
@@ -210,6 +211,32 @@ def test_batched_residual_is_the_max_over_indices(p):
         assert check_E_transforms(indices, p, m, pts) == single
 
 
+def test_E_residual_is_the_per_law_oracle_bit_for_bit():
+    # eps12 once per draw and flat laws change no float operation: every
+    # draw certify makes, compared with == against one multiplier per index
+    # and one evaluation per side
+    for p in [*filter(is_prime, range(5, 1001)), 10007, 100003]:
+        ctx = prime_context(p)
+        indices = sorted({1, 2, ctx.g % p})
+        rng = random.Random(DEFAULT_SEED + p)
+        for _ in range(N_RANDOM):
+            m = random_member(ctx, rng)
+            pts = balanced_samples(m)
+            want = per_law_E_transforms(indices, p, m, pts)
+            assert check_E_transforms(indices, p, m, pts) == want, (p, tuple(m))
+
+
+@pytest.mark.parametrize("p", [1433, 3001])
+def test_E_residual_on_translations_is_the_per_law_oracle_bit_for_bit(p):
+    # at height 1 these levels take q^L past the double range on one side
+    indices = sorted({1, 2, prime_context(p).g % p, (p - 1) // 2, p - 1})
+    for b in range(-3, 4):
+        for m in (SL2Matrix.translation(b), -SL2Matrix.translation(b)):
+            for pts in (DEFAULT_SAMPLES, DEFAULT_SAMPLES[:2]):
+                want = per_law_E_transforms(indices, p, m, pts)
+                assert check_E_transforms(indices, p, m, pts) == want, (p, tuple(m), pts)
+
+
 def test_batched_residual_checks_every_index():
     with pytest.raises(ValueError):
         check_E_transforms((1, 5), 5, T)
@@ -293,6 +320,16 @@ def test_invariance_fails_on_wrong_factor():
     pts = balanced_samples(m)
     assert check_invariance(unit, m, samples=pts) < 1e-8
     assert check_invariance(unit, m, factor=-1, samples=pts) > 1
+
+
+@pytest.mark.parametrize("factor", [inf, -inf, nan])
+def test_an_overflowing_law_fails_instead_of_reading_zero(factor):
+    # a side out of the double range makes the relative error nan, which a
+    # max() fold drops; the residual reads inf instead
+    f1 = orbit_product(1, prime_context(5))
+    eye = SL2Matrix(1, 0, 0, 1)
+    assert check_invariance(f1, eye, samples=DEFAULT_SAMPLES[:2]) == 0
+    assert check_invariance(f1, eye, factor=factor, samples=DEFAULT_SAMPLES[:2]) == inf
 
 
 @pytest.mark.parametrize("p", [1453, 10009])
