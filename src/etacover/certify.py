@@ -13,22 +13,24 @@ turns mod 24p), with complex evaluation of E_g alone:
                       (primes not 1 mod 8)
 
 The unit (F_1, or G when p == 11 mod 12) is derived once per prime and
-passed to the checks that read it.  The verdict plus the cusp rows (int
-CuspRow named tuples) form a CertReport, serialized as the bytes of
-json.dumps(indent=2) with a stable key layout, written by ``_dumps`` with
-the cusp rows put in directly.
+passed to the checks that read it.  The verdict plus the cusp rows (a
+CuspTable of columns, which yields int CuspRow named tuples) form a
+CertReport, serialized as the bytes of json.dumps(indent=2) with a stable
+key layout, written in pieces by ``report_chunks``: ``_dumps`` for all but
+the cusp rows, which are written from the columns.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import NamedTuple
 
-from .exact import is_prime, order_numerator, prime_context, PrimeContext
+from .exact import fiber_numerators, is_prime, order_numerator, prime_context, PrimeContext
 from .eta import (
     EtaProduct,
     find_triplet,
@@ -43,7 +45,7 @@ from .subgroups import (
     SL2Matrix,
     Subgroup,
     cusp_name,
-    cusp_set,
+    cusp_reps,
     h_residues,
     lift_with_upper_left,
     multiplier_turns,
@@ -74,6 +76,26 @@ class CuspRow(NamedTuple):
     order: int
 
 
+class CuspTable(Sequence):
+    """cusp_orders' CuspRows as columns: inf and r/p, width scale and orders[i] at r =
+    reps[i] (inf at r = 1), then 1/r for r in reps, width scale*p and the one order."""
+
+    def __init__(self, reps, orders: list, p: int, scale: int, order: int):
+        self.reps, self.orders, self.p, self.scale, self.order = reps, orders, p, scale, order
+
+    def __len__(self) -> int:
+        return 2 * len(self.reps)
+
+    def __getitem__(self, i: int) -> CuspRow:
+        i, n = range(len(self))[i], len(self.reps)
+        if i < n:
+            return CuspRow(self.reps[i], self.p if i else 0, self.scale, self.orders[i])
+        return CuspRow(1, self.reps[i - n], self.scale * self.p, self.order)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 class CertReport(NamedTuple):
     p: int
     g: int
@@ -83,7 +105,7 @@ class CertReport(NamedTuple):
     degree: int
     branch: str
     checks: tuple
-    cusps: tuple
+    cusps: Sequence  # a CuspTable, or () with no cusp-orders check
     overall: bool
 
 
@@ -221,44 +243,46 @@ def verify_invariance(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> C
     )
 
 
-def cusp_orders(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> tuple[CheckResult, tuple]:
+def cusp_orders(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> tuple:
     """Order of the squared unit at every cusp of its curve.
 
     order = width * sum_g e_g * delta_g with delta the leading exponent of E_g at the cusp,
     taken in integers as order_numerator / 12p; it must be an odd integer everywhere, equal
-    to 1 whenever p does not divide c, and the orders of a unit sum to zero.  Off the p | c
-    fiber order_numerator is s0 = sum e, taken once; one walk over the table builds the int
-    rows and sums their orders; width_sum is psl_index, the width sum cusp_set checked.
+    to 1 whenever p does not divide c, and the orders of a unit sum to zero.  The cusps are
+    cusp_reps' columns: every 1/r row has width scale*p and order_numerator s0 = sum e, so
+    it is decided once; fiber_numerators gives the p | c rows, inf as r = 1.  Floor
+    remainders are not negative, so the rows' orders are integers exactly when their sums
+    match.  (check, rows): rows a CuspTable, () where an order is no integer; a fail reason
+    names each bad row in table order.
     """
     prod = unit.squared()
     try:
-        table = cusp_set(group, ctx)
+        reps, scale = cusp_reps(group, ctx)
     except ArithmeticError as exc:
         return CheckResult("cusp-orders", "fail", reason=str(exc)), ()
-    rows, problems, order_sum = [], [], 0
-    p, exponents = ctx.p, prod.exponents  # field reads kept out of the O(p) loop
-    s0 = sum(exponents.values())
-    for a, c, width in table:
-        on_fiber = c % p == 0
-        numerator = order_numerator(exponents, p, a, c) if on_fiber else s0
-        order, rest = divmod(width * numerator, 12 * p)
-        if rest:
-            bad = Fraction(width * numerator, 12 * p)
-            reason = f"non-integer order {bad} at cusp {cusp_name(a, c)} (width/delta bug)"
-            return CheckResult("cusp-orders", "fail", reason=reason), ()
-        if order % 2 == 0:
-            problems.append(f"even order {order} at {cusp_name(a, c)}")
-        if not on_fiber and order != 1:
-            problems.append(f"order {order} != 1 at {cusp_name(a, c)} with p not dividing c")
-        order_sum += order
-        rows.append(CuspRow(a, c, width, order))
-    if order_sum:
+    p, big, s0, wide = ctx.p, 12 * ctx.p, sum(prod.exponents.values()), scale * ctx.p
+    numerators = fiber_numerators(prod.exponents, p, reps)
+    orders = [scale * n // big for n in numerators]
+    order, rest = divmod(wide * s0, big)  # the one order of the 1/r rows
+    if scale * sum(numerators) != big * sum(orders) or rest:  # the first bad row, or 1/1
+        a, c, width, n = next(((r, p if i else 0, scale, n) for i, (r, n)
+                               in enumerate(zip(reps, numerators)) if scale * n % big),
+                              (1, 1, wide, s0))
+        reason = f"non-integer order {Fraction(width * n, big)} at cusp {cusp_name(a, c)}"
+        return CheckResult("cusp-orders", "fail", reason=reason + " (width/delta bug)"), ()
+    problems = [f"even order {o} at {cusp_name(r, p if i else 0)}"
+                for i, (r, o) in enumerate(zip(reps, orders)) if o % 2 == 0]
+    for name in (cusp_name(1, r) for r in reps) if order != 1 else ():  # all 1/r rows alike
+        problems += [f"even order {order} at {name}"] * (order % 2 == 0)
+        problems.append(f"order {order} != 1 at {name} with p not dividing c")
+    if sum(orders) + len(reps) * order:
         problems.append("orders do not sum to zero")
+    table = CuspTable(reps, orders, p, scale, order)
     if problems:
-        return CheckResult("cusp-orders", "fail", reason="; ".join(problems)), tuple(rows)
-    witness = {"unit": prod.label, "cusp_count": len(rows),
+        return CheckResult("cusp-orders", "fail", reason="; ".join(problems)), table
+    witness = {"unit": prod.label, "cusp_count": len(table),
                "width_sum": psl_index(group, ctx), "ramification_index": 2}
-    return CheckResult("cusp-orders", "pass", witness=witness), tuple(rows)
+    return CheckResult("cusp-orders", "pass", witness=witness), table
 
 
 def verify_quotient(ctx: PrimeContext) -> CheckResult:
@@ -402,19 +426,39 @@ def _dumps(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-_ROW = '    {\n      "a": %d,\n      "c": %d,\n      "width": %d,\n      "order": %d\n    }'
+_ROW = '    {\n      "a": %s,\n      "c": %s,\n      "width": %s,\n      "order": %s\n    }'
+ROW_CHUNK = 65536  # cusp rows per piece of report_chunks and of the cusps command
+
+
+def report_chunks(report: CertReport, indent: str = "\n"):
+    """report_to_json's text in pieces, each line after the first begun by indent, a
+    CuspTable's rows ROW_CHUNK at a time from its columns, through _ROW with the fixed fields
+    filled in once.  Strings are written on one line with their quotes escaped, so only the
+    report's own "cusps": [] can follow indent and two spaces."""
+    text, cusps = _dumps(report_to_dict(report._replace(cusps=())), indent), report.cusps
+    if not cusps:
+        yield text
+        return
+    head, _, tail = text.partition(indent + '  "cusps": []')
+    row = _ROW.replace("\n", indent)
+    yield f'{head}{indent}  "cusps": [{indent}{row % cusps[0]}'
+    row = "," + indent + row
+    if not isinstance(cusps, CuspTable):
+        yield "".join([row % r for r in cusps[1:]])
+    else:
+        reps, orders, step = cusps.reps, cusps.orders, ROW_CHUNK
+        at_r = row % ("%s", cusps.p, cusps.scale, "%s")
+        for i in range(1, len(reps), step):
+            yield "".join([at_r % pair for pair in zip(reps[i:i + step], orders[i:i + step])])
+        at_1 = row % (1, "%s", cusps.scale * cusps.p, cusps.order)
+        for i in range(0, len(reps), step):
+            yield "".join([at_1 % r for r in reps[i:i + step]])
+    yield f"{indent}  ]{tail}"
 
 
 def report_to_json(report: CertReport) -> str:
-    """json.dumps(report_to_dict(report), indent=2), written by _dumps with the cusp rows
-    (_ROW) put in place: strings are written on one line with their quotes escaped, so
-    only the report's own "cusps": [] can follow a newline and two spaces."""
-    text = _dumps(report_to_dict(report._replace(cusps=())))
-    if not report.cusps:
-        return text
-    rows = ",\n".join(_ROW % row for row in report.cusps)
-    head, _, tail = text.partition('\n  "cusps": []')
-    return f'{head}\n  "cusps": [\n{rows}\n  ]{tail}'
+    """json.dumps(report_to_dict(report), indent=2): report_chunks joined."""
+    return "".join(report_chunks(report))
 
 
 def report_from_json(text: str) -> CertReport:

@@ -18,7 +18,8 @@ from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
-from .certify import certify, error_report, report_to_json, verify_z_relation
+from .certify import (ROW_CHUNK, certify, error_report, report_chunks, report_to_json,
+                      verify_z_relation)
 from .eta import (
     EtaProduct,
     classical_eta,
@@ -34,7 +35,7 @@ from .subgroups import (
     SL2Matrix,
     Subgroup,
     cusp_name,
-    cusp_set,
+    cusp_reps,
     epsilon_factor,
     psl_index,
     quadratic_character,
@@ -94,12 +95,18 @@ def cmd_character(args) -> int:
 
 
 def cmd_cusps(args) -> int:
+    """inf, then 1/r for r in reps, then r/p for r in reps[1:]: the table sorted by (c, a),
+    written from cusp_reps' columns ROW_CHUNK rows at a time."""
     ctx = prime_context(_require_prime(args.p))
     group = Subgroup(args.group)
-    table = sorted(cusp_set(group, ctx), key=lambda row: (row[1], row[0]))
-    for a, c, width in table:
-        print(f"{cusp_name(a, c):>8}  width {width}")
-    print(f"{len(table)} cusps of {group.value}({ctx.p}), width sum {psl_index(group, ctx)}")
+    reps, scale = cusp_reps(group, ctx)
+    p, write, step = ctx.p, sys.stdout.write, ROW_CHUNK
+    write(f"{cusp_name(1, 0):>8}  width {scale}\n")
+    for i in range(0, len(reps), step):
+        write("".join([f"{cusp_name(1, r):>8}  width {scale * p}\n" for r in reps[i:i + step]]))
+    for i in range(1, len(reps), step):
+        write("".join([f"{cusp_name(r, p):>8}  width {scale}\n" for r in reps[i:i + step]]))
+    print(f"{2 * len(reps)} cusps of {group.value}({p}), width sum {psl_index(group, ctx)}")
     return 0
 
 
@@ -129,8 +136,8 @@ def cmd_certify(args) -> int:
             Path(args.out).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ValueError(f"cannot use --out {args.out} as a directory: {exc}") from exc
-    passed = 0
-    opening = "[\n"  # a --range --json run prints one array, item by item
+    passed, single = 0, args.p is not None  # a --range --json run prints one array
+    opening, indent = ("", "\n") if single else ("[\n  ", "\n  ")
     for q in primes:
         try:
             r = certify(q)
@@ -138,8 +145,8 @@ def cmd_certify(args) -> int:
             import traceback  # imported here: only a failing prime needs it
             traceback.print_exc()
             r = error_report(q, exc)
-        text = report_to_json(r) if args.json or args.out is not None else ""  # one text per prime
-        if args.out is not None:
+        text = None if args.out is None else report_to_json(r)  # one text for file and stdout
+        if text is not None:
             path = Path(args.out) / f"{r.p}.json"
             try:
                 path.write_text(text + "\n")
@@ -149,17 +156,16 @@ def cmd_certify(args) -> int:
         if not args.json:
             verdict = "pass" if r.overall else "FAIL"
             print(f"p={r.p} branch={r.branch} degree={r.degree} overall={verdict}", flush=True)
-        elif args.p is not None:
-            print(text)
-        else:
-            # json.dumps(reports, indent=2) byte for byte, one report at a time
-            item = text.replace("\n", "\n  ")
-            print(f"{opening}  {item}", end="", flush=True)
-            opening = ",\n"
+        else:  # json.dumps(reports, indent=2) byte for byte, indented as it is written
+            sys.stdout.write(opening)
+            sys.stdout.writelines(report_chunks(r, indent) if text is None
+                                  else (text.replace("\n", indent),))
+            sys.stdout.flush()
+            opening = ",\n  "
     if not args.json:
         print(f"certified {passed}/{len(primes)} primes")
-    elif args.p is None:
-        print("\n]")
+    else:
+        print("" if single else "\n]")
     return 0 if passed == len(primes) else 1
 
 

@@ -14,16 +14,27 @@ def order_numerator(exponents: dict, level: int, a: int, c: int) -> int:
 
     Composed with a matrix of first column (a, c), E_g leads with exponent
     d^2/(2*level) * P2(a*g/d), d = gcd(c, level), P2 the periodic second
-    Bernoulli function.  With x = a*g mod d that is
-    (6x^2 - 6dx + d^2)/(12*level), so the sum is an integer; the cusp
-    1/0 (infinity) recovers the leading exponents level*B(g/level)/2.
+    Bernoulli function: lead_numerator(a*g mod d, d) / (12*level), so the
+    sum is an integer; the cusp 1/0 (infinity) recovers level*B(g/level)/2.
     """
     d = gcd(c, level)
-    total = 0
+    return sum(e * lead_numerator(a * g % d, d) for g, e in exponents.items())
+
+
+def lead_numerator(x: int, d: int) -> int:
+    """6x^2 - 6dx + d^2; lead_numerator(g, level) / (12*level) is L of E_g, 1 <= g < level."""
+    return 6 * x * x - 6 * d * x + d * d
+
+
+def fiber_numerators(exponents: dict, level: int, reps) -> list:
+    """order_numerator(exponents, level, r, level) for r in reps, for r = 1 also its value at
+    infinity: d = level throughout, so it is level^2 * sum e plus 6e x(x - level) per index,
+    x = r*g mod level, summed index by index over every r."""
+    totals = [level * level * sum(exponents.values())] * len(reps)
     for g, e in exponents.items():
-        x = a * g % d
-        total += e * (6 * x * x - 6 * d * x + d * d)
-    return total
+        xs = [r * g % level for r in reps]
+        totals = [t + 6 * e * x * (x - level) for t, x in zip(totals, xs)]
+    return totals
 
 
 def is_prime(n: int) -> bool:

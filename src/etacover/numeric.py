@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 from math import ceil, gcd, inf, pi
 
-from .exact import PrimeContext, order_numerator
+from .exact import PrimeContext, lead_numerator, order_numerator
 from .eta import EtaProduct, orbit_product, reduce_index, triplet_product
 from .qseries import PrecisionError, QSeries
 from .subgroups import (
@@ -88,12 +87,11 @@ def _form(exponents: dict, level: int) -> tuple:
     return order_numerator(exponents, level, 1, 0) / (12 * level), tuple(exponents.items())
 
 
-@lru_cache(maxsize=128)
 def _lead(g: int, level: int) -> float:
-    """L of E_g, 1 <= g <= level - 1, cached: laws at one level reuse a few indices."""
+    """L of E_g, 1 <= g <= level - 1, in closed form: order_numerator({g: 1}) at 1/0 over 12N."""
     if not 1 <= g <= level - 1:
         raise ValueError(f"index {g} outside [1, {level - 1}]")
-    return order_numerator({g: 1}, level, 1, 0) / (12 * level)
+    return lead_numerator(g, level) / (12 * level)
 
 
 def _times_unit(value: complex, g: int, level: int, point: tuple) -> complex:

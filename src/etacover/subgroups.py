@@ -16,9 +16,10 @@ Gamma0 members complete their first column (a, c) one way: d = a^-1 mod c neares
 Gamma0, Gamma1 and Gamma2 are Gamma_H(p), H the upper-left residues, and
 Gamma2Prime is the sign-twisted kernel inside Gamma2, so cusp tables come
 in closed form (Diamond-Shurman, A First Course in Modular Forms, ch. 3),
-as (a, c, width) ints, certified by their widths summing to the index in
-PSL(2,Z).  A cusp a/c is its pair (a, c), c >= 0, gcd(a, c) = 1 and (1, 0)
-for infinity; section(a, c) sends infinity to it, cusp_name prints it.
+as cusp_reps' coset representatives and width scale (cusp_set's (a, c, width)
+rows), certified by their widths summing to the index in PSL(2,Z).  A cusp
+a/c is its pair (a, c), c >= 0, gcd(a, c) = 1 and (1, 0) for infinity;
+section(a, c) sends infinity to it, cusp_name prints it.
 
 Characters and multipliers are ints t, the root e^(2*pi*i*t/M) for the
 modulus M their docstrings name (12, 24N, 2k or 4k); roots add.
@@ -389,40 +390,47 @@ def cusp_width(x: tuple, group: Subgroup, ctx: PrimeContext) -> int:
     raise ArithmeticError(f"no width <= {2 * ctx.p} at cusp {cusp_name(*x)}")
 
 
-def cusp_set(group: Subgroup, ctx: PrimeContext) -> list[tuple[int, int, int]]:
-    """Inequivalent cusps a/c with widths, as (a, c, width), closed form for Gamma_H(p).
+def cusp_reps(group: Subgroup, ctx: PrimeContext) -> tuple[range | list, int]:
+    """The cusps of the group in closed form, as the columns (reps, scale).
 
     Let H be the group's upper-left residues: all of (Z/p)^* for Gamma0,
-    {1} for Gamma1, <g^k> for Gamma2 and Gamma2Prime.  With r_1 = 1 <
+    {1} for Gamma1, <g^k> for Gamma2 and Gamma2Prime.  With reps r_1 = 1 <
     r_2 < ... the least representatives of the cosets of +-H in (Z/p)^*,
-    the cusps are inf, then r/p for r != r_1, then 1/r for every r
-    (Diamond-Shurman, A First Course in Modular Forms, ch. 3).  Widths
-    are 1 at inf and r/p and p at 1/r; the sign twist of Gamma2Prime
-    doubles them.  Widths of distinct classes sum to the PSL index, so
-    matching the independently computed index shows no class is missing.
+    the cusps are inf and r/p for r != r_1, of width scale, and 1/r for every
+    r, of width scale*p (Diamond-Shurman, A First Course in Modular Forms,
+    ch. 3); scale is 1, and 2 on Gamma2Prime, whose sign twist doubles the
+    widths.  Widths of distinct classes sum to the PSL index, so matching the
+    independently computed index shows no class is missing.
 
-    A sieve finds the r_i.  -1 lies in +-H, so each coset is closed under
-    r -> p-r: walking r = 1, ..., (p-1)/2, an r not yet marked is the least of
-    its coset and marks min(x, p-x), x = r*h mod p, for h in +-H/+-1, that is
-    1..(p-1)/2, {1} or the first ell elements of H (Gamma2, Gamma2Prime).
+    On Gamma1 reps is 1..(p-1)/2.  Otherwise a sieve finds them: -1 lies in
+    +-H, so each coset is closed under r -> p-r, and walking r = 1, ...,
+    (p-1)/2, an r not yet marked is the least of its coset and marks
+    min(x, p-x), x = r*h mod p, for h in +-H/+-1, that is 1..(p-1)/2 or the
+    first ell elements of H (Gamma2, Gamma2Prime).
     """
     p, half = ctx.p, (ctx.p - 1) // 2
-    units = {Subgroup.GAMMA0: range(1, half + 1), Subgroup.GAMMA1: (1,)}.get(group)
-    units = units or [x % p for x in h_residues(ctx)[:ctx.ell]]
-    marked, reps = bytearray(half + 1), []
-    for r in range(1, half + 1):
-        if not marked[r]:
-            reps.append(r)
-            for h in units:
-                x = r * h % p
-                marked[x if 2 * x < p else p - x] = 1
+    reps = range(1, half + 1)
+    if group is not Subgroup.GAMMA1:
+        units = reps if group is Subgroup.GAMMA0 else [x % p for x in h_residues(ctx)[:ctx.ell]]
+        marked, reps = bytearray(half + 1), []
+        for r in range(1, half + 1):
+            if not marked[r]:
+                reps.append(r)
+                for h in units:
+                    x = r * h % p
+                    marked[x if 2 * x < p else p - x] = 1
     scale = 2 if group is Subgroup.GAMMA2_PRIME else 1
-    wide = scale * p  # one width int shared by every 1/r row
-    table = [(1, 0, scale)] + [(r, p, scale) for r in reps[1:]] + [(1, r, wide) for r in reps]
-    total = len(reps) * (scale + wide)  # the table's widths: scale once per r_i, wide once
+    total = len(reps) * scale * (p + 1)  # scale at r/p (inf for r_1), scale*p at 1/r
     target = psl_index(group, ctx)
     if total != target:
         raise ArithmeticError(
             f"cusp widths for {group.value}({p}) sum to {total}, expected {target}"
         )
-    return table
+    return reps, scale
+
+
+def cusp_set(group: Subgroup, ctx: PrimeContext) -> list[tuple[int, int, int]]:
+    """Inequivalent cusps a/c with widths, as (a, c, width): cusp_reps' columns as rows."""
+    reps, scale = cusp_reps(group, ctx)
+    p, wide = ctx.p, scale * ctx.p  # one width int shared by every 1/r row
+    return [(1, 0, scale)] + [(r, p, scale) for r in reps[1:]] + [(1, r, wide) for r in reps]

@@ -26,7 +26,9 @@ reads its leading exponent with order_numerator.  per_law_E_transforms
 takes the E_g residual law by law, one eta_multiplier per index and one
 evaluation per side, with its own copy of the truncated-product loop; it
 reuses reduce_index and order_numerator.  dumps_report writes a report
-through json.dumps, the cusp rows spliced in.
+through json.dumps, the cusp rows spliced in.  sorted_cusps_text prints
+cusp_set's table sorted by (c, a), a row per line, as the cusps command
+did before it wrote the rows from cusp_reps' columns.
 
 A root of unity e^(2*pi*i*x) is the Fraction x mod 1 here, its turns in
 [0, 1): roots compose by adding turns, and the package's int roots t
@@ -48,6 +50,7 @@ from etacover.subgroups import (
     QuotientStructure,
     SL2Matrix,
     Subgroup,
+    cusp_name,
     cusp_set,
     cusp_width,
     cusps_equivalent,
@@ -321,6 +324,15 @@ def table_cusp_set(group, ctx) -> list:
     reps = sorted({logs[r] % m: r for r in range(p - 1, 0, -1)}.values())
     scale = 2 if group is Subgroup.GAMMA2_PRIME else 1
     return [(1, 0, scale)] + [(r, p, scale) for r in reps[1:]] + [(1, r, scale * p) for r in reps]
+
+
+def sorted_cusps_text(group, ctx) -> str:
+    """The cusps command's stdout: cusp_set's table sorted by (c, a), then its size and
+    width sum."""
+    table = sorted(cusp_set(group, ctx), key=lambda row: (row[1], row[0]))
+    lines = [f"{cusp_name(a, c):>8}  width {width}\n" for a, c, width in table]
+    total = psl_index(group, ctx)
+    return "".join(lines) + f"{len(table)} cusps of {group.value}({ctx.p}), width sum {total}\n"
 
 
 def table_orbit_factors(h: int, ctx) -> list:

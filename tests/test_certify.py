@@ -667,22 +667,30 @@ def test_certify_derives_the_unit_once(monkeypatch, p, scans):
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 47, 101, 1009, 10007])
 def test_order_numerator_only_at_the_p_divides_c_rows(monkeypatch, p):
     # the z-relation reads its lead off the exponents and takes no sum at
-    # all; cusp_orders takes one per row with p | c (infinity and the r/p
-    # rows) and reads sum e everywhere else
-    calls = []
-    original = etacover.certify.order_numerator
+    # all; cusp_orders asks fiber_numerators once, for the rows with p | c
+    # (infinity, as r = 1, and the r/p rows), gets order_numerator's value
+    # at each, and reads sum e everywhere else
+    calls, asked = [], []
+    original, fiber = etacover.certify.order_numerator, etacover.certify.fiber_numerators
 
     def counting(exponents, N, a, c):
         calls.append(c)
         return original(exponents, N, a, c)
 
+    def asking(exponents, N, reps):
+        asked.append([(r, N if i else 0) for i, r in enumerate(reps)])
+        values = fiber(exponents, N, reps)
+        assert values == [original(exponents, N, a, c) for a, c in asked[-1]], N
+        return values
+
     monkeypatch.setattr(etacover.certify, "order_numerator", counting)
+    monkeypatch.setattr(etacover.certify, "fiber_numerators", asking)
     ctx = prime_context(p)
     verify_z_relation(ctx)
-    assert calls == [], p
+    assert calls == [] == asked, p
     check, rows = cusp_orders(ctx, *_certified_unit(ctx))
-    assert check.status == "pass", p
-    assert calls == [row.c for row in rows if row.c % p == 0], p
+    assert check.status == "pass" and calls == [], p
+    assert asked == [[(row.a, row.c) for row in rows if row.c % p == 0]], p
 
 
 def cusp_orders_check(p):
@@ -690,14 +698,15 @@ def cusp_orders_check(p):
 
 
 def mutate_order_numerator(monkeypatch, at, change):
-    """order_numerator(e, N, a, c) replaced by change(N, value) at the rows where at(N, c)."""
-    original = etacover.certify.order_numerator
+    """order_numerator(e, N, a, c) at the p | c rows, as fiber_numerators gives it, replaced
+    by change(N, value) at the rows where at(N, c): c = 0 at infinity (r = 1), N at r/N."""
+    original = etacover.certify.fiber_numerators
 
-    def mutant(exponents, N, a, c):
-        value = original(exponents, N, a, c)
-        return change(N, value) if at(N, c) else value
+    def mutant(exponents, N, reps):
+        values = original(exponents, N, reps)
+        return [change(N, v) if at(N, N if i else 0) else v for i, v in enumerate(values)]
 
-    monkeypatch.setattr(etacover.certify, "order_numerator", mutant)
+    monkeypatch.setattr(etacover.certify, "fiber_numerators", mutant)
 
 
 NUMERATOR_MUTANTS = {
@@ -718,6 +727,27 @@ def test_cusp_orders_fail_on_a_wrong_order(monkeypatch, name):
     # each failure names its row as cusp_name does: inf, r/p, 1/r
     p, at, change, reason = NUMERATOR_MUTANTS[name]
     mutate_order_numerator(monkeypatch, at, change)
+    check = cusp_orders_check(p)
+    assert (check.status, check.reason) == ("fail", reason)
+
+
+SHARED_MUTANTS = {  # the 1/r rows, decided once: a wrong shared width, a wrong shared order
+    "width scale": (13, "wide = ctx.p, 12 * ctx.p, sum(prod.exponents.values()), scale * ctx.p",
+                    "wide = ctx.p, 12 * ctx.p, sum(prod.exponents.values()), scale",
+                    "non-integer order 1/13 at cusp 1/1 (width/delta bug)"),
+    "order 2": (37, "divmod(wide * s0, big)", "divmod(wide * s0 + big, big)",
+                "; ".join(f"even order 2 at 1/{r}; order 2 != 1 at 1/{r} with p not dividing c"
+                          for r in (1, 2, 3)) + "; orders do not sum to zero"),
+    "order 3": (13, "divmod(wide * s0, big)", "divmod(wide * s0 + 2 * big, big)",
+                "order 3 != 1 at 1/1 with p not dividing c; orders do not sum to zero"),
+}
+
+
+@pytest.mark.parametrize("name", SHARED_MUTANTS)
+def test_cusp_orders_fail_on_a_wrong_shared_row(monkeypatch, name):
+    p, old, new, reason = SHARED_MUTANTS[name]
+    mutant = source_mutant(etacover.certify, "cusp_orders", old, new)
+    monkeypatch.setattr(etacover.certify, "cusp_orders", mutant)
     check = cusp_orders_check(p)
     assert (check.status, check.reason) == ("fail", reason)
 

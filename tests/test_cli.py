@@ -12,8 +12,10 @@ import pytest
 import etacover
 import etacover.cli as cli
 from etacover.certify import certify, report_to_dict, report_to_json
-from etacover.exact import is_prime
+from etacover.exact import is_prime, prime_context
 from etacover.cli import main
+from etacover.subgroups import Subgroup
+from oracles import sorted_cusps_text
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -267,6 +269,32 @@ def test_cusps_37_bytes(capsys, group):
     if group == "Gamma2Prime":
         assert out.splitlines()[:2] == ["     inf  width 2", "     1/1  width 74"]
         assert out.splitlines()[4] == "    2/37  width 2"
+
+
+# cusps --p 1009, recorded before the rows were written from their columns:
+# (lines, sha256 of stdout)
+CUSPS_1009 = {
+    "Gamma0": (3, "0adefb4b4588963425615b1514ea6fa2a6020063b213eb2dbe64723bcf8cde43"),
+    "Gamma1": (1009, "ccff58e5502ac365c4bcaf20a17bfb4477f0520b020344459997c19bff59b715"),
+    "Gamma2": (169, "1ccd5df88e2e9704f0908ab3ca89414a2dbb433bfd43ed171de9944f7051c6f3"),
+    "Gamma2Prime": (169, "d5a123c73614640eb0556759e6683d8fa19a73a9c72d5719612c4ed115a3e6f3"),
+}
+
+
+@pytest.mark.parametrize("group", CUSPS_1009)
+def test_cusps_1009_bytes(capsys, group):
+    code, out, _ = run(capsys, "cusps", "--p", "1009", "--group", group)
+    assert code == 0
+    assert (out.count("\n"), hashlib.sha256(out.encode()).hexdigest()) == CUSPS_1009[group]
+
+
+def test_cusps_write_the_sorted_table(capsys):
+    # inf, 1/r, then r/p from the columns is cusp_set's table sorted by (c, a)
+    for p in filter(is_prime, range(5, 2000)):
+        ctx = prime_context(p)
+        for group in Subgroup:
+            code, out, _ = run(capsys, "cusps", "--p", str(p), "--group", group.value)
+            assert (code, out) == (0, sorted_cusps_text(group, ctx)), (p, group)
 
 
 def test_cusps_default_group_is_gamma2(capsys):

@@ -1,5 +1,7 @@
 """Floating-point backend: sample points, evaluators, transformation checks."""
 
+import cmath
+import math
 import random
 from math import inf, nan
 
@@ -31,6 +33,7 @@ from etacover.numeric import (
     eval_series,
     _as_point,
     _terms_for,
+    _times_unit,
 )
 from etacover.qseries import PrecisionError, QSeries
 from etacover.subgroups import (
@@ -181,6 +184,25 @@ def test_running_powers_match_power_per_factor(p):
             b = power_eval_generalized_eta(g, p, z)
             worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
     assert worst <= 1e-12
+
+
+def test_times_unit_takes_exactly_terms_factor_pairs():
+    # |q| near 1, so every factor 1 - q^n moves the value: the product of
+    # exactly `terms` pairs (1 - q^(N(m-1)+g)) * (1 - q^(Nm-g)), from the
+    # same running powers, and not one pair fewer or more
+    q = cmath.exp(2j * math.pi * complex(0.1, 0.01))
+    level, g, terms, value = 7, 3, 9, 0.5 + 0.25j
+    lo, hi, step, pairs = q ** g, q ** (level - g), q ** level, []
+    for _ in range(terms + 1):
+        pairs.append((1 - lo) * (1 - hi))
+        lo, hi = lo * step, hi * step
+    products = [value]
+    for pair in pairs:
+        products.append(products[-1] * pair)
+    assert min(abs(pair - 1) for pair in pairs) > 0.01
+    assert len(set(products)) == terms + 2
+    point = (2j * math.pi * complex(0.1, 0.01), q, step, terms)
+    assert _times_unit(value, g, level, point) == products[terms]
 
 
 def test_eval_series_refuses_visible_tail():
