@@ -95,17 +95,19 @@ def cmd_character(args) -> int:
 
 
 def cmd_cusps(args) -> int:
-    """inf, then 1/r for r in reps, then r/p for r in reps[1:]: the table sorted by (c, a),
-    written from cusp_reps' columns ROW_CHUNK rows at a time."""
+    """inf, then 1/r for r in reps, then r/p for r in reps[1:], named as cusp_name names them:
+    the table sorted by (c, a), written from cusp_reps' columns ROW_CHUNK rows at a time."""
     ctx = prime_context(_require_prime(args.p))
     group = Subgroup(args.group)
     reps, scale = cusp_reps(group, ctx)
     p, write, step = ctx.p, sys.stdout.write, ROW_CHUNK
     write(f"{cusp_name(1, 0):>8}  width {scale}\n")
+    row = f"%8s  width {scale * p}\n"
     for i in range(0, len(reps), step):
-        write("".join([f"{cusp_name(1, r):>8}  width {scale * p}\n" for r in reps[i:i + step]]))
+        write("".join([row % f"1/{r}" for r in reps[i:i + step]]))
+    row = f"%8s  width {scale}\n"
     for i in range(1, len(reps), step):
-        write("".join([f"{cusp_name(r, p):>8}  width {scale}\n" for r in reps[i:i + step]]))
+        write("".join([row % f"{r}/{p}" for r in reps[i:i + step]]))
     print(f"{2 * len(reps)} cusps of {group.value}({p}), width sum {psl_index(group, ctx)}")
     return 0
 
