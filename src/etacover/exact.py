@@ -16,14 +16,12 @@ def order_numerator(exponents: dict, level: int, a: int, c: int) -> int:
     d^2/(2*level) * P2(a*g/d), d = gcd(c, level), P2 the periodic second
     Bernoulli function.  With x = a*g mod d that is lead_numerator(x, d)
     over 12*level, so the sum is an integer; the cusp 1/0 (infinity)
-    recovers level*B(g/level)/2.  The term is spelled out here: a call per
-    index cost about 2% of a small-prime certify run.
+    recovers level*B(g/level)/2.
     """
     d = gcd(c, level)
     total = 0
     for g, e in exponents.items():
-        x = a * g % d
-        total += e * (6 * x * x - 6 * d * x + d * d)
+        total += e * lead_numerator(a * g % d, d)
     return total
 
 
