@@ -243,7 +243,8 @@ def verify_invariance(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> C
     )
 
 
-def cusp_orders(ctx: PrimeContext, unit: EtaProduct, group: Subgroup) -> tuple:
+def cusp_orders(ctx: PrimeContext, unit: EtaProduct,
+                group: Subgroup) -> tuple[CheckResult, Sequence]:
     """Order of the squared unit at every cusp of its curve.
 
     order = width * sum_g e_g * delta_g with delta the leading exponent of E_g at the cusp,

@@ -36,8 +36,7 @@ def fiber_numerators(exponents: dict, level: int, reps) -> list:
     x = r*g mod level, summed index by index over every r."""
     totals = [level * level * sum(exponents.values())] * len(reps)
     for g, e in exponents.items():
-        xs = [r * g % level for r in reps]
-        totals = [t + 6 * e * x * (x - level) for t, x in zip(totals, xs)]
+        totals = [t + 6 * e * (x := r * g % level) * (x - level) for t, r in zip(totals, reps)]
     return totals
 
 
