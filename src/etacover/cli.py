@@ -18,8 +18,7 @@ from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
-from .certify import (ROW_CHUNK, certify, error_report, report_chunks, report_to_json,
-                      verify_z_relation)
+from .certify import ROW_CHUNK, certify, error_report, report_chunks, verify_z_relation
 from .eta import (
     EtaProduct,
     classical_eta,
@@ -147,11 +146,12 @@ def cmd_certify(args) -> int:
             import traceback  # imported here: only a failing prime needs it
             traceback.print_exc()
             r = error_report(q, exc)
-        text = None if args.out is None else report_to_json(r)  # one text for file and stdout
-        if text is not None:
+        if args.out is not None:  # report_to_json(r) + newline, streamed; no sink holds it whole
             path = Path(args.out) / f"{r.p}.json"
             try:
-                path.write_text(text + "\n")
+                with open(path, "w") as f:
+                    f.writelines(report_chunks(r))
+                    f.write("\n")
             except OSError as exc:
                 raise ValueError(f"cannot write {path}: {exc}") from exc
         passed += r.overall
@@ -160,8 +160,7 @@ def cmd_certify(args) -> int:
             print(f"p={r.p} branch={r.branch} degree={r.degree} overall={verdict}", flush=True)
         else:  # json.dumps(reports, indent=2) byte for byte, indented as it is written
             sys.stdout.write(opening)
-            sys.stdout.writelines(report_chunks(r, indent) if text is None
-                                  else (text.replace("\n", indent),))
+            sys.stdout.writelines(report_chunks(r, indent))
             sys.stdout.flush()
             opening = ",\n  "
     if not args.json:

@@ -385,20 +385,23 @@ def test_certify_out_writes_reports(capsys, tmp_path):
         assert json.loads(text)["p"] == p
 
 
+def no_whole_report(monkeypatch):
+    # every sink streams report_chunks; building one report's whole text fails the test
+    def whole(r):
+        raise AssertionError(f"a sink built the whole report of p={r.p}")
+
+    monkeypatch.setattr("etacover.certify.report_to_json", whole)
+    monkeypatch.setattr("etacover.cli.report_to_json", whole, raising=False)
+
+
 @pytest.mark.parametrize("argv", [["--p", "7"], ["--range", "5..11"]], ids=["p", "range"])
-def test_certify_json_and_out_serialize_once(capsys, tmp_path, monkeypatch, argv):
-    # --json and --out share one report text per prime; each file holds
-    # the report as printed, plus a newline
-    calls = []
-
-    def counted(r):
-        calls.append(r.p)
-        return report_to_json(r)
-
-    monkeypatch.setattr("etacover.cli.report_to_json", counted)
+def test_certify_json_and_out_stream_each_sink(capsys, tmp_path, monkeypatch, argv):
+    # --json and --out each write the report's chunks; each file holds the
+    # report as printed, plus a newline
+    no_whole_report(monkeypatch)
     code, out, _ = run(capsys, "certify", *argv, "--json", "--out", str(tmp_path))
     primes = [7] if argv[0] == "--p" else [5, 7, 11]
-    assert code == 0 and calls == primes
+    assert code == 0
     texts = [(tmp_path / f"{p}.json").read_text() for p in primes]
     assert all(t.endswith("}\n") for t in texts)
     if argv[0] == "--p":
@@ -406,6 +409,22 @@ def test_certify_json_and_out_serialize_once(capsys, tmp_path, monkeypatch, argv
     else:
         items = ",\n  ".join(t[:-1].replace("\n", "\n  ") for t in texts)
         assert out == f"[\n  {items}\n]\n"
+
+
+@pytest.mark.parametrize("argv", [["--p", "7"], ["--range", "2..7"]], ids=["p", "range"])
+def test_certify_out_streams_each_report_under_text_output(capsys, tmp_path, monkeypatch, argv):
+    # without --json stdout keeps the verdict lines, and each file holds
+    # report_to_json plus a newline, the cusp-free reports of 2 and 3 included
+    no_whole_report(monkeypatch)
+    code, out, _ = run(capsys, "certify", *argv, "--out", str(tmp_path))
+    reports = [certify(q) for q in ([7] if argv[0] == "--p" else [2, 3, 5, 7])]
+    assert code == 0
+    assert out == "".join(
+        f"p={r.p} branch={r.branch} degree={r.degree} overall=pass\n" for r in reports
+    ) + f"certified {len(reports)}/{len(reports)} primes\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(f"{r.p}.json" for r in reports)
+    for r in reports:
+        assert (tmp_path / f"{r.p}.json").read_text() == report_to_json(r) + "\n"
 
 
 def test_certify_out_must_be_a_directory(capsys, tmp_path, monkeypatch):
